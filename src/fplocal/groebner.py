@@ -7,6 +7,14 @@ sorted in descending lead order.  Pair selection is the normal strategy
 or reduced pair counts against the configured reduction budget, so a
 runaway computation raises ResourceLimitError instead of spinning.
 
+Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
+division using a heap", JSC 2011): normal forms and exact_div keep the
+dividend's monomials in a min-heap on the ring's reversed order key, so
+each key is computed once, when its monomial enters the dividend, and a
+cancelled monomial is skipped when it is popped.  Divisors are monic,
+so each step cancels the lead exactly.  The divisor chosen for a lead
+is the first one in basis order that divides it.
+
 Ideal quotients go through the classic elimination route: intersect with
 the principal ideal using one auxiliary variable that dominates the base
 order, then divide by the generator.  Saturation iterates the colon
@@ -19,7 +27,8 @@ re-derives every S-polynomial and reduces it with its own divisor policy
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .config import Budget, EngineLimits, resolve_limits
@@ -61,31 +70,44 @@ def _monic(terms: dict, lm: tuple, p: int) -> dict:
 
 
 def _reduce(terms: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
-    """Full normal form of `terms` against monic (lm, tdict) divisors."""
+    """Full normal form of `terms` against monic (lm, tdict) divisors.
+
+    The pending monomials sit in a min-heap on ring.rkey, so each order
+    key is computed once, when its monomial enters h.  h keeps every
+    queued monomial, at coefficient 0 once cancelled, and a cancelled
+    entry is skipped when popped.  Every monomial added while reducing
+    lm is smaller than lm, so no monomial is popped twice.  The divisor's
+    lead lands on lm and cancels there because the divisor is monic.
+    The result lists its terms in descending order: its lead comes first.
+    """
     p = ring.p
-    key = ring.key
+    rkey = ring.rkey
     h = dict(terms)
+    heap = [(rkey(m), m) for m in h]
+    heapify(heap)
     out: dict = {}
-    while h:
-        lm = max(h, key=key)
-        c = h.pop(lm)
-        hit = None
+    while heap:
+        lm = heappop(heap)[1]
+        c = h[lm]
+        if not c:
+            continue
         for dlm, dterms in divisors:
-            ok = True
-            for x, y in zip(dlm, lm):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                hit = (dlm, dterms)
+            if all(map(le, dlm, lm)):
                 break
-        if hit is None:
+        else:
             out[lm] = c
             continue
         budget.step()
-        h[lm] = c
-        shift = tuple(x - y for x, y in zip(lm, hit[0]))
-        add_scaled(h, hit[1], p - c, shift, p)
+        shift = tuple(map(sub, lm, dlm))
+        coeff = p - c
+        for a, v in dterms.items():
+            m = tuple(map(add, a, shift))
+            old = h.get(m)
+            if old is None:
+                h[m] = coeff * v % p
+                heappush(heap, (rkey(m), m))
+            else:
+                h[m] = (old + coeff * v) % p
     return out
 
 
@@ -124,14 +146,14 @@ def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> l
         lmj = G[j][0]
         for i in range(j):
             u = mono_lcm(G[i][0], lmj)
-            heapq.heappush(heap, (key(u), i, j, u))
+            heappush(heap, (key(u), i, j, u))
             pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
 
     while heap:
-        _, i, j, u = heapq.heappop(heap)
+        _, i, j, u = heappop(heap)
         pending.discard((i, j))
         budget.step()
         lmi, ti = G[i]
@@ -157,7 +179,7 @@ def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> l
         if r:
             if len(G) >= limits.max_basis:
                 raise ResourceLimitError("basis size", limits.max_basis)
-            lm = max(r, key=key)
+            lm = next(iter(r))  # _reduce emits terms in descending order
             G.append((lm, _monic(r, lm, p)))
             push_pairs(len(G) - 1)
     out = _interreduce(G, ring, budget)
@@ -180,7 +202,7 @@ def _interreduce(G: list, ring: PolyRing, budget: Budget) -> list:
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         r = _reduce(kept[i][1], others, ring, budget)
-        lm = max(r, key=key)
+        lm = next(iter(r))
         kept[i] = (lm, _monic(r, lm, p))
     kept.sort(key=lambda e: key(e[0]), reverse=True)
     return [t for _, t in kept]
@@ -191,7 +213,12 @@ def _wrap(ring: PolyRing, dicts: Sequence[dict]) -> tuple:
 
 
 def _basis_pairs(basis: Sequence[Polynomial]) -> list:
-    return [(g.leading_monomial(), g.terms) for g in basis]
+    """Monic (lm, tdict) divisors for _reduce, in basis order."""
+    out = []
+    for g in basis:
+        lm = g.leading_monomial()
+        out.append((lm, _monic(g.terms, lm, g.ring.p)))
+    return out
 
 
 class Ideal:
@@ -365,22 +392,41 @@ def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Idea
 
 
 def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
-    """Quotient g / h when h divides g exactly; error otherwise."""
+    """Quotient g / h when h divides g exactly; error otherwise.
+
+    The remainder's monomials sit in a heap as in _reduce.  Each step
+    cancels the remainder's lead against h's lead by construction, so
+    only h's tail is added.
+    """
     if not h:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
     p = ring.p
-    key = ring.key
+    rkey = ring.rkey
     hlm = h.leading_monomial()
     hinv = pow(h.terms[hlm], -1, p)
+    tail = [(a, v) for a, v in h.terms.items() if a != hlm]
     rem = dict(g.terms)
+    heap = [(rkey(m), m) for m in rem]
+    heapify(heap)
     q: dict = {}
-    while rem:
-        lm = max(rem, key=key)
+    while heap:
+        lm = heappop(heap)[1]
+        c = rem[lm]
+        if not c:
+            continue
         shift = mono_div(lm, hlm)  # raises if not divisible
-        c = (rem[lm] * hinv) % p
+        c = (c * hinv) % p
         q[shift] = c
-        add_scaled(rem, h.terms, p - c, shift, p)
+        coeff = p - c
+        for a, v in tail:
+            m = tuple(map(add, a, shift))
+            old = rem.get(m)
+            if old is None:
+                rem[m] = coeff * v % p
+                heappush(heap, (rkey(m), m))
+            else:
+                rem[m] = (old + coeff * v) % p
     return Polynomial(ring, q, _raw=True)
 
 

@@ -24,7 +24,9 @@ Auslander-Buchsbaum formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import product as _iproduct
+from operator import add, le, sub
 from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
@@ -101,27 +103,42 @@ def _vmonic(v: dict, lead, p: int) -> dict:
 
 
 def _vreduce(v: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
-    """Full normal form against monic (lead, vec) divisors."""
+    """Full normal form against monic (lead, vec) divisors.
+
+    Heap-ordered like groebner._reduce: the pending terms sit in a
+    min-heap on (component, ring.rkey(monomial)), h keeps cancelled
+    terms at coefficient 0, and those are skipped when popped.  The
+    result lists its terms in descending order: its lead comes first.
+    """
     p = ring.p
-    vk = _vkey(ring)
+    rkey = ring.rkey
     h = dict(v)
+    heap = [(cm[0], rkey(cm[1]), cm) for cm in h]
+    heapify(heap)
     out: dict = {}
-    while h:
-        lead = max(h, key=vk)
-        c = h.pop(lead)
+    while heap:
+        lead = heappop(heap)[2]
+        c = h[lead]
+        if not c:
+            continue
         comp, mono = lead
-        hit = None
         for (dc, dm), dvec in divisors:
-            if dc == comp and mono_divides(dm, mono):
-                hit = (dm, dvec)
+            if dc == comp and all(map(le, dm, mono)):
                 break
-        if hit is None:
+        else:
             out[lead] = c
             continue
         budget.step()
-        h[lead] = c
-        shift = tuple(x - y for x, y in zip(mono, hit[0]))
-        _vadd_scaled(h, hit[1], p - c, shift, p)
+        shift = tuple(map(sub, mono, dm))
+        coeff = p - c
+        for (tc, a), w in dvec.items():
+            m = (tc, tuple(map(add, a, shift)))
+            old = h.get(m)
+            if old is None:
+                h[m] = coeff * w % p
+                heappush(heap, (tc, rkey(m[1]), m))
+            else:
+                h[m] = (old + coeff * w) % p
     return out
 
 
@@ -146,7 +163,6 @@ def _vcanonical_input(vecs: Sequence[dict], ring: PolyRing) -> list:
 def _module_buchberger(vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> list:
     """Reduced module basis of the span of `vecs`, position-over-term order."""
     p = ring.p
-    vk = _vkey(ring)
     budget = Budget(limits)
     G = _vcanonical_input(vecs, ring)
     if not G:
@@ -173,7 +189,7 @@ def _module_buchberger(vecs: Sequence[dict], ring: PolyRing, limits: EngineLimit
         if r:
             if len(G) >= limits.max_basis:
                 raise ResourceLimitError("module basis size", limits.max_basis)
-            lead = max(r, key=vk)
+            lead = next(iter(r))  # _vreduce emits terms in descending order
             k = len(G)
             G.append((lead, _vmonic(r, lead, p)))
             pairs.extend((i2, k) for i2 in range(k) if G[i2][0][0] == lead[0])
@@ -193,15 +209,20 @@ def _vinterreduce(G: list, ring: PolyRing, budget: Budget) -> list:
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         r = _vreduce(kept[i][1], others, ring, budget)
-        lead = max(r, key=vk)
+        lead = next(iter(r))
         kept[i] = (lead, _vmonic(r, lead, p))
     kept.sort(key=lambda e: vk(e[0]), reverse=True)
     return [v for _, v in kept]
 
 
 def _gb_pairs(gb: Sequence[dict], ring: PolyRing) -> list:
+    """Monic (lead, vec) divisors for _vreduce, in basis order."""
     vk = _vkey(ring)
-    return [(max(v, key=vk), v) for v in gb]
+    out = []
+    for v in gb:
+        lead = max(v, key=vk)
+        out.append((lead, _vmonic(v, lead, ring.p)))
+    return out
 
 
 def _syzygies_raw(cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
@@ -771,7 +792,7 @@ def module_h0m(
     for v in sat:
         r = _vreduce(v, ngb, ring, budget)
         if r:
-            r = _vmonic(r, max(r, key=vk), ring.p)
+            r = _vmonic(r, next(iter(r)), ring.p)
             if r not in tors:
                 tors.append(r)
     tors.sort(key=lambda v: vk(max(v, key=vk)), reverse=True)

@@ -1,0 +1,310 @@
+"""Heap-ordered division against a max-scan reference.
+
+normal_form, module_normal_form and exact_div keep the dividend's
+monomials in a heap.  The reference below finds every leading term by a
+full max() scan under order keys written out here, divides by the
+divisor's lead coefficient instead of assuming monic divisors, and
+shares no code with the engine.  Both must pick the same divisor (the
+first in basis order whose lead divides the current lead) and so return
+the same remainder, term for term.
+
+The reference also counts monomials that cancel while a lower term is
+reduced and are later brought back by another divisor: the case the
+heap handles by skipping cancelled entries when they are popped.
+
+The ceiling tests pin the work counted against Budget: the step counts
+were taken from the max-scan engine that preceded the heap.
+"""
+
+import random
+
+import pytest
+
+from fplocal.config import EngineLimits
+from fplocal.errors import ResourceLimitError
+from fplocal.groebner import Ideal, exact_div, normal_form
+from fplocal.modres import module_normal_form, syzygies
+from fplocal.polycore import Polynomial, PolyRing, parse_poly
+
+SEED = 20261018
+
+
+# ---------------------------------------------------------------------------
+# the reference: order keys, max-scan division, reappearance counter
+
+def grevlex(a):
+    return (sum(a), [-e for e in reversed(a)])
+
+
+def lex(a):
+    return list(a)
+
+
+def order_key(order):
+    if order.startswith("elim-"):
+        base = order_key(order[5:])
+        return lambda a: (a[-1], base(a[:-1]))
+    return {"grevlex": grevlex, "lex": lex}[order]
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class Reference:
+    """Max-scan division over plain dicts; keys are monomials or
+    (component, monomial) pairs, ordered by `key`."""
+
+    def __init__(self, key, p):
+        self.key = key
+        self.p = p
+        self.cancelled = set()
+        self.reappeared = 0  # over all divisions run so far
+
+    def lead(self, terms):
+        return max(terms, key=self.key)
+
+    def subtract(self, h, src, coeff, shift, lead):
+        """h -= coeff * shift * src; count cancelled monomials coming back."""
+        p = self.p
+        for m, c in src.items():
+            t = shift(m)
+            v = (h.get(t, 0) - coeff * c) % p
+            if t in self.cancelled and t not in h:
+                self.reappeared += 1
+            if v:
+                h[t] = v
+            else:
+                h.pop(t, None)
+                if t != lead:
+                    self.cancelled.add(t)
+
+    def normal_form(self, terms, divisors, divides_lead, shift_by):
+        p = self.p
+        self.cancelled = set()
+        leads = [self.lead(d) for d in divisors]
+        h = dict(terms)
+        out = {}
+        while h:
+            lm = self.lead(h)
+            for d, dlm in zip(divisors, leads):
+                if divides_lead(dlm, lm):
+                    coeff = h[lm] * pow(d[dlm], -1, p) % p
+                    self.subtract(h, d, coeff, shift_by(lm, dlm), lm)
+                    break
+            else:
+                out[lm] = h.pop(lm)
+        return out
+
+    def exact_div(self, terms, divisor):
+        p = self.p
+        self.cancelled = set()
+        dlm = self.lead(divisor)
+        inv = pow(divisor[dlm], -1, p)
+        h = dict(terms)
+        q = {}
+        while h:
+            lm = self.lead(h)
+            if not divides(dlm, lm):
+                raise ArithmeticError(f"{dlm} does not divide {lm}")
+            s = tuple(x - y for x, y in zip(lm, dlm))
+            c = h[lm] * inv % p
+            q[s] = c
+            self.subtract(h, divisor, c, lambda m: tuple(x + y for x, y in zip(m, s)), lm)
+        return q
+
+
+def poly_shift(lm, dlm):
+    s = tuple(x - y for x, y in zip(lm, dlm))
+    return lambda m: tuple(x + y for x, y in zip(m, s))
+
+
+def vec_divides(dlead, lead):
+    return dlead[0] == lead[0] and divides(dlead[1], lead[1])
+
+
+def vec_shift(lead, dlead):
+    s = tuple(x - y for x, y in zip(lead[1], dlead[1]))
+    return lambda cm: (cm[0], tuple(x + y for x, y in zip(cm[1], s)))
+
+
+def to_vec(col):
+    return {(c, a): v for c, g in enumerate(col) for a, v in g.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+def random_terms(rng, n, p, count, deg):
+    t = {}
+    for _ in range(count):
+        t[tuple(rng.randint(0, deg) for _ in range(n))] = rng.randint(1, p - 1)
+    return t
+
+
+def random_divisor(rng, n, p):
+    """A few low-degree terms with a nonzero, often non-unit, coefficient."""
+    return random_terms(rng, n, p, rng.randint(2, 4), 2)
+
+
+def poly_cases(rng, ring, count):
+    """(dividend, divisors): some dividends are combinations of the
+    divisors plus noise, so whole blocks of terms cancel on the way."""
+    n, p = ring.n, ring.p
+    for _ in range(count):
+        divisors = [Polynomial(ring, random_divisor(rng, n, p)) for _ in range(rng.randint(2, 4))]
+        divisors = [d for d in divisors if d]
+        g = Polynomial(ring, random_terms(rng, n, p, rng.randint(3, 12), 4))
+        if rng.random() < 0.6:
+            for d in divisors:
+                g = g + Polynomial(ring, random_terms(rng, n, p, 3, 2)) * d
+        yield g, divisors
+
+
+RINGS = [
+    PolyRing(2, 3, "grevlex"),
+    PolyRing(3, 3, "grevlex"),
+    PolyRing(5, 2, "grevlex"),
+    PolyRing(3, 3, "lex"),
+    PolyRing(7, 2, "lex"),
+    PolyRing(3, 3, "elim-grevlex"),
+    PolyRing(2, 3, "elim-grevlex"),
+]
+
+
+# ---------------------------------------------------------------------------
+# normal_form, module_normal_form, exact_div against the reference
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
+def test_normal_form_matches_max_scan_reference(ring):
+    rng = random.Random(f"{SEED}:{ring.p}:{ring.n}:{ring.order}")
+    ref = Reference(order_key(ring.order), ring.p)
+    for g, divisors in poly_cases(rng, ring, 40):
+        want = ref.normal_form(g.terms, [d.terms for d in divisors], divides, poly_shift)
+        got = normal_form(g, divisors)
+        assert got.terms == want
+        # the engine lists the remainder's terms in descending order, as the reference does
+        assert list(got.terms) == list(want)
+    assert ref.reappeared > 0
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "elim-grevlex"])
+def test_module_normal_form_matches_max_scan_reference(order):
+    R = PolyRing(3, 3, order)
+    rng = random.Random(f"{SEED}:module:{order}")
+    key = order_key(order)
+    ref = Reference(lambda cm: (-cm[0], key(cm[1])), R.p)
+    for _ in range(30):
+        basis = []
+        for _ in range(rng.randint(2, 4)):
+            col = [Polynomial(R, random_divisor(rng, R.n, R.p)) for _ in range(2)]
+            if rng.random() < 0.3:
+                col[rng.randint(0, 1)] = Polynomial.zero(R)
+            basis.append(tuple(col))
+        vec = [Polynomial(R, random_terms(rng, R.n, R.p, rng.randint(3, 10), 4)) for _ in range(2)]
+        for b in basis:
+            q = Polynomial(R, random_terms(rng, R.n, R.p, 2, 2))
+            vec = [v + q * bc for v, bc in zip(vec, b)]
+        divisors = [to_vec(b) for b in basis if any(b)]
+        want = ref.normal_form(to_vec(vec), divisors, vec_divides, vec_shift)
+        got = module_normal_form(R, tuple(vec), basis)
+        assert to_vec(got) == want
+    assert ref.reappeared > 0
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
+def test_exact_div_matches_max_scan_reference(ring):
+    rng = random.Random(f"{SEED}:exact:{ring.p}:{ring.n}:{ring.order}")
+    ref = Reference(order_key(ring.order), ring.p)
+    raised = 0
+    for _ in range(40):
+        h = Polynomial(ring, random_terms(rng, ring.n, ring.p, rng.randint(1, 4), 2))
+        q = Polynomial(ring, random_terms(rng, ring.n, ring.p, rng.randint(1, 6), 3))
+        if not h or not q:
+            continue
+        g = q * h
+        if rng.random() < 0.4:
+            g = g + Polynomial(ring, random_terms(rng, ring.n, ring.p, 1, 3))
+        try:
+            want = ref.exact_div(g.terms, h.terms)
+        except ArithmeticError:
+            raised += 1
+            with pytest.raises(ArithmeticError):
+                exact_div(g, h)
+            continue
+        got = exact_div(g, h)
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+    assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# non-monic divisors: the public normal forms divide by the lead coefficient
+
+
+def test_normal_form_non_monic_divisor():
+    R = PolyRing(5, 1)
+    assert not normal_form(parse_poly(R, "x1^2"), [parse_poly(R, "2*x1")])
+    R2 = PolyRing(5, 2)
+    g = parse_poly(R2, "x1^3 + x2^2 + 1")
+    r = normal_form(g, [parse_poly(R2, "3*x1^2 + x2"), parse_poly(R2, "4*x2^2")])
+    assert r == parse_poly(R2, "3*x1*x2 + 1")
+
+
+def test_module_normal_form_non_monic_divisor():
+    R = PolyRing(5, 2)
+    x1 = parse_poly(R, "x1")
+    zero = Polynomial.zero(R)
+    vec = (x1 * x1, parse_poly(R, "x2"))
+    basis = [(parse_poly(R, "2*x1"), zero), (zero, parse_poly(R, "3*x2 + 1"))]
+    r = module_normal_form(R, vec, basis)
+    assert r == (zero, parse_poly(R, "3"))
+
+
+# ---------------------------------------------------------------------------
+# ceilings: the heap does the same counted work as the max scan
+
+IDEAL_GENS = ("x1^2 + x2*x3 + 2*x3", "x1*x2 + x3^2 + 1", "x2^2 + 2*x1*x3 + x1")
+IDEAL_STEPS = 71  # pair steps plus reduction steps of the max-scan engine
+SYZ_COLUMNS = ("x1^2 + x2*x3", "x1*x2 + 2*x3^2", "x2^2 + x1*x3 + x3^2")
+SYZ_STEPS = 45
+
+
+def test_ideal_basis_ceiling_fires_at_the_same_step():
+    R = PolyRing(3, 3)
+    full = Ideal(R, IDEAL_GENS).groebner_basis()
+    at = Ideal(R, IDEAL_GENS).groebner_basis(EngineLimits(max_reductions=IDEAL_STEPS))
+    assert at == full
+    with pytest.raises(ResourceLimitError) as ei:
+        Ideal(R, IDEAL_GENS).groebner_basis(EngineLimits(max_reductions=IDEAL_STEPS - 1))
+    assert ei.value.kind == "reductions"
+
+
+def test_syzygy_ceiling_fires_at_the_same_step():
+    R = PolyRing(3, 3)
+    cols = [(parse_poly(R, s),) for s in SYZ_COLUMNS]
+    full = syzygies(R, cols)
+    assert syzygies(R, cols, EngineLimits(max_reductions=SYZ_STEPS)) == full
+    with pytest.raises(ResourceLimitError) as ei:
+        syzygies(R, cols, EngineLimits(max_reductions=SYZ_STEPS - 1))
+    assert ei.value.kind == "reductions"
+
+
+# ---------------------------------------------------------------------------
+# exact_div failures
+
+
+def test_exact_div_fails_on_non_divisible_lead():
+    R = PolyRing(3, 2)
+    with pytest.raises(ArithmeticError):
+        exact_div(parse_poly(R, "x2^2 + x1"), parse_poly(R, "x1"))
+
+
+def test_exact_div_fails_after_partial_cancellation():
+    # x1*(x1 + x2) cancels x1^2 and x1*x2; the remainder x2^2 is not a multiple of x1
+    R = PolyRing(3, 2)
+    g = parse_poly(R, "x1^2 + x1*x2 + x2^2")
+    h = parse_poly(R, "2*x1 + 2*x2")
+    with pytest.raises(ArithmeticError):
+        exact_div(g, h)
+    assert exact_div(g - parse_poly(R, "x2^2"), h) == parse_poly(R, "2*x1")
