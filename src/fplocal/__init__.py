@@ -24,7 +24,6 @@ from .frobenius import (
     frobenius_power,
     level_for_degree,
     psi_map,
-    recompose,
     td_roundtrip_check,
 )
 from .groebner import (

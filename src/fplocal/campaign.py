@@ -40,7 +40,6 @@ class CampaignConfig:
     homogeneous: bool = True
     density: float = 0.5
     checks: Tuple[str, ...] = KNOWN_CHECKS
-    e_max: int = 3
     workers: int = 1
     max_reductions: int = DEFAULT_LIMITS.max_reductions
     max_basis: int = DEFAULT_LIMITS.max_basis
@@ -83,7 +82,6 @@ class CampaignConfig:
             "homogeneous": self.homogeneous,
             "density": self.density,
             "checks": list(self.checks),
-            "e_max": self.e_max,
             "workers": self.workers,
             "max_reductions": self.max_reductions,
             "max_basis": self.max_basis,

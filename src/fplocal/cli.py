@@ -277,7 +277,6 @@ def _cmd_campaign(args) -> int:
         homogeneous=not args.inhomogeneous,
         density=args.density,
         checks=tuple(args.checks.split(",")),
-        e_max=args.e_max,
         workers=args.workers,
         max_reductions=args.max_reductions,
         max_basis=args.max_basis,
@@ -365,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--checks", default="q1,pd")
     sp.add_argument("--inhomogeneous", action="store_true")
-    sp.add_argument("--e-max", type=int, default=3)
     sp.add_argument("--workers", type=int, default=1)
 
     return parser

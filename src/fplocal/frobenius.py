@@ -34,7 +34,6 @@ __all__ = [
     "frobenius_power",
     "bracket_power",
     "frobenius_decompose",
-    "recompose",
     "component_at",
     "psi_map",
     "td_roundtrip_check",
@@ -124,10 +123,6 @@ def frobenius_decompose(g: Polynomial, lvl: FrobeniusLevel) -> FrobComponents:
         buckets.setdefault(idx, {})[tuple(e // q for e in a)] = c
     comps = {idx: Polynomial(g.ring, t, _raw=True) for idx, t in buckets.items()}
     return FrobComponents(g.ring, lvl, comps)
-
-
-def recompose(comps: FrobComponents) -> Polynomial:
-    return comps.recompose()
 
 
 def component_at(g: Polynomial, idx, lvl: FrobeniusLevel) -> Polynomial:

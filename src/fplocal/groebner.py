@@ -1,11 +1,23 @@
 """Buchberger engine and ideal operations.
 
-The engine computes the unique reduced Groebner basis for the ring's
-order: leads monic, every element fully tail-reduced against the others,
-sorted in descending lead order.  Pair selection is the normal strategy
-(smallest lcm first) with the product and chain criteria; every skipped
-or reduced pair counts against the configured reduction budget, so a
-runaway computation raises ResourceLimitError instead of spinning.
+One engine serves ideals and modules.  It works on flat vectors
+{(component, monomial): coeff} in position-over-term order: component 0
+dominates, ties broken by the ring's monomial order.  An ideal is the
+rank-1 case: _buchberger and normal_form lift {a: c} to {(0, a): c} at
+the boundary and convert back, and modres calls the engine directly.
+
+The engine computes the unique reduced basis for the order: leads monic,
+every element fully tail-reduced against the others, sorted in
+descending lead order.  Pairs are formed between leads in one component
+and selected by the normal strategy (smallest lcm in the module order
+first); every skipped or reduced pair counts against the configured
+reduction budget, so a runaway computation raises ResourceLimitError
+instead of spinning.  The product and chain criteria are applied to
+ideals only.
+The product criterion is unsound for modules.  The chain criterion is
+sound within one component, but it stays off for modules until module
+bases have a confluence check of their own, as ideal bases have in
+verify_confluence; only ideal bases reach the on_basis observer.
 
 Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
 division using a heap", JSC 2011): normal forms and exact_div keep the
@@ -59,83 +71,117 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# engine internals on raw term dicts
+# the engine, on flat vectors {(component, monomial): coeff}
 
-def _monic(terms: dict, lm: tuple, p: int) -> dict:
-    c = terms[lm]
+def _vkey(ring: PolyRing):
+    """Sort key of a (component, monomial) term in position-over-term order."""
+    k = ring.key
+
+    def vk(cm):
+        return (-cm[0], k(cm[1]))
+
+    return vk
+
+
+def _add_scaled(acc: dict, src: dict, coeff: int, shift: tuple, p: int) -> None:
+    """acc += coeff * x^shift * src, in place, dropping cancelled terms."""
+    for (c, a), v in src.items():
+        m = (c, tuple(map(add, a, shift)))
+        w = (acc.get(m, 0) + coeff * v) % p
+        if w:
+            acc[m] = w
+        else:
+            acc.pop(m, None)
+
+
+def _monic(v: dict, lead, p: int) -> dict:
+    c = v[lead]
     if c == 1:
-        return terms
+        return v
     inv = pow(c, -1, p)
-    return {m: (v * inv) % p for m, v in terms.items()}
+    return {m: (w * inv) % p for m, w in v.items()}
 
 
-def _reduce(terms: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
-    """Full normal form of `terms` against monic (lm, tdict) divisors.
+def _reduce(v: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
+    """Full normal form of `v` against monic (lead, vec) divisors.
 
-    The pending monomials sit in a min-heap on ring.rkey, so each order
-    key is computed once, when its monomial enters h.  h keeps every
-    queued monomial, at coefficient 0 once cancelled, and a cancelled
-    entry is skipped when popped.  Every monomial added while reducing
-    lm is smaller than lm, so no monomial is popped twice.  The divisor's
-    lead lands on lm and cancels there because the divisor is monic.
-    The result lists its terms in descending order: its lead comes first.
+    The pending terms sit in a min-heap on (component, ring.rkey(monomial)),
+    so each order key is computed once, when its term enters h.  h keeps
+    every queued term, at coefficient 0 once cancelled, and a cancelled
+    entry is skipped when popped.  Every term added while reducing a lead
+    is smaller than it, so no term is popped twice.  The divisor's lead
+    lands on the popped lead and cancels there because the divisor is
+    monic.  The result lists its terms in descending order: its lead
+    comes first.
     """
     p = ring.p
     rkey = ring.rkey
-    h = dict(terms)
-    heap = [(rkey(m), m) for m in h]
+    h = dict(v)
+    heap = [(cm[0], rkey(cm[1]), cm) for cm in h]
     heapify(heap)
     out: dict = {}
     while heap:
-        lm = heappop(heap)[1]
-        c = h[lm]
+        lead = heappop(heap)[2]
+        c = h[lead]
         if not c:
             continue
-        for dlm, dterms in divisors:
-            if all(map(le, dlm, lm)):
+        comp, mono = lead
+        for (dc, dm), dvec in divisors:
+            if dc == comp and all(map(le, dm, mono)):
                 break
         else:
-            out[lm] = c
+            out[lead] = c
             continue
         budget.step()
-        shift = tuple(map(sub, lm, dlm))
+        shift = tuple(map(sub, mono, dm))
         coeff = p - c
-        for a, v in dterms.items():
-            m = tuple(map(add, a, shift))
+        for (tc, a), w in dvec.items():
+            m = (tc, tuple(map(add, a, shift)))
             old = h.get(m)
             if old is None:
-                h[m] = coeff * v % p
-                heappush(heap, (rkey(m), m))
+                h[m] = coeff * w % p
+                heappush(heap, (tc, rkey(m[1]), m))
             else:
-                h[m] = (old + coeff * v) % p
+                h[m] = (old + coeff * w) % p
     return out
 
 
-def _canonical_input(gens: Sequence[dict], ring: PolyRing) -> list:
-    """Monic, deduplicated, deterministically ordered copies of the input."""
-    p = ring.p
-    key = ring.key
-    seen = []
+def _divisors(vecs: Sequence[dict], ring: PolyRing) -> list:
+    """Monic (lead, vec) divisors for _reduce, in the given order."""
+    vk = _vkey(ring)
     out = []
-    for t in gens:
-        if not t:
-            continue
-        lm = max(t, key=key)
-        m = _monic(t, lm, p)
-        if m in seen:
-            continue
-        seen.append(m)
-        out.append((lm, m))
-    out.sort(key=lambda e: (key(e[0]), sorted(e[1].items())), reverse=True)
+    for v in vecs:
+        lead = max(v, key=vk)
+        out.append((lead, _monic(v, lead, ring.p)))
     return out
 
 
-def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> list:
-    """Reduced Groebner basis of the span of `gens`, as term dicts."""
+def _canonical_input(vecs: Sequence[dict], ring: PolyRing) -> list:
+    """Monic, deduplicated, deterministically ordered copies of the input."""
+    vk = _vkey(ring)
+    out: list = []
+    for e in _divisors([v for v in vecs if v], ring):
+        if e not in out:
+            out.append(e)
+    out.sort(key=lambda e: (vk(e[0]), sorted(e[1].items())), reverse=True)
+    return out
+
+
+def _reduced_basis(
+    vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits, ideal: bool = False
+) -> list:
+    """Reduced basis of the span of `vecs`, position-over-term order.
+
+    Pairs are formed only between leads in one component and popped
+    smallest first on (-component, lcm).  `ideal` marks rank-1 input
+    from the ideal entry: only there are the product and chain criteria
+    applied, and a basis overflow is reported as "basis size" rather
+    than "module basis size".
+    """
     p = ring.p
     key = ring.key
     budget = Budget(limits)
-    G = _canonical_input(gens, ring)
+    G = _canonical_input(vecs, ring)
     if not G:
         return []
 
@@ -143,82 +189,95 @@ def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> l
     pending = set()
 
     def push_pairs(j: int) -> None:
-        lmj = G[j][0]
+        cj, aj = G[j][0]
         for i in range(j):
-            u = mono_lcm(G[i][0], lmj)
-            heappush(heap, (key(u), i, j, u))
-            pending.add((i, j))
+            ci, ai = G[i][0]
+            if ci == cj:
+                u = mono_lcm(ai, aj)
+                heappush(heap, (-cj, key(u), i, j, u))
+                pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
 
     while heap:
-        _, i, j, u = heappop(heap)
+        _, _, i, j, u = heappop(heap)
         pending.discard((i, j))
         budget.step()
-        lmi, ti = G[i]
-        lmj, tj = G[j]
-        if mono_mul(lmi, lmj) == u:
-            continue  # product criterion: coprime leads
-        skip = False
-        for k2 in range(len(G)):
-            if k2 == i or k2 == j:
+        (c, ai), ti = G[i]
+        aj, tj = G[j][0][1], G[j][1]
+        if ideal:
+            if mono_mul(ai, aj) == u:
+                continue  # product criterion: coprime leads
+            skip = False
+            for k2 in range(len(G)):
+                if k2 == i or k2 == j:
+                    continue
+                kc, ka = G[k2][0]
+                if kc == c and mono_divides(ka, u):
+                    a = (i, k2) if i < k2 else (k2, i)
+                    b = (j, k2) if j < k2 else (k2, j)
+                    if a not in pending and b not in pending:
+                        skip = True  # chain criterion
+                        break
+            if skip:
                 continue
-            if mono_divides(G[k2][0], u):
-                a = (i, k2) if i < k2 else (k2, i)
-                b = (j, k2) if j < k2 else (k2, j)
-                if a not in pending and b not in pending:
-                    skip = True  # chain criterion
-                    break
-        if skip:
-            continue
         s: dict = {}
-        add_scaled(s, ti, 1, mono_div(u, lmi), p)
-        add_scaled(s, tj, p - 1, mono_div(u, lmj), p)
+        _add_scaled(s, ti, 1, tuple(map(sub, u, ai)), p)
+        _add_scaled(s, tj, p - 1, tuple(map(sub, u, aj)), p)
         r = _reduce(s, G, ring, budget)
         if r:
             if len(G) >= limits.max_basis:
-                raise ResourceLimitError("basis size", limits.max_basis)
-            lm = next(iter(r))  # _reduce emits terms in descending order
-            G.append((lm, _monic(r, lm, p)))
+                kind = "basis size" if ideal else "module basis size"
+                raise ResourceLimitError(kind, limits.max_basis)
+            lead = next(iter(r))  # _reduce emits terms in descending order
+            G.append((lead, _monic(r, lead, p)))
             push_pairs(len(G) - 1)
-    out = _interreduce(G, ring, budget)
-    # observer sees every freshly reduced basis, elimination rings included
-    if limits.on_basis is not None:
+    return _interreduce(G, ring, budget)
+
+
+def _interreduce(G: list, ring: PolyRing, budget: Budget) -> list:
+    vk = _vkey(ring)
+    p = ring.p
+    kept: list = []
+    for idx in sorted(range(len(G)), key=lambda t: vk(G[t][0])):
+        (c, a) = G[idx][0]
+        if any(kc == c and mono_divides(ka, a) for (kc, ka), _ in kept):
+            continue
+        kept.append(G[idx])
+    kept.sort(key=lambda e: vk(e[0]), reverse=True)
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1:]
+        r = _reduce(kept[i][1], others, ring, budget)
+        lead = next(iter(r))
+        kept[i] = (lead, _monic(r, lead, p))
+    kept.sort(key=lambda e: vk(e[0]), reverse=True)
+    return [v for _, v in kept]
+
+
+# ---------------------------------------------------------------------------
+# the ideal entries: rank-1 vectors at the boundary
+
+def _rank1(terms: dict) -> dict:
+    return {(0, a): c for a, c in terms.items()}
+
+
+def _terms(v: dict) -> dict:
+    return {a: c for (_, a), c in v.items()}
+
+
+def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> list:
+    """Reduced Groebner basis of the ideal spanned by `gens`, as term dicts."""
+    gb = _reduced_basis([_rank1(t) for t in gens], ring, limits, ideal=True)
+    out = [_terms(v) for v in gb]
+    # observer sees every freshly reduced ideal basis, elimination rings included
+    if out and limits.on_basis is not None:
         limits.on_basis(ring, _wrap(ring, out))
     return out
 
 
-def _interreduce(G: list, ring: PolyRing, budget: Budget) -> list:
-    key = ring.key
-    p = ring.p
-    kept: list = []
-    for idx in sorted(range(len(G)), key=lambda t: key(G[t][0])):
-        lm = G[idx][0]
-        if any(mono_divides(klm, lm) for klm, _ in kept):
-            continue
-        kept.append(G[idx])
-    kept.sort(key=lambda e: key(e[0]), reverse=True)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        r = _reduce(kept[i][1], others, ring, budget)
-        lm = next(iter(r))
-        kept[i] = (lm, _monic(r, lm, p))
-    kept.sort(key=lambda e: key(e[0]), reverse=True)
-    return [t for _, t in kept]
-
-
 def _wrap(ring: PolyRing, dicts: Sequence[dict]) -> tuple:
     return tuple(Polynomial(ring, t, _raw=True) for t in dicts)
-
-
-def _basis_pairs(basis: Sequence[Polynomial]) -> list:
-    """Monic (lm, tdict) divisors for _reduce, in basis order."""
-    out = []
-    for g in basis:
-        lm = g.leading_monomial()
-        out.append((lm, _monic(g.terms, lm, g.ring.p)))
-    return out
 
 
 class Ideal:
@@ -283,8 +342,8 @@ def normal_form(
         return g
     ring = g.ring
     budget = Budget(resolve_limits(limits))
-    r = _reduce(dict(g.terms), _basis_pairs(basis), ring, budget)
-    return Polynomial(ring, r, _raw=True)
+    divisors = _divisors([_rank1(b.terms) for b in basis], ring)
+    return Polynomial(ring, _terms(_reduce(_rank1(g.terms), divisors, ring, budget)), _raw=True)
 
 
 def verify_confluence(

@@ -2,12 +2,14 @@
 presentations, resolutions, and the m-torsion submodule.
 
 Vectors in R^r are tuples of polynomials at the API level.  Internally a
-vector is one flat dict {(component, monomial): coeff} so the reduction
-loops mirror the ideal case.  The module order is position-over-term:
-component 0 dominates, ties broken by the ring's monomial order.  Module
-Buchberger runs without the product or chain criteria; the product
-criterion is unsound for modules and the inputs here are small enough
-that the chain criterion is not worth the risk.
+vector is one flat dict {(component, monomial): coeff}, the form the
+Buchberger engine in groebner works on; this module holds the
+conversions and the module logic, and calls that engine for bases and
+normal forms.  The module order is position-over-term: component 0
+dominates, ties broken by the ring's monomial order.  Module bases are
+computed without the product or chain criteria: the product criterion is
+unsound for modules, and the chain criterion waits for a confluence check
+of module bases that shares no code with the engine.
 
 Syzygies use the tag-component form of Schreyer's construction: append
 one tag component per input column, compute a module basis where the
@@ -24,14 +26,12 @@ Auslander-Buchsbaum formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import product as _iproduct
-from operator import add, le, sub
 from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
-from .groebner import Ideal
+from .groebner import Ideal, _add_scaled, _divisors, _monic, _reduce, _reduced_basis, _vkey
 from .polycore import Polynomial, PolyRing, RationalPoint, mono_divides
 
 __all__ = [
@@ -74,157 +74,6 @@ def _free_from_vec(v: dict, rank: int, ring: PolyRing) -> FreeElem:
     return tuple(Polynomial(ring, t, _raw=True) for t in comps)
 
 
-def _vkey(ring: PolyRing):
-    k = ring.key
-
-    def vk(cm):
-        return (-cm[0], k(cm[1]))
-
-    return vk
-
-
-def _vadd_scaled(acc: dict, src: dict, coeff: int, shift: tuple, p: int) -> None:
-    """acc += coeff * x^shift * src, in place."""
-    for (c, a), v in src.items():
-        m = (c, tuple(x + y for x, y in zip(a, shift)))
-        w = (acc.get(m, 0) + coeff * v) % p
-        if w:
-            acc[m] = w
-        else:
-            acc.pop(m, None)
-
-
-def _vmonic(v: dict, lead, p: int) -> dict:
-    c = v[lead]
-    if c == 1:
-        return v
-    inv = pow(c, -1, p)
-    return {m: (w * inv) % p for m, w in v.items()}
-
-
-def _vreduce(v: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
-    """Full normal form against monic (lead, vec) divisors.
-
-    Heap-ordered like groebner._reduce: the pending terms sit in a
-    min-heap on (component, ring.rkey(monomial)), h keeps cancelled
-    terms at coefficient 0, and those are skipped when popped.  The
-    result lists its terms in descending order: its lead comes first.
-    """
-    p = ring.p
-    rkey = ring.rkey
-    h = dict(v)
-    heap = [(cm[0], rkey(cm[1]), cm) for cm in h]
-    heapify(heap)
-    out: dict = {}
-    while heap:
-        lead = heappop(heap)[2]
-        c = h[lead]
-        if not c:
-            continue
-        comp, mono = lead
-        for (dc, dm), dvec in divisors:
-            if dc == comp and all(map(le, dm, mono)):
-                break
-        else:
-            out[lead] = c
-            continue
-        budget.step()
-        shift = tuple(map(sub, mono, dm))
-        coeff = p - c
-        for (tc, a), w in dvec.items():
-            m = (tc, tuple(map(add, a, shift)))
-            old = h.get(m)
-            if old is None:
-                h[m] = coeff * w % p
-                heappush(heap, (tc, rkey(m[1]), m))
-            else:
-                h[m] = (old + coeff * w) % p
-    return out
-
-
-def _vcanonical_input(vecs: Sequence[dict], ring: PolyRing) -> list:
-    p = ring.p
-    vk = _vkey(ring)
-    seen: list = []
-    out = []
-    for v in vecs:
-        if not v:
-            continue
-        lead = max(v, key=vk)
-        m = _vmonic(v, lead, p)
-        if m in seen:
-            continue
-        seen.append(m)
-        out.append((lead, m))
-    out.sort(key=lambda e: (vk(e[0]), sorted(e[1].items())), reverse=True)
-    return out
-
-
-def _module_buchberger(vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> list:
-    """Reduced module basis of the span of `vecs`, position-over-term order."""
-    p = ring.p
-    budget = Budget(limits)
-    G = _vcanonical_input(vecs, ring)
-    if not G:
-        return []
-    pairs = [(i, j) for j in range(len(G)) for i in range(j) if G[i][0][0] == G[j][0][0]]
-
-    def pair_key(ij):
-        i, j = ij
-        (c, ai) = G[i][0]
-        aj = G[j][0][1]
-        return (-c, ring.key(tuple(max(x, y) for x, y in zip(ai, aj))), i, j)
-
-    while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        budget.step()
-        (c, ai), ti = G[i]
-        aj, tj = G[j][0][1], G[j][1]
-        u = tuple(max(x, y) for x, y in zip(ai, aj))
-        s: dict = {}
-        _vadd_scaled(s, ti, 1, tuple(x - y for x, y in zip(u, ai)), p)
-        _vadd_scaled(s, tj, p - 1, tuple(x - y for x, y in zip(u, aj)), p)
-        r = _vreduce(s, G, ring, budget)
-        if r:
-            if len(G) >= limits.max_basis:
-                raise ResourceLimitError("module basis size", limits.max_basis)
-            lead = next(iter(r))  # _vreduce emits terms in descending order
-            k = len(G)
-            G.append((lead, _vmonic(r, lead, p)))
-            pairs.extend((i2, k) for i2 in range(k) if G[i2][0][0] == lead[0])
-    return _vinterreduce(G, ring, budget)
-
-
-def _vinterreduce(G: list, ring: PolyRing, budget: Budget) -> list:
-    vk = _vkey(ring)
-    p = ring.p
-    kept: list = []
-    for idx in sorted(range(len(G)), key=lambda t: vk(G[t][0])):
-        (c, a) = G[idx][0]
-        if any(kc == c and mono_divides(ka, a) for (kc, ka), _ in kept):
-            continue
-        kept.append(G[idx])
-    kept.sort(key=lambda e: vk(e[0]), reverse=True)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        r = _vreduce(kept[i][1], others, ring, budget)
-        lead = next(iter(r))
-        kept[i] = (lead, _vmonic(r, lead, p))
-    kept.sort(key=lambda e: vk(e[0]), reverse=True)
-    return [v for _, v in kept]
-
-
-def _gb_pairs(gb: Sequence[dict], ring: PolyRing) -> list:
-    """Monic (lead, vec) divisors for _vreduce, in basis order."""
-    vk = _vkey(ring)
-    out = []
-    for v in gb:
-        lead = max(v, key=vk)
-        out.append((lead, _vmonic(v, lead, ring.p)))
-    return out
-
-
 def _syzygies_raw(cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
     """Generators of {a in R^k : sum a_j cols_j = 0}, k = len(cols)."""
     k = len(cols)
@@ -236,7 +85,7 @@ def _syzygies_raw(cols: Sequence[dict], rank: int, ring: PolyRing, limits: Engin
         w = dict(col)
         w[(rank + j, zero)] = 1
         aug.append(w)
-    G = _module_buchberger(aug, ring, limits)
+    G = _reduced_basis(aug, ring, limits)
     syz = []
     for u in G:
         if all(c >= rank for (c, _a) in u):
@@ -252,7 +101,7 @@ def module_gb(
 ) -> tuple:
     """Reduced module basis (monic, tail-reduced, descending leads)."""
     rank = _common_rank(vectors)
-    gb = _module_buchberger([_vec_from_free(v) for v in vectors], ring, resolve_limits(limits))
+    gb = _reduced_basis([_vec_from_free(v) for v in vectors], ring, resolve_limits(limits))
     return tuple(_free_from_vec(v, rank, ring) for v in gb)
 
 
@@ -265,7 +114,7 @@ def module_normal_form(
     rank = len(vec)
     budget = Budget(resolve_limits(limits))
     gb = [_vec_from_free(v) for v in basis if any(v)]
-    r = _vreduce(_vec_from_free(vec), _gb_pairs(gb, ring), ring, budget)
+    r = _reduce(_vec_from_free(vec), _divisors(gb, ring), ring, budget)
     return _free_from_vec(r, rank, ring)
 
 
@@ -438,10 +287,10 @@ def subquotient_presentation(
     iv = [v for v in iv if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        gb = _gb_pairs(_module_buchberger(kv, ring, lim), ring)
+        gb = _divisors(_reduced_basis(kv, ring, lim), ring)
         budget = Budget(lim)
         for v in iv:
-            if _vreduce(v, gb, ring, budget):
+            if _reduce(v, gb, ring, budget):
                 raise ValueError("image generators do not lie in the kernel span")
     elif iv:
         raise ValueError("image generators do not lie in the kernel span")
@@ -533,8 +382,8 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
     while i < len(out):
         others = out[:i] + out[i + 1:]
         if others:
-            gb = _gb_pairs(_module_buchberger(others, ring, lim), ring)
-            if not _vreduce(out[i], gb, ring, Budget(lim)):
+            gb = _divisors(_reduced_basis(others, ring, lim), ring)
+            if not _reduce(out[i], gb, ring, Budget(lim)):
                 out.pop(i)
                 continue
         i += 1
@@ -649,13 +498,13 @@ def minimize_resolution(res: Resolution) -> Resolution:
     for A in mats:
         rebuilt.append(PolyMatrix(ring, rows, tuple(tuple(col) for col in A)))
         rows = len(A)
-    out = Resolution(ring, base_rank, tuple(rebuilt))
+    shifts = None
     if res.shifts is not None and rebuilt:
         pres = ModulePresentation(
             ring, base_rank, rebuilt[0], _minimized_shifts(res, base_rank, rebuilt)
         )
-        out = Resolution(ring, base_rank, tuple(rebuilt), _resolution_shifts(pres, rebuilt))
-    return out
+        shifts = _resolution_shifts(pres, rebuilt)
+    return Resolution(ring, base_rank, tuple(rebuilt), shifts)
 
 
 def _minimized_shifts(res: Resolution, base_rank: int, rebuilt: Sequence[PolyMatrix]):
@@ -732,7 +581,7 @@ def _module_intersect(
         w: dict = {}
         for (idx, mono), coeff in s.items():
             if idx < len(A):
-                _vadd_scaled(w, A[idx], coeff, mono, ring.p)
+                _add_scaled(w, A[idx], coeff, mono, ring.p)
         if w and w not in out:
             out.append(w)
     return out
@@ -743,13 +592,13 @@ def _module_saturation_origin(
 ) -> list:
     """Saturation of span(gens) <= R^rank with respect to m = (x1..xn)."""
     mvars = [Polynomial.variable(ring, k) for k in range(1, ring.n + 1)]
-    cur = _module_buchberger(list(gens), ring, limits)
+    cur = _reduced_basis(list(gens), ring, limits)
     for _ in range(limits.max_rounds):
         quot = None
         for xv in mvars:
             q = _module_colon_poly(cur, xv, rank, ring, limits)
             quot = q if quot is None else _module_intersect(quot, q, rank, ring, limits)
-        qgb = _module_buchberger(quot, ring, limits)
+        qgb = _reduced_basis(quot, ring, limits)
         if qgb == cur:
             return cur
         cur = qgb
@@ -785,14 +634,14 @@ def module_h0m(
         if v:
             cols.append(v)
     sat = _module_saturation_origin(cols, rank, ring, lim)
-    ngb = _gb_pairs(_module_buchberger(cols, ring, lim), ring)
+    ngb = _divisors(_reduced_basis(cols, ring, lim), ring)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []
     for v in sat:
-        r = _vreduce(v, ngb, ring, budget)
+        r = _reduce(v, ngb, ring, budget)
         if r:
-            r = _vmonic(r, next(iter(r)), ring.p)
+            r = _monic(r, next(iter(r)), ring.p)
             if r not in tors:
                 tors.append(r)
     tors.sort(key=lambda v: vk(max(v, key=vk)), reverse=True)
@@ -817,7 +666,7 @@ def finite_length_data(
         return True, 0
     rel = [_vec_from_free(col) for col in pres.relations.columns]
     rel = [v for v in rel if v]
-    gb = _module_buchberger(rel, ring, lim)
+    gb = _reduced_basis(rel, ring, lim)
     vk = _vkey(ring)
     leads: dict = {}
     for v in gb:

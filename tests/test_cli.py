@@ -235,6 +235,15 @@ def test_campaign_pass(capsys):
     assert all("millis" not in r for r in doc["trials"])
 
 
+def test_campaign_config_has_no_e_max(capsys):
+    # no campaign check reads e_max, so the config does not carry it
+    _, doc = run_json(
+        capsys, "campaign", "--p", "2", "--n", "3", "--degrees", "1,1",
+        "--trials", "1", "--seed", "cli-t",
+    )
+    assert "e_max" not in doc["config"]
+
+
 def test_campaign_hypothesis_violated_exit1(capsys):
     code, doc = run_json(
         capsys, "campaign", "--p", "2", "--n", "2", "--degrees", "1,1",

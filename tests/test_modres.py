@@ -86,16 +86,32 @@ def test_module_gb_standard_basis():
 
 
 def test_module_gb_rank_one_matches_ideal_gb():
-    # the module engine runs without pair criteria; on rank-1 input both
-    # engines must land on the same canonical reduced basis
+    # modules run without pair criteria, ideals with the product and chain
+    # criteria; on rank-1 input both must land on the same reduced basis
     rng = random.Random(SEED)
-    for p in (2, 3, 5):
-        R = PolyRing(p, 2)
+    cases = [(2, 2, "grevlex"), (3, 2, "grevlex"), (5, 2, "grevlex"),
+             (3, 2, "lex"), (2, 3, "grevlex"), (3, 3, "lex"), (5, 3, "grevlex")]
+    for p, n, order in cases:
+        R = PolyRing(p, n, order)
         for _ in range(5):
-            gens = [random_poly(R, rng) for _ in range(2)]
+            gens = [random_poly(R, rng) for _ in range(n)]
             ideal_gb = Ideal(R, gens).groebner_basis()
             mod_gb = module_gb(R, [(g,) for g in gens])
             assert mod_gb == tuple((g,) for g in ideal_gb)
+
+
+def test_on_basis_fires_for_ideal_bases_only():
+    # the observer's consumers check ideal bases, so module bases stay silent
+    seen = []
+    lim = EngineLimits(on_basis=lambda ring, basis: seen.append(ring))
+    R = PolyRing(3, 2)
+    gens = [vec(R, "x1", "x2"), vec(R, "x2^2", "0"), vec(R, "0", "x1 + x2")]
+    assert module_gb(R, gens, lim)
+    assert syzygies(R, gens, lim)
+    assert seen == []
+    E = PolyRing(3, 3, "elim-grevlex")
+    Ideal(E, ["x1*x3 - x2", "x2^2 - x3"]).groebner_basis(lim)
+    assert seen == [E]
 
 
 def test_module_gb_canonical_under_shuffling():
