@@ -65,7 +65,6 @@ from .modres import (
     finite_length_data,
     free_resolution,
     kernel_of_map,
-    minimize_resolution,
     module_gb,
     module_h0m,
     module_normal_form,

@@ -9,6 +9,7 @@ reproduces.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,8 +61,9 @@ class CampaignConfig:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if not self.checks or any(c not in KNOWN_CHECKS for c in self.checks):
             raise ValueError(f"checks must be a nonempty subset of {KNOWN_CHECKS}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {self.workers}")
 
     def to_limits(self) -> EngineLimits:
         return EngineLimits(

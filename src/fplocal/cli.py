@@ -27,7 +27,7 @@ from .frobenius import FrobeniusLevel, bracket_power, frobenius_decompose, td_ro
 from .groebner import Ideal, ideals_equal, maximal_ideal, saturation
 from .koszul import build_koszul, koszul_cohomology, verify_prop_van
 from .localcoh import pd_bound_check, question_q_check, top_lc_vanishing_certificate
-from .modres import free_resolution, minimize_resolution, quotient_presentation
+from .modres import free_resolution, quotient_presentation
 from .polycore import PolyRing, parse_poly
 
 _OUTCOME_EXIT = {
@@ -216,7 +216,7 @@ def _cmd_resolve(args) -> int:
         "graded": pres.shifts is not None,
     }
     if pres.shifts is not None:
-        out["minimal_ranks"] = list(minimize_resolution(res).ranks)
+        out["minimal_ranks"] = list(res.ranks)
     _emit(args, out)
     return 0
 

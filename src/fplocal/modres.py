@@ -17,10 +17,12 @@ real components dominate, and read the syzygy generators off the
 elements whose real part vanished.  Each syzygy is an exact certificate;
 tests verify them by substitution.
 
-Resolutions iterate syzygies until a kernel vanishes.  The minimal
-graded resolution is obtained by Gaussian cancellation of constant
-entries, and projective dimension reads its length; depth follows by the
-Auslander-Buchsbaum formula.
+Resolutions iterate syzygies until a kernel vanishes, in one pass that
+yields the minimal graded resolution.  Constant entries of the
+presentation are cancelled first; after that every level's generators
+are pruned to an irredundant set, and no syzygy of irredundant
+generators has a constant entry.  Projective dimension reads the
+resolution's length; depth follows by the Auslander-Buchsbaum formula.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "kernel_of_map",
     "subquotient_presentation",
     "free_resolution",
-    "minimize_resolution",
     "quotient_presentation",
     "projective_dimension",
     "depth",
@@ -190,6 +191,26 @@ class PolyMatrix:
         return all(not g for col in self.columns for g in col)
 
 
+def _column_degrees(columns: Sequence[FreeElem], shifts: Sequence[int]) -> tuple:
+    """Degree of each column in the grading where row i is shifted by
+    shifts[i]; None for a zero column.  Raises NonHomogeneousError."""
+    degs = []
+    for col in columns:
+        d = None
+        for i, g in enumerate(col):
+            if not g:
+                continue
+            if not g.is_homogeneous():
+                raise NonHomogeneousError(f"relation entry {g} is not homogeneous")
+            gd = g.total_degree() + shifts[i]
+            if d is None:
+                d = gd
+            elif d != gd:
+                raise NonHomogeneousError("relation column is not homogeneous in the shifts")
+        degs.append(d)
+    return tuple(degs)
+
+
 @dataclass(frozen=True)
 class ModulePresentation:
     """coker(relations: R^k -> R^rank); shifts grade the generators when set."""
@@ -213,21 +234,7 @@ class ModulePresentation:
         """Degree of each relation column in the shifted grading."""
         if self.shifts is None:
             raise NonHomogeneousError("presentation carries no grading data")
-        degs = []
-        for col in self.relations.columns:
-            d = None
-            for i, g in enumerate(col):
-                if not g:
-                    continue
-                if not g.is_homogeneous():
-                    raise NonHomogeneousError(f"relation entry {g} is not homogeneous")
-                gd = g.total_degree() + self.shifts[i]
-                if d is None:
-                    d = gd
-                elif d != gd:
-                    raise NonHomogeneousError("relation column is not homogeneous in the shifts")
-            degs.append(d)
-        return tuple(degs)
+        return _column_degrees(self.relations.columns, self.shifts)
 
     @classmethod
     def free(cls, ring: PolyRing, rank: int, shifts: Optional[Tuple[int, ...]] = None):
@@ -340,16 +347,23 @@ def free_resolution(
     limits: Optional[EngineLimits] = None,
     max_len: Optional[int] = None,
 ) -> Resolution:
-    """Iterated syzygies until a kernel vanishes; exact by construction.
+    """The resolution of coker(pres.relations) by iterated syzygies,
+    until a kernel vanishes; exact by construction.
 
-    Redundant generators are dropped at every step (membership in the
-    span of the others), so the ranks stay small and graded input
-    terminates within n steps.
+    Constant relation entries are cancelled first (see
+    _cancel_constant_entries).  At every level, generators lying in the
+    span of the others are then dropped, so each level's generators are
+    irredundant.  A syzygy of irredundant generators has no nonzero
+    constant entry: a constant a_j would give g_j = -a_j^{-1} (sum of the
+    other terms), a redundant g_j.  So every map has its entries in m, and
+    for graded input an exact resolution with its entries in m is the
+    minimal graded resolution; graded input terminates within n steps.
     """
     ring = pres.ring
     lim = resolve_limits(limits)
     if max_len is None:
         max_len = ring.n + 4
+    pres = _cancel_constant_entries(pres)
     maps: list = []
     cols = [_vec_from_free(c) for c in pres.relations.columns]
     cols = _prune_generators(_dedupe_nonzero(cols), ring, lim)
@@ -357,14 +371,47 @@ def free_resolution(
     while cols:
         if len(maps) >= max_len:
             raise ResourceLimitError("resolution length", max_len)
-        maps.append(
-            PolyMatrix(ring, cur_rank, tuple(_free_from_vec(v, cur_rank, ring) for v in cols))
-        )
+        m = PolyMatrix(ring, cur_rank, tuple(_free_from_vec(v, cur_rank, ring) for v in cols))
+        if any(g and g.is_constant() for col in m.columns for g in col):
+            raise AssertionError(f"map {len(maps)} of the resolution holds a constant entry")
+        maps.append(m)
         syz = _syzygies_raw(cols, cur_rank, ring, lim)
         cur_rank = len(cols)
         cols = _prune_generators(_dedupe_nonzero(syz), ring, lim)
-    shifts = _resolution_shifts(pres, maps)
+    shifts = _resolution_shifts(pres.shifts, maps)
     return Resolution(ring, pres.rank, tuple(maps), shifts)
+
+
+def _cancel_constant_entries(pres: ModulePresentation) -> ModulePresentation:
+    """A presentation of the same module whose relations hold no nonzero
+    constant entry.
+
+    A constant u at row i of column j writes generator i in terms of the
+    others.  Column operations clear row i in the other columns; then row
+    i, column j and shift i are dropped.  No other map exists yet, so
+    nothing needs mirroring.
+    """
+    ring = pres.ring
+    rank, shifts = pres.rank, pres.shifts
+    cols = [list(col) for col in pres.relations.columns]
+    while True:
+        hit = next(
+            ((i, j) for j, col in enumerate(cols) for i, g in enumerate(col) if g and g.is_constant()),
+            None,
+        )
+        if hit is None:
+            return ModulePresentation(ring, rank, PolyMatrix.from_columns(ring, rank, cols), shifts)
+        i, j = hit
+        pivot = cols.pop(j)
+        uinv = pow(pivot[i].terms[ring.zero_mono()], -1, ring.p)
+        for col in cols:
+            if col[i]:
+                lam = col[i] * uinv
+                col[:] = [g - lam * h for g, h in zip(col, pivot)]
+            del col[i]
+        if shifts is not None:
+            shifts = shifts[:i] + shifts[i + 1:]
+        rank -= 1
 
 
 def _dedupe_nonzero(vecs: Sequence[dict]) -> list:
@@ -390,129 +437,17 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
     return out
 
 
-def _resolution_shifts(pres: ModulePresentation, maps: Sequence[PolyMatrix]):
-    if pres.shifts is None:
+def _resolution_shifts(base: Optional[Tuple[int, ...]], maps: Sequence[PolyMatrix]):
+    if base is None:
         return None
-    shifts = [tuple(pres.shifts)]
+    shifts = [base]
     try:
         for m in maps:
-            cur = shifts[-1]
-            nxt = []
-            for col in m.columns:
-                d = None
-                for i, g in enumerate(col):
-                    if not g:
-                        continue
-                    if not g.is_homogeneous():
-                        raise NonHomogeneousError("entry not homogeneous")
-                    gd = g.total_degree() + cur[i]
-                    if d is None:
-                        d = gd
-                    elif d != gd:
-                        raise NonHomogeneousError("column not homogeneous")
-                nxt.append(d if d is not None else 0)
-            shifts.append(tuple(nxt))
+            # resolution columns are nonzero, so no degree here is None
+            shifts.append(_column_degrees(m.columns, shifts[-1]))
     except NonHomogeneousError:
         return None
     return tuple(shifts)
-
-
-def _is_unit_entry(g: Polynomial) -> bool:
-    return len(g.terms) == 1 and not any(next(iter(g.terms)))
-
-
-def minimize_resolution(res: Resolution) -> Resolution:
-    """Cancel constant entries (Gaussian elimination over R) until none
-    remain; for graded input this yields the minimal resolution."""
-    ring = res.ring
-    p = ring.p
-    zero = Polynomial.zero(ring)
-    base_rank = res.base_rank
-    # mutable copy: mats[k] is a list of columns, each a list of entries
-    mats = [[list(col) for col in m.columns] for m in res.maps]
-
-    def find_unit():
-        for k, A in enumerate(mats):
-            for j, col in enumerate(A):
-                for i, g in enumerate(col):
-                    if g and _is_unit_entry(g):
-                        return k, i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j = hit
-        A = mats[k]
-        uinv = pow(A[j][i].terms[ring.zero_mono()], -1, p)
-        # column operations clear row i; mirror as row ops on the next map
-        lam = {}
-        for j2 in range(len(A)):
-            if j2 == j or not A[j2][i]:
-                continue
-            l = A[j2][i] * uinv
-            lam[j2] = l
-            A[j2] = [A[j2][r] - l * A[j][r] for r in range(len(A[j2]))]
-        if lam and k + 1 < len(mats):
-            for col in mats[k + 1]:
-                acc = col[j]
-                for j2, l in lam.items():
-                    acc = acc + l * col[j2]
-                col[j] = acc
-        # row operations clear column j; mirror as column ops on the previous map
-        mu = {}
-        for i2 in range(len(A[j])):
-            if i2 == i or not A[j][i2]:
-                continue
-            m = A[j][i2] * uinv
-            mu[i2] = m
-            for j2 in range(len(A)):
-                if A[j2][i]:
-                    A[j2][i2] = A[j2][i2] - m * A[j2][i]
-        if mu and k >= 1:
-            B = mats[k - 1]
-            acc = list(B[i])
-            for i2, m in mu.items():
-                acc = [acc[r] + m * B[i2][r] for r in range(len(acc))]
-            B[i] = acc
-        # split off the trivial R --u--> R summand
-        del A[j]
-        for col in A:
-            del col[i]
-        if k + 1 < len(mats):
-            for col in mats[k + 1]:
-                if col[j]:
-                    raise AssertionError("cancelled generator still hit by the next map")
-                del col[j]
-        if k >= 1:
-            if any(mats[k - 1][i]):
-                raise AssertionError("cancelled generator still maps down")
-            del mats[k - 1][i]
-        else:
-            base_rank -= 1
-    while mats and not mats[-1]:
-        mats.pop()
-    rows = base_rank
-    rebuilt = []
-    for A in mats:
-        rebuilt.append(PolyMatrix(ring, rows, tuple(tuple(col) for col in A)))
-        rows = len(A)
-    shifts = None
-    if res.shifts is not None and rebuilt:
-        pres = ModulePresentation(
-            ring, base_rank, rebuilt[0], _minimized_shifts(res, base_rank, rebuilt)
-        )
-        shifts = _resolution_shifts(pres, rebuilt)
-    return Resolution(ring, base_rank, tuple(rebuilt), shifts)
-
-
-def _minimized_shifts(res: Resolution, base_rank: int, rebuilt: Sequence[PolyMatrix]):
-    # base shifts cannot be recovered from the matrices alone when rank
-    # dropped at level 0; for quotient presentations the base stays rank 1
-    if res.shifts is not None and len(res.shifts[0]) == base_rank:
-        return tuple(res.shifts[0])
-    return None
 
 
 def projective_dimension(
@@ -523,8 +458,7 @@ def projective_dimension(
     """Length of the minimal graded resolution.  Graded input only."""
     if pres.shifts is None:
         raise NonHomogeneousError("projective dimension needs a graded presentation")
-    res = free_resolution(pres, limits, max_len)
-    return minimize_resolution(res).length
+    return free_resolution(pres, limits, max_len).length
 
 
 def depth(

@@ -37,16 +37,31 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin: the first 12 primes as bases decide
+    every m below 3.1e23, which covers all 64-bit moduli."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -205,20 +220,29 @@ class FpElem:
         self.p = p
         self.val = int(val) % p
 
+    @classmethod
+    def _of(cls, p: int, val: int) -> "FpElem":
+        """val mod p for a p already tested prime: arithmetic results skip
+        the test."""
+        e = object.__new__(cls)
+        e.p = p
+        e.val = val % p
+        return e
+
     def _coerce(self, other) -> "FpElem":
         if isinstance(other, FpElem):
             if other.p != self.p:
                 raise RingMismatchError(f"F_{self.p} vs F_{other.p}")
             return other
         if isinstance(other, int):
-            return FpElem(self.p, other)
+            return FpElem._of(self.p, other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FpElem(self.p, self.val + o.val)
+        return FpElem._of(self.p, self.val + o.val)
 
     __radd__ = __add__
 
@@ -226,29 +250,29 @@ class FpElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FpElem(self.p, self.val - o.val)
+        return FpElem._of(self.p, self.val - o.val)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FpElem(self.p, o.val - self.val)
+        return FpElem._of(self.p, o.val - self.val)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FpElem(self.p, self.val * o.val)
+        return FpElem._of(self.p, self.val * o.val)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FpElem(self.p, -self.val)
+        return FpElem._of(self.p, -self.val)
 
     def inverse(self) -> "FpElem":
         if self.val == 0:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return FpElem(self.p, pow(self.val, -1, self.p))
+        return FpElem._of(self.p, pow(self.val, -1, self.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -259,7 +283,7 @@ class FpElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        return FpElem(self.p, pow(self.val, e, self.p))
+        return FpElem._of(self.p, pow(self.val, e, self.p))
 
     def __eq__(self, other):
         if isinstance(other, FpElem):

@@ -8,9 +8,12 @@ nondeterminism in a report.
 """
 
 import json
+import os
 
 import pytest
 
+from fplocal import campaign
+from fplocal.campaign import CampaignConfig
 from fplocal.cli import main
 
 
@@ -36,6 +39,14 @@ def test_gb(capsys):
     assert code == 0
     assert doc["basis"] == ["x1^2 + x2", "x1*x2", "x2^2"]
     assert doc["order"] == "grevlex"
+
+
+def test_gb_64_bit_prime(capsys):
+    code, doc = run_json(
+        capsys, "gb", "--p", "1000000000000000003", "--n", "2", "--gens", "x1+x2"
+    )
+    assert code == 0
+    assert doc["basis"] == ["x1 + x2"]
 
 
 def test_gb_lex_order(capsys):
@@ -115,6 +126,30 @@ def test_resolve(capsys):
     assert doc["ranks"] == [1, 2, 1]
     assert doc["graded"] is True
     assert doc["minimal_ranks"] == [1, 2, 1]
+
+
+def test_resolve_constant_generator(capsys):
+    # R/(1, x1) = 0: the constant relation is cancelled with its generator
+    code, out = run(capsys, "resolve", "--p", "2", "--n", "2", "--gens", "1, x1")
+    assert code == 0
+    assert out == """{
+  "command": "resolve",
+  "generators": [
+    "1",
+    "x1"
+  ],
+  "graded": true,
+  "maps": [],
+  "minimal_ranks": [
+    0
+  ],
+  "n": 2,
+  "p": 2,
+  "ranks": [
+    0
+  ]
+}
+"""
 
 
 def test_td_check(capsys):
@@ -210,6 +245,12 @@ def test_pd_pass(capsys):
     assert doc["data"] == {"pd": 2, "depth": 0, "bound": 4}
 
 
+def test_pd_constant_generator(capsys):
+    code, doc = run_json(capsys, "pd", "--p", "2", "--n", "2", "--gens", "1, x1")
+    assert code == 0
+    assert doc["data"] == {"pd": 0, "depth": 2, "bound": 1}
+
+
 def test_pd_timings_flag(capsys):
     code, doc = run_json(
         capsys, "pd", "--p", "2", "--n", "2", "--gens", "x1, x2", "--timings"
@@ -269,6 +310,20 @@ def test_campaign_worker_parity(capsys):
     a, b = json.loads(serial), json.loads(parallel)
     assert a["trials"] == b["trials"]
     assert a["summary"] == b["summary"]
+
+
+def test_campaign_workers_capped_at_cpu_count(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
+    too_many = (os.cpu_count() or 1) + 1
+    with pytest.raises(ValueError, match="workers"):
+        CampaignConfig(p=2, n=3, degrees=(1, 1), trials=1, seed="cli-w", workers=too_many)
+    code = main(["campaign", "--p", "2", "--n", "3", "--degrees", "1,1",
+                 "--trials", "1", "--seed", "cli-w", "--workers", str(too_many)])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Syzygies are certificates, so every computed generator is re-verified by
 direct substitution.  Resolutions are checked for exactness with the
-kernel routine run against the next map's span, and the minimal Betti
-numbers of classical quotients (Koszul complexes of variable sequences)
-are the frozen targets for the minimization pass.
+kernel routine run against the next map's span.  free_resolution builds
+the minimal resolution in one pass, so no map may hold a constant entry,
+and the minimal Betti numbers of classical quotients (Koszul complexes
+of variable sequences) are its frozen targets.
 """
 
 import math
@@ -23,7 +24,6 @@ from fplocal.modres import (
     finite_length_data,
     free_resolution,
     kernel_of_map,
-    minimize_resolution,
     module_gb,
     module_h0m,
     module_normal_form,
@@ -32,7 +32,7 @@ from fplocal.modres import (
     subquotient_presentation,
     syzygies,
 )
-from fplocal.polycore import Polynomial, PolyRing, parse_poly
+from fplocal.polycore import Polynomial, PolyRing, monomials_of_degree, parse_poly
 
 SEED = 31415
 
@@ -73,6 +73,13 @@ def assert_exact(res):
                 assert not any(module_normal_form(ring, v, gb))
         else:
             assert ker == ()
+
+
+def assert_no_constant_entry(res):
+    for m in res.maps:
+        for col in m.columns:
+            for g in col:
+                assert not (g and g.is_constant())
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +348,8 @@ def test_koszul_resolution_of_residue_field():
         I = Ideal(R, [Polynomial.variable(R, k) for k in range(1, n + 1)])
         res = free_resolution(quotient_presentation(I))
         assert_exact(res)
-        mini = minimize_resolution(res)
-        assert mini.ranks == tuple(math.comb(n, k) for k in range(n + 1))
-        assert mini.length == n
+        assert res.ranks == tuple(math.comb(n, k) for k in range(n + 1))
+        assert res.length == n
 
 
 def test_resolution_of_principal_ideal():
@@ -396,7 +402,7 @@ def test_resolution_validation():
 
 
 # ---------------------------------------------------------------------------
-# minimization, pd, depth
+# minimality, pd, depth
 
 
 def test_minimize_cancels_unit_relation():
@@ -405,9 +411,9 @@ def test_minimize_cancels_unit_relation():
     rel = PolyMatrix.from_columns(R, 2, [vec(R, "1", "x1")])
     pres = ModulePresentation(R, 2, rel, shifts=(1, 0))
     res = free_resolution(pres)
-    mini = minimize_resolution(res)
-    assert mini.ranks == (1,)
-    assert mini.length == 0
+    assert res.ranks == (1,)
+    assert res.length == 0
+    assert res.shifts == ((0,),)
     assert projective_dimension(pres) == 0
 
 
@@ -415,19 +421,15 @@ def test_minimize_removes_redundant_generator():
     R = PolyRing(2, 2)
     I = Ideal(R, ["x1", "x1*x2"])  # same ideal as (x1)
     res = free_resolution(quotient_presentation(I))
-    mini = minimize_resolution(res)
-    assert mini.ranks == (1, 1)
-    for m in mini.maps:
-        for col in m.columns:
-            for g in col:
-                assert not (g and g.is_constant())
+    assert res.ranks == (1, 1)
+    assert_no_constant_entry(res)
 
 
 def test_minimize_preserves_cokernel_length():
     R = PolyRing(2, 2)
     I = Ideal(R, ["x1", "x2", "x1*x2"])
     pres = quotient_presentation(I)
-    res = minimize_resolution(free_resolution(pres))
+    res = free_resolution(pres)
     assert res.ranks == (1, 2, 1)
     rebuilt = ModulePresentation(R, 1, res.maps[0])
     assert finite_length_data(rebuilt) == finite_length_data(pres) == (True, 1)
@@ -436,8 +438,49 @@ def test_minimize_preserves_cokernel_length():
 def test_minimize_leaves_minimal_alone():
     R = PolyRing(2, 2)
     res = free_resolution(quotient_presentation(Ideal(R, ["x1^2", "x1*x2"])))
-    mini = minimize_resolution(res)
-    assert mini.ranks == res.ranks == (1, 2, 1)
+    assert res.ranks == (1, 2, 1)
+    assert res.maps[0].columns == ((P(R, "x1^2"),), (P(R, "x1*x2"),))
+
+
+def random_form(ring, rng, d):
+    monos = list(monomials_of_degree(ring.n, d))
+    return Polynomial(ring, {a: rng.randint(1, ring.p - 1) for a in rng.sample(monos, 2)})
+
+
+def test_one_pass_resolution_random():
+    # graded and inhomogeneous quotients, some with a constant generator,
+    # and rank-2 presentations with a constant relation entry: exact, no
+    # constant entry in any map, and the cokernel's length is the input's
+    rng = random.Random(SEED + 7)
+    cases = []
+    for p in (2, 3, 5):
+        R = PolyRing(p, 3)
+        xs = [Polynomial.variable(R, k) for k in (1, 2, 3)]
+        for squares in ([], [x * x for x in xs]):
+            gens = [random_form(R, rng, rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+            cases.append(quotient_presentation(Ideal(R, gens + squares)))
+            cases.append(quotient_presentation(Ideal(R, [Polynomial.one(R)] + gens)))
+            inhom = [random_poly(R, rng) for _ in range(2)]
+            if any(inhom):
+                cases.append(quotient_presentation(Ideal(R, inhom + squares)))
+        c = Polynomial.constant(R, rng.randint(1, p - 1))
+        zero = Polynomial.zero(R)
+        graded = [(c, random_form(R, rng, 1)), (random_form(R, rng, 1), random_form(R, rng, 2))]
+        graded += [(x, zero) for x in xs] + [(zero, x * x) for x in xs]
+        cases.append(ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, graded), (1, 0)))
+        loose = [(random_poly(R, rng), c), random_vec(R, rng, 2)]
+        cases.append(ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, loose)))
+    assert sum(any(g and g.is_constant() for col in pres.relations.columns for g in col)
+               for pres in cases) >= 12
+    for pres in cases:
+        res = free_resolution(pres)
+        assert_exact(res)
+        assert_no_constant_entry(res)
+        if res.maps:
+            rebuilt = ModulePresentation(pres.ring, res.base_rank, res.maps[0])
+        else:
+            rebuilt = ModulePresentation.free(pres.ring, res.base_rank)
+        assert finite_length_data(rebuilt) == finite_length_data(pres)
 
 
 def test_pd_of_variable_sequences():

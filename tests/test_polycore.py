@@ -13,6 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fplocal import polycore
 from fplocal.errors import ParseError, RingMismatchError
 from fplocal.polycore import (
     MINUS_INF,
@@ -29,6 +30,7 @@ from fplocal.polycore import (
     mono_mul,
     monomials_of_degree,
     monomials_up_to_degree,
+    _is_prime,
     parse_poly,
 )
 
@@ -61,6 +63,23 @@ def test_ring_requires_prime_modulus():
         PolyRing(4, 2)
     with pytest.raises(ValueError):
         PolyRing(1, 2)
+
+
+def test_modulus_primality_matches_trial_division():
+    def trial(m):
+        return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    assert [m for m in range(3000) if _is_prime(m)] == [m for m in range(3000) if trial(m)]
+
+
+def test_ring_accepts_64_bit_prime_modulus():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, so fewer bases would accept it
+    for p in (10**18 + 3, 2**61 - 1):
+        assert PolyRing(p, 2).p == p
+    for m in (561, 3215031751):
+        with pytest.raises(ValueError):
+            PolyRing(m, 2)
 
 
 def test_ring_requires_variables():
@@ -447,6 +466,15 @@ def test_fp_elem_errors():
         FpElem(5, 0).inverse()
     with pytest.raises(RingMismatchError):
         FpElem(5, 1) + FpElem(7, 1)
+
+
+def test_fp_elem_arithmetic_skips_primality_test(monkeypatch):
+    a, b = FpElem(7, 3), FpElem(7, 5)
+    tested = []
+    monkeypatch.setattr(polycore, "_is_prime", lambda m: tested.append(m) or True)
+    out = [a + b, a - 1, 2 - a, a * b, -a, a / b, a**3, a.inverse()]
+    assert tested == []
+    assert [int(x) for x in out] == [1, 2, 6, 1, 4, 2, 6, 5]
 
 
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 48), st.integers(0, 48), st.integers(0, 48))
