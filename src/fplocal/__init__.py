@@ -48,10 +48,8 @@ from .koszul import (
 )
 from .localcoh import (
     CheckReport,
-    InstanceSpec,
     choose_level,
     degree_criterion,
-    find_regular_linear_form,
     pd_bound_check,
     question_q_check,
     top_lc_vanishing_certificate,

@@ -1,6 +1,6 @@
 """Buchberger engine and ideal operations.
 
-One engine serves ideals and modules.  It works on flat vectors
+One engine serves ideals and modules.  Its callers hand it flat vectors
 {(component, monomial): coeff} in position-over-term order: component 0
 dominates, ties broken by the ring's monomial order.  An ideal is the
 rank-1 case: _buchberger and normal_form lift {a: c} to {(0, a): c} at
@@ -8,24 +8,40 @@ the boundary and convert back, and modres calls the engine directly.
 
 The engine computes the unique reduced basis for the order: leads monic,
 every element fully tail-reduced against the others, sorted in
-descending lead order.  Pairs are formed between leads in one component
-and selected by the normal strategy (smallest lcm in the module order
-first); every skipped or reduced pair counts against the configured
-reduction budget, so a runaway computation raises ResourceLimitError
-instead of spinning.  The product and chain criteria are applied to
-ideals only.
+descending lead order, each listing its lead first.  Pairs are formed
+between leads in one component and selected by the normal strategy
+(smallest lcm in the module order first); every skipped or reduced pair
+counts against the configured reduction budget, so a runaway computation
+raises ResourceLimitError instead of spinning.  The product and chain
+criteria are applied to ideals only.
 The product criterion is unsound for modules.  The chain criterion is
-sound within one component, but it stays off for modules until module
-bases have a confluence check of their own, as ideal bases have in
-verify_confluence; only ideal bases reach the on_basis observer.
+sound within one component, but it stays off for modules; module bases
+are checked by a test-side confluence verifier, and only ideal bases
+reach the on_basis observer.
+
+Inside the engine each term is one int (Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998).
+From the top down the int holds the negated component, the order fields
+and the plain exponent fields.  The order fields are the grevlex partial
+sums (a1+...+an, ..., a1), or the lex exponents, with the auxiliary
+exponent of an elimination order above them; a plain field follows for
+every variable that no order field holds alone.  The pack is linear in
+the exponents, so multiplying a term by a monomial adds the monomial's
+pack, and comparing two packs compares the terms in the module order.
+Every field has a zero guard bit above it: D divides T exactly when
+T - D lies in [0, 2^S), the packs of component 0, and has no guard bit
+set.  The field width is chosen per call, from four times the largest
+input degree; a new term whose guard bit is set has overflowed, and the
+call restarts at double width with its reduction budget as it was at the
+start, so a restart changes no result and no step count.  Terms are
+packed where they enter the engine and unpacked where they leave it.
 
 Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
 division using a heap", JSC 2011): normal forms and exact_div keep the
-dividend's monomials in a min-heap on the ring's reversed order key, so
-each key is computed once, when its monomial enters the dividend, and a
-cancelled monomial is skipped when it is popped.  Divisors are monic,
-so each step cancels the lead exactly.  The divisor chosen for a lead
-is the first one in basis order that divides it.
+dividend's packed terms in a max-heap, so a term costs one push and one
+pop, and a cancelled term is skipped when it is popped.  Divisors are
+monic, so each step cancels the lead exactly.  The divisor chosen for a
+lead is the first one in basis order that divides it.
 
 Ideal quotients go through the classic elimination route: intersect with
 the principal ideal using one auxiliary variable that dominates the base
@@ -33,15 +49,18 @@ order, then divide by the generator.  Saturation iterates the colon
 until the reduced bases agree.
 
 verify_confluence is an independent second route used as an oracle: it
-re-derives every S-polynomial and reduces it with its own divisor policy
-(reverse scan), sharing nothing with the engine's pair bookkeeping.
+re-derives every S-polynomial on exponent tuples and reduces it with its
+own divisor policy (reverse scan), sharing nothing with the engine's
+packing or pair bookkeeping.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
-from typing import Optional, Sequence
+from itertools import chain, groupby
+from operator import itemgetter, mul
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
@@ -52,7 +71,6 @@ from .polycore import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     parse_poly,
 )
 
@@ -71,27 +89,191 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the engine, on flat vectors {(component, monomial): coeff}
+# packed terms: one int per (component, monomial)
 
-def _vkey(ring: PolyRing):
-    """Sort key of a (component, monomial) term in position-over-term order."""
-    k = ring.key
-
-    def vk(cm):
-        return (-cm[0], k(cm[1]))
-
-    return vk
+class _Overflow(Exception):
+    """A new term's field reached its guard bit: the call restarts wider."""
 
 
-def _add_scaled(acc: dict, src: dict, coeff: int, shift: tuple, p: int) -> None:
-    """acc += coeff * x^shift * src, in place, dropping cancelled terms."""
-    for (c, a), v in src.items():
-        m = (c, tuple(map(add, a, shift)))
-        w = (acc.get(m, 0) + coeff * v) % p
-        if w:
-            acc[m] = w
+def _order_fields(order: str, xs: list) -> list:
+    """The variables summed in each order field, most significant first."""
+    if order.startswith("elim-"):
+        return [(xs[-1],)] + _order_fields(order[5:], xs[:-1])
+    if order == "lex":
+        return [(x,) for x in xs]
+    return [tuple(xs[:k]) for k in range(len(xs), 0, -1)]  # grevlex partial sums
+
+
+class _Layout:
+    """How terms in n variables pack into ints, for one monomial order
+    and one field width.
+
+    The fields, most significant first, are the order fields and then one
+    plain field per variable that no order field holds alone.  Each field
+    is `bits` wide with a guard bit above it; the negated component sits
+    above all of them.
+    """
+
+    __slots__ = ("bits", "S", "top", "mask", "guard", "units", "offsets")
+
+    def __init__(self, n: int, order: str, bits: int):
+        fields = _order_fields(order, list(range(n)))
+        fields += [(x,) for x in range(n) if (x,) not in fields]
+        stride = bits + 1
+        offset = {f: (len(fields) - 1 - k) * stride for k, f in enumerate(fields)}
+        self.bits = bits
+        self.S = len(fields) * stride
+        self.top = 1 << self.S  # the packs of component 0 are [0, top)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (o + bits) for o in offset.values())
+        self.units = [sum(1 << o for f, o in offset.items() if x in f) for x in range(n)]
+        self.offsets = [offset[(x,)] for x in range(n)]
+
+    def pack(self, c: int, a: tuple) -> int:
+        return (-c << self.S) + sum(map(mul, a, self.units))
+
+    def unpack(self, t: int) -> tuple:
+        m = self.mask
+        return (-(t >> self.S), tuple([(t >> o) & m for o in self.offsets]))
+
+    def divides(self, d: int, t: int) -> bool:
+        """D divides T when T - D has component 0 and no field borrowed."""
+        s = t - d
+        return 0 <= s < self.top and not s & self.guard
+
+    def pack_vec(self, v: dict) -> dict:
+        S, units = self.S, self.units  # pack, inlined
+        return {(-c << S) + sum(map(mul, a, units)): w for (c, a), w in v.items()}
+
+    def unpack_vec(self, v: dict) -> dict:
+        S, m, offsets = self.S, self.mask, self.offsets  # unpack, inlined
+        return {(-(t >> S), tuple([(t >> o) & m for o in offsets])): w for t, w in v.items()}
+
+
+@lru_cache(maxsize=None)  # one entry per (n, order, width) in use
+def _layout(n: int, order: str, bits: int) -> _Layout:
+    return _Layout(n, order, bits)
+
+
+def _width(monos: Iterable[tuple]) -> int:
+    """The first field width, 8 bits or a power of two above, that holds
+    four times the largest degree: every field is a sum of exponents."""
+    d = max(map(sum, monos), default=0)
+    bits = 8
+    while d >> (bits - 2):
+        bits *= 2
+    return bits
+
+
+def _retry(run: Callable[[int], Any], bits: int):
+    """run(bits), restarted at double width while a field overflows."""
+    while True:
+        try:
+            return run(bits)
+        except _Overflow:
+            bits *= 2
+
+
+# ---------------------------------------------------------------------------
+# the engine: packed vectors {term: coeff}, monic divisors (lead, tail)
+
+def _add_scaled(acc: dict, tail: list, coeff: int, shift: int, p: int, guard: int) -> None:
+    """acc += coeff * x^shift * tail, in place, dropping cancelled terms."""
+    for t, w in tail:
+        m = t + shift
+        old = acc.get(m)
+        if old is None:
+            if m & guard:
+                raise _Overflow
+            acc[m] = coeff * w % p
         else:
-            acc.pop(m, None)
+            w = (old + coeff * w) % p
+            if w:
+                acc[m] = w
+            else:
+                del acc[m]
+
+
+def _divide(h: dict, divisors: Sequence, lay: _Layout, p: int, budget: Budget) -> dict:
+    """Full normal form of `h`, which it consumes, against monic divisors.
+
+    The pending terms sit in a max-heap, stored negated.  h keeps every
+    queued term, at coefficient 0 once cancelled, and a cancelled entry
+    is skipped when popped.  Every term added while reducing a lead is
+    smaller than it, so no term is popped twice.  The divisor's lead
+    would land on the popped lead and cancel it, so only its tail is
+    added.  The result lists its terms in descending order: its lead
+    comes first.
+    """
+    top, guard = lay.top, lay.guard
+    heap = [-t for t in h]
+    heapify(heap)
+    out: dict = {}
+    while heap:
+        t = -heappop(heap)
+        c = h[t]
+        if not c:
+            continue
+        for lead, tail in divisors:
+            shift = t - lead  # lay.divides, inlined
+            if 0 <= shift < top and not shift & guard:
+                break
+        else:
+            out[t] = c
+            continue
+        budget.step()
+        coeff = p - c
+        for s, w in tail:
+            m = s + shift
+            old = h.get(m)
+            if old is None:
+                if m & guard:
+                    raise _Overflow
+                h[m] = coeff * w % p
+                heappush(heap, -m)
+            else:
+                h[m] = (old + coeff * w) % p
+    return out
+
+
+def _split(v: dict, p: int) -> tuple:
+    """(lead, tail) of a packed vector, made monic."""
+    lead = max(v)
+    inv = pow(v[lead], -1, p)
+    return lead, [(t, w * inv % p) for t, w in v.items() if t != lead]
+
+
+class _Divisors:
+    """Divisors for _reduce, in the given order; they are made monic and
+    packed once per field width."""
+
+    __slots__ = ("vecs", "p", "bits", "packed")
+
+    def __init__(self, vecs: Sequence[dict], ring: PolyRing):
+        self.vecs = list(vecs)
+        self.p = ring.p
+        self.bits = _width(a for v in self.vecs for _, a in v)
+        self.packed: dict = {}
+
+    def at(self, lay: _Layout) -> list:
+        out = self.packed.get(lay.bits)
+        if out is None:
+            out = self.packed[lay.bits] = [_split(lay.pack_vec(v), self.p) for v in self.vecs]
+        return out
+
+
+def _reduce(v: dict, divisors: _Divisors, ring: PolyRing, budget: Budget) -> dict:
+    """Full normal form of `v` against `divisors`, by the first divisor in
+    basis order whose lead divides; the result lists its lead first."""
+    p = ring.p
+    left = budget.left
+
+    def run(bits: int) -> dict:
+        budget.left = left  # a restart redoes the same steps
+        lay = _layout(ring.n, ring.order, bits)
+        return lay.unpack_vec(_divide(lay.pack_vec(v), divisors.at(lay), lay, p, budget))
+
+    return _retry(run, max(divisors.bits, _width(a for _, a in v)))
 
 
 def _monic(v: dict, lead, p: int) -> dict:
@@ -102,69 +284,26 @@ def _monic(v: dict, lead, p: int) -> dict:
     return {m: (w * inv) % p for m, w in v.items()}
 
 
-def _reduce(v: dict, divisors: Sequence, ring: PolyRing, budget: Budget) -> dict:
-    """Full normal form of `v` against monic (lead, vec) divisors.
-
-    The pending terms sit in a min-heap on (component, ring.rkey(monomial)),
-    so each order key is computed once, when its term enters h.  h keeps
-    every queued term, at coefficient 0 once cancelled, and a cancelled
-    entry is skipped when popped.  Every term added while reducing a lead
-    is smaller than it, so no term is popped twice.  The divisor's lead
-    lands on the popped lead and cancels there because the divisor is
-    monic.  The result lists its terms in descending order: its lead
-    comes first.
-    """
-    p = ring.p
-    rkey = ring.rkey
-    h = dict(v)
-    heap = [(cm[0], rkey(cm[1]), cm) for cm in h]
-    heapify(heap)
-    out: dict = {}
-    while heap:
-        lead = heappop(heap)[2]
-        c = h[lead]
-        if not c:
-            continue
-        comp, mono = lead
-        for (dc, dm), dvec in divisors:
-            if dc == comp and all(map(le, dm, mono)):
-                break
-        else:
-            out[lead] = c
-            continue
-        budget.step()
-        shift = tuple(map(sub, mono, dm))
-        coeff = p - c
-        for (tc, a), w in dvec.items():
-            m = (tc, tuple(map(add, a, shift)))
-            old = h.get(m)
-            if old is None:
-                h[m] = coeff * w % p
-                heappush(heap, (tc, rkey(m[1]), m))
-            else:
-                h[m] = (old + coeff * w) % p
-    return out
-
-
-def _divisors(vecs: Sequence[dict], ring: PolyRing) -> list:
-    """Monic (lead, vec) divisors for _reduce, in the given order."""
-    vk = _vkey(ring)
-    out = []
-    for v in vecs:
-        lead = max(v, key=vk)
-        out.append((lead, _monic(v, lead, ring.p)))
-    return out
-
-
-def _canonical_input(vecs: Sequence[dict], ring: PolyRing) -> list:
-    """Monic, deduplicated, deterministically ordered copies of the input."""
-    vk = _vkey(ring)
+def _canonical_input(vecs: Sequence[dict], lay: _Layout, p: int) -> list:
+    """Monic, deduplicated packed copies of the nonzero input as (lead,
+    vec), in descending lead order.  Equal leads are ordered on the monic
+    (component, monomial) terms, so the order does not depend on the
+    packing."""
     out: list = []
-    for e in _divisors([v for v in vecs if v], ring):
-        if e not in out:
-            out.append(e)
-    out.sort(key=lambda e: (vk(e[0]), sorted(e[1].items())), reverse=True)
-    return out
+    for v in vecs:
+        pv = lay.pack_vec(v)
+        lead = max(pv)
+        pv = _monic(pv, lead, p)
+        if not any(e[0] == lead and e[1] == pv for e in out):
+            out.append((lead, pv, v))
+    out.sort(key=itemgetter(0), reverse=True)
+    canon: list = []
+    for _, run in groupby(out, itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda e: sorted(_monic(e[2], lay.unpack(e[0]), p).items()), reverse=True)
+        canon += [e[:2] for e in run]
+    return canon
 
 
 def _reduced_basis(
@@ -176,83 +315,93 @@ def _reduced_basis(
     smallest first on (-component, lcm).  `ideal` marks rank-1 input
     from the ideal entry: only there are the product and chain criteria
     applied, and a basis overflow is reported as "basis size" rather
-    than "module basis size".
+    than "module basis size".  The basis elements list their leads first.
     """
-    p = ring.p
-    key = ring.key
-    budget = Budget(limits)
-    G = _canonical_input(vecs, ring)
-    if not G:
+    vecs = [v for v in vecs if v]
+    if not vecs:
         return []
+    p = ring.p
 
+    def run(bits: int) -> list:
+        lay = _layout(ring.n, ring.order, bits)
+        G = _canonical_input(vecs, lay, p)
+        return [lay.unpack_vec(v) for v in _packed_basis(G, lay, p, limits, ideal)]
+
+    return _retry(run, _width(a for v in vecs for _, a in v))
+
+
+def _packed_basis(G0: list, lay: _Layout, p: int, limits: EngineLimits, ideal: bool) -> list:
+    budget = Budget(limits)
+    pack, divides, guard, rest = lay.pack, lay.divides, lay.guard, lay.top - 1
+    G = [(lead, [(t, w) for t, w in v.items() if t != lead]) for lead, v in G0]
+    leads = [lay.unpack(lead) for lead, _ in G0]  # for the lcms
     heap: list = []
     pending = set()
 
     def push_pairs(j: int) -> None:
-        cj, aj = G[j][0]
+        cj, aj = leads[j]
         for i in range(j):
-            ci, ai = G[i][0]
+            ci, ai = leads[i]
             if ci == cj:
-                u = mono_lcm(ai, aj)
-                heappush(heap, (-cj, key(u), i, j, u))
+                u = pack(cj, mono_lcm(ai, aj))
+                if u & guard:
+                    raise _Overflow
+                heappush(heap, (u, i, j))
                 pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
 
     while heap:
-        _, _, i, j, u = heappop(heap)
+        u, i, j = heappop(heap)
         pending.discard((i, j))
         budget.step()
-        (c, ai), ti = G[i]
-        aj, tj = G[j][0][1], G[j][1]
+        li, ti = G[i]
+        lj, tj = G[j]
         if ideal:
-            if mono_mul(ai, aj) == u:
+            if li + (lj & rest) == u:
                 continue  # product criterion: coprime leads
             skip = False
-            for k2 in range(len(G)):
-                if k2 == i or k2 == j:
+            for k in range(len(G)):
+                if k == i or k == j:
                     continue
-                kc, ka = G[k2][0]
-                if kc == c and mono_divides(ka, u):
-                    a = (i, k2) if i < k2 else (k2, i)
-                    b = (j, k2) if j < k2 else (k2, j)
+                if divides(G[k][0], u):
+                    a = (i, k) if i < k else (k, i)
+                    b = (j, k) if j < k else (k, j)
                     if a not in pending and b not in pending:
                         skip = True  # chain criterion
                         break
             if skip:
                 continue
         s: dict = {}
-        _add_scaled(s, ti, 1, tuple(map(sub, u, ai)), p)
-        _add_scaled(s, tj, p - 1, tuple(map(sub, u, aj)), p)
-        r = _reduce(s, G, ring, budget)
+        _add_scaled(s, ti, 1, u - li, p, guard)  # the leads cancel at u
+        _add_scaled(s, tj, p - 1, u - lj, p, guard)
+        r = _divide(s, G, lay, p, budget)
         if r:
             if len(G) >= limits.max_basis:
                 kind = "basis size" if ideal else "module basis size"
                 raise ResourceLimitError(kind, limits.max_basis)
-            lead = next(iter(r))  # _reduce emits terms in descending order
-            G.append((lead, _monic(r, lead, p)))
+            G.append(_split(r, p))
+            leads.append(lay.unpack(G[-1][0]))
             push_pairs(len(G) - 1)
-    return _interreduce(G, ring, budget)
+    return _interreduce(G, lay, p, budget)
 
 
-def _interreduce(G: list, ring: PolyRing, budget: Budget) -> list:
-    vk = _vkey(ring)
-    p = ring.p
+def _interreduce(G: list, lay: _Layout, p: int, budget: Budget) -> list:
+    """Minimal leads, each element tail-reduced by the others: packed
+    vectors in descending lead order, leads first."""
     kept: list = []
-    for idx in sorted(range(len(G)), key=lambda t: vk(G[t][0])):
-        (c, a) = G[idx][0]
-        if any(kc == c and mono_divides(ka, a) for (kc, ka), _ in kept):
+    for lead, tail in sorted(G, key=itemgetter(0)):
+        if any(lay.divides(k, lead) for k, _ in kept):
             continue
-        kept.append(G[idx])
-    kept.sort(key=lambda e: vk(e[0]), reverse=True)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        r = _reduce(kept[i][1], others, ring, budget)
-        lead = next(iter(r))
-        kept[i] = (lead, _monic(r, lead, p))
-    kept.sort(key=lambda e: vk(e[0]), reverse=True)
-    return [v for _, v in kept]
+        kept.append((lead, tail))
+    kept.reverse()
+    for i, (lead, tail) in enumerate(kept):
+        h = dict(tail)
+        h[lead] = 1
+        r = _divide(h, kept[:i] + kept[i + 1:], lay, p, budget)
+        kept[i] = (lead, list(r.items())[1:])  # no other lead divides this one
+    return [dict([(lead, 1)] + tail) for lead, tail in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +491,7 @@ def normal_form(
         return g
     ring = g.ring
     budget = Budget(resolve_limits(limits))
-    divisors = _divisors([_rank1(b.terms) for b in basis], ring)
+    divisors = _Divisors([_rank1(b.terms) for b in basis], ring)
     return Polynomial(ring, _terms(_reduce(_rank1(g.terms), divisors, ring, budget)), _raw=True)
 
 
@@ -453,7 +602,7 @@ def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Idea
 def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
     """Quotient g / h when h divides g exactly; error otherwise.
 
-    The remainder's monomials sit in a heap as in _reduce.  Each step
+    The remainder's packed terms sit in a heap as in _divide.  Each step
     cancels the remainder's lead against h's lead by construction, so
     only h's tail is added.
     """
@@ -461,32 +610,44 @@ def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
     p = ring.p
-    rkey = ring.rkey
-    hlm = h.leading_monomial()
-    hinv = pow(h.terms[hlm], -1, p)
-    tail = [(a, v) for a, v in h.terms.items() if a != hlm]
-    rem = dict(g.terms)
-    heap = [(rkey(m), m) for m in rem]
-    heapify(heap)
-    q: dict = {}
-    while heap:
-        lm = heappop(heap)[1]
-        c = rem[lm]
-        if not c:
-            continue
-        shift = mono_div(lm, hlm)  # raises if not divisible
-        c = (c * hinv) % p
-        q[shift] = c
-        coeff = p - c
-        for a, v in tail:
-            m = tuple(map(add, a, shift))
-            old = rem.get(m)
-            if old is None:
-                rem[m] = coeff * v % p
-                heappush(heap, (rkey(m), m))
-            else:
-                rem[m] = (old + coeff * v) % p
-    return Polynomial(ring, q, _raw=True)
+
+    def run(bits: int) -> dict:
+        lay = _layout(ring.n, ring.order, bits)
+        top, guard, units = lay.top, lay.guard, lay.units
+        tail = {sum(map(mul, a, units)): v for a, v in h.terms.items()}  # component 0
+        hlead = max(tail)
+        hinv = pow(tail.pop(hlead), -1, p)
+        rem = {sum(map(mul, a, units)): v for a, v in g.terms.items()}
+        heap = [-t for t in rem]
+        heapify(heap)
+        q: dict = {}
+        while heap:
+            t = -heappop(heap)
+            c = rem[t]
+            if not c:
+                continue
+            shift = t - hlead  # lay.divides, inlined
+            if not 0 <= shift < top or shift & guard:
+                raise ArithmeticError(
+                    f"monomial {lay.unpack(hlead)[1]} does not divide {lay.unpack(t)[1]}"
+                )
+            c = c * hinv % p
+            q[shift] = c
+            coeff = p - c
+            for s, w in tail.items():
+                m = s + shift
+                old = rem.get(m)
+                if old is None:
+                    if m & guard:
+                        raise _Overflow
+                    rem[m] = coeff * w % p
+                    heappush(heap, -m)
+                else:
+                    rem[m] = (old + coeff * w) % p
+        mask, offsets = lay.mask, lay.offsets  # lay.unpack of component-0 terms, inlined
+        return {tuple([(s >> o) & mask for o in offsets]): c for s, c in q.items()}
+
+    return Polynomial(ring, _retry(run, _width(chain(g.terms, h.terms))), _raw=True)
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:

@@ -1,8 +1,7 @@
 """Checkers built on the saturation / Frobenius / resolution layers:
 the torsion question for R/I at a rational point, level selection and
 the degree criterion for the dual map, the top local cohomology
-vanishing certificate, regular linear form search, and the projective
-dimension bound.
+vanishing certificate, and the projective dimension bound.
 
 Every outcome is decided by exact arithmetic; reports carry enough data
 to reproduce a failure from scratch.  Maximal ideals are restricted to
@@ -13,52 +12,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from typing import Optional, Sequence, Tuple
 
 from .config import EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
 from .frobenius import FrobeniusLevel, bracket_power, level_for_degree, psi_map
-from .groebner import Ideal, ideal_quotient, ideals_equal, maximal_ideal, saturation
+from .groebner import Ideal, ideals_equal, maximal_ideal, saturation
 from .modres import depth, projective_dimension, quotient_presentation
 from .polycore import MINUS_INF, Polynomial, PolyRing, RationalPoint
 
 __all__ = [
-    "InstanceSpec",
     "CheckReport",
     "choose_level",
     "degree_criterion",
     "question_q_check",
     "top_lc_vanishing_certificate",
-    "find_regular_linear_form",
     "pd_bound_check",
 ]
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Shape of one random instance: degrees of the generators plus the
-    sampling seed that produced them."""
-
-    p: int
-    n: int
-    degrees: Tuple[int, ...]
-    homogeneous: bool
-    seed: str
-
-    def __post_init__(self):
-        if not self.degrees:
-            raise ValueError("need at least one degree")
-        if any(d < 1 for d in self.degrees):
-            raise ValueError(f"degrees must be >= 1, got {self.degrees}")
-
-    @property
-    def sum_deg(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return self.sum_deg < self.n
 
 
 @dataclass
@@ -276,51 +246,6 @@ def top_lc_vanishing_certificate(
             data={"stage": None, "limit_kind": e.kind, "limit": e.limit},
             millis=_ms(t0),
         )
-
-
-def find_regular_linear_form(
-    I: Ideal, limits: Optional[EngineLimits] = None
-) -> Optional[Polynomial]:
-    """First linear form y with (I : y) = I, or None.
-
-    Tries the power scheme y_t = sum_j c_j^t x_j with distinct nonzero
-    c_j first (possible only when p > n), then every normalized linear
-    form over F_p.  None is a legitimate answer over a small field.
-    """
-    ring = I.ring
-    lim = resolve_limits(limits)
-    p, n = ring.p, ring.n
-    seen = set()
-    candidates = []
-    if p - 1 >= n:
-        c = list(range(1, n + 1))
-        for t in range(1, p):
-            y = Polynomial.zero(ring)
-            for j in range(n):
-                y = y + Polynomial.variable(ring, j + 1) * pow(c[j], t, p)
-            if y:
-                key = tuple(sorted(y.terms.items()))
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(y)
-    for coeffs in _iproduct(range(p), repeat=n):
-        if not any(coeffs):
-            continue
-        first = next(c for c in coeffs if c)
-        if first != 1:
-            continue
-        y = Polynomial.zero(ring)
-        for j, c in enumerate(coeffs):
-            if c:
-                y = y + Polynomial.variable(ring, j + 1) * c
-        key = tuple(sorted(y.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            candidates.append(y)
-    for y in candidates:
-        if ideals_equal(ideal_quotient(I, y, lim), I, lim):
-            return y
-    return None
 
 
 def pd_bound_check(

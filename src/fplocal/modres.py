@@ -33,8 +33,8 @@ from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
-from .groebner import Ideal, _add_scaled, _divisors, _monic, _reduce, _reduced_basis, _vkey
-from .polycore import Polynomial, PolyRing, RationalPoint, mono_divides
+from .groebner import Ideal, _Divisors, _monic, _reduce, _reduced_basis
+from .polycore import Polynomial, PolyRing, RationalPoint, mono_divides, mono_mul
 
 __all__ = [
     "PolyMatrix",
@@ -73,6 +73,16 @@ def _free_from_vec(v: dict, rank: int, ring: PolyRing) -> FreeElem:
     for (c, a), cc in v.items():
         comps[c][a] = cc
     return tuple(Polynomial(ring, t, _raw=True) for t in comps)
+
+
+def _vkey(ring: PolyRing):
+    """Sort key of a (component, monomial) term in position-over-term order."""
+    k = ring.key
+
+    def vk(cm):
+        return (-cm[0], k(cm[1]))
+
+    return vk
 
 
 def _syzygies_raw(cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
@@ -115,7 +125,7 @@ def module_normal_form(
     rank = len(vec)
     budget = Budget(resolve_limits(limits))
     gb = [_vec_from_free(v) for v in basis if any(v)]
-    r = _reduce(_vec_from_free(vec), _divisors(gb, ring), ring, budget)
+    r = _reduce(_vec_from_free(vec), _Divisors(gb, ring), ring, budget)
     return _free_from_vec(r, rank, ring)
 
 
@@ -294,7 +304,7 @@ def subquotient_presentation(
     iv = [v for v in iv if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        gb = _divisors(_reduced_basis(kv, ring, lim), ring)
+        gb = _Divisors(_reduced_basis(kv, ring, lim), ring)
         budget = Budget(lim)
         for v in iv:
             if _reduce(v, gb, ring, budget):
@@ -429,7 +439,7 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
     while i < len(out):
         others = out[:i] + out[i + 1:]
         if others:
-            gb = _divisors(_reduced_basis(others, ring, lim), ring)
+            gb = _Divisors(_reduced_basis(others, ring, lim), ring)
             if not _reduce(out[i], gb, ring, Budget(lim)):
                 out.pop(i)
                 continue
@@ -510,12 +520,19 @@ def _module_intersect(
 ) -> list:
     cols = list(A) + list(B)
     syz = _syzygies_raw(cols, rank, ring, limits)
+    p = ring.p
     out: list = []
     for s in syz:
-        w: dict = {}
+        w: dict = {}  # sum over idx < len(A) of s_idx * A[idx]
         for (idx, mono), coeff in s.items():
             if idx < len(A):
-                _add_scaled(w, A[idx], coeff, mono, ring.p)
+                for (c, a), v in A[idx].items():
+                    m = (c, mono_mul(a, mono))
+                    x = (w.get(m, 0) + coeff * v) % p
+                    if x:
+                        w[m] = x
+                    else:
+                        w.pop(m, None)
         if w and w not in out:
             out.append(w)
     return out
@@ -568,7 +585,7 @@ def module_h0m(
         if v:
             cols.append(v)
     sat = _module_saturation_origin(cols, rank, ring, lim)
-    ngb = _divisors(_reduced_basis(cols, ring, lim), ring)
+    ngb = _Divisors(_reduced_basis(cols, ring, lim), ring)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []
@@ -578,7 +595,7 @@ def module_h0m(
             r = _monic(r, next(iter(r)), ring.p)
             if r not in tors:
                 tors.append(r)
-    tors.sort(key=lambda v: vk(max(v, key=vk)), reverse=True)
+    tors.sort(key=lambda v: vk(next(iter(v))), reverse=True)  # engine output: lead first
     presentation = _presentation_raw(tors, cols, rank, ring, lim)
     finite, length = finite_length_data(presentation, lim)
     gens = [_free_from_vec(v, rank, ring) for v in tors]
@@ -601,10 +618,9 @@ def finite_length_data(
     rel = [_vec_from_free(col) for col in pres.relations.columns]
     rel = [v for v in rel if v]
     gb = _reduced_basis(rel, ring, lim)
-    vk = _vkey(ring)
     leads: dict = {}
     for v in gb:
-        c, a = max(v, key=vk)
+        c, a = next(iter(v))  # engine output: lead first
         leads.setdefault(c, []).append(a)
     n = ring.n
     total = 0

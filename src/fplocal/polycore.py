@@ -144,17 +144,6 @@ def _grevlex_key(a: tuple):
     return (sum(a), tuple(-e for e in reversed(a)))
 
 
-# Reversed orders: rkey(a) < rkey(b) exactly when key(a) > key(b), so a
-# min-heap on rkey pops the largest monomial first.
-
-def _lex_rkey(a: tuple) -> tuple:
-    return tuple(-e for e in a)
-
-
-def _grevlex_rkey(a: tuple):
-    return (-sum(a), a[::-1])
-
-
 class PolyRing:
     """F_p[x1, ..., xn] with a fixed monomial order.
 
@@ -163,11 +152,10 @@ class PolyRing:
     base order on the rest; the elimination steps of the ideal quotient
     machinery build such rings internally.
 
-    key sorts monomials ascending in the order; rkey sorts them
-    descending, for the division heaps.
+    key sorts monomials ascending in the order.
     """
 
-    __slots__ = ("p", "n", "order", "key", "rkey")
+    __slots__ = ("p", "n", "order", "key")
 
     def __init__(self, p: int, n: int, order: str = "grevlex"):
         if not _is_prime(p):
@@ -176,9 +164,9 @@ class PolyRing:
             raise ValueError(f"need at least one variable, got n={n}")
         base = order[5:] if order.startswith("elim-") else order
         if base == "grevlex":
-            base_key, base_rkey = _grevlex_key, _grevlex_rkey
+            base_key = _grevlex_key
         elif base == "lex":
-            base_key, base_rkey = _lex_key, _lex_rkey
+            base_key = _lex_key
         else:
             raise ValueError(f"unknown monomial order {order!r}")
         self.p = p
@@ -186,10 +174,8 @@ class PolyRing:
         self.order = order
         if order.startswith("elim-"):
             self.key = lambda a, _bk=base_key: (a[-1], _bk(a[:-1]))
-            self.rkey = lambda a, _bk=base_rkey: (-a[-1], _bk(a[:-1]))
         else:
             self.key = base_key
-            self.rkey = base_rkey
 
     def zero_mono(self) -> tuple:
         return (0,) * self.n

@@ -22,7 +22,7 @@ import pytest
 
 from fplocal.config import EngineLimits
 from fplocal.errors import ResourceLimitError
-from fplocal.groebner import Ideal, exact_div, normal_form
+from fplocal.groebner import Ideal, exact_div, normal_form, verify_confluence
 from fplocal.modres import module_normal_form, syzygies
 from fplocal.polycore import Polynomial, PolyRing, parse_poly
 
@@ -308,3 +308,98 @@ def test_exact_div_fails_after_partial_cancellation():
     with pytest.raises(ArithmeticError):
         exact_div(g, h)
     assert exact_div(g - parse_poly(R, "x2^2"), h) == parse_poly(R, "2*x1")
+
+
+# ---------------------------------------------------------------------------
+# packed terms: wide exponents, field overflow, rank 3
+#
+# The engine packs each term into one int with fixed-width exponent
+# fields, sized from the input and widened when a new term overflows.
+# The reference above works on plain tuples, so it sees none of that.
+
+BIG = 2 ** 40
+
+
+def scaled(terms, k):
+    """terms with every exponent multiplied by k: x_i -> x_i^k."""
+    return {tuple(e * k for e in a): c for a, c in terms.items()}
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "elim-grevlex"])
+def test_module_normal_form_rank_3_matches_max_scan_reference(order):
+    R = PolyRing(5, 3, order)
+    rng = random.Random(f"{SEED}:rank3:{order}")
+    key = order_key(order)
+    ref = Reference(lambda cm: (-cm[0], key(cm[1])), R.p)
+    for _ in range(25):
+        basis = []
+        for _ in range(rng.randint(2, 5)):
+            col = [Polynomial(R, random_divisor(rng, R.n, R.p)) for _ in range(3)]
+            for k in range(3):
+                if rng.random() < 0.4:
+                    col[k] = Polynomial.zero(R)
+            basis.append(tuple(col))
+        vec = [Polynomial(R, random_terms(rng, R.n, R.p, rng.randint(2, 8), 4)) for _ in range(3)]
+        for b in basis:
+            q = Polynomial(R, random_terms(rng, R.n, R.p, 2, 2))
+            vec = [v + q * bc for v, bc in zip(vec, b)]
+        divisors = [to_vec(b) for b in basis if any(b)]
+        want = ref.normal_form(to_vec(vec), divisors, vec_divides, vec_shift)
+        got = module_normal_form(R, tuple(vec), basis)
+        assert to_vec(got) == want
+    assert ref.reappeared > 0
+
+
+def test_lex_reduction_outgrows_its_first_width():
+    # x1^300 reduces by x1 - x2^1000 to x2^300000: the first field width
+    # is sized from degree 1000 and must be doubled on the way
+    from fplocal.groebner import _width
+
+    R = PolyRing(3, 2, "lex")
+    assert 300000 >= 1 << _width([(1, 0), (0, 1000), (300, 0)])
+    gens = [parse_poly(R, "x1 - x2^1000"), parse_poly(R, "x1^300 - 1")]
+    gb = Ideal(R, gens).groebner_basis()
+    assert gb == (parse_poly(R, "x1 - x2^1000"), parse_poly(R, "x2^300000 - 1"))
+    assert verify_confluence(R, gb)
+    rng = random.Random(f"{SEED}:lexwide")
+    ref = Reference(order_key("lex"), R.p)
+    for _ in range(10):
+        g = Polynomial(R, random_terms(rng, 2, R.p, 4, 3)) + parse_poly(R, f"x1^{rng.randint(250, 300)}")
+        want = ref.normal_form(g.terms, [gens[0].terms], divides, poly_shift)
+        got = normal_form(g, gens[:1])
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+    # a restart redoes the same counted work: 302 steps, as on tuples
+    g = parse_poly(R, "x1^300 + x1^2*x2")
+    for run in (lambda lim: Ideal(R, gens).groebner_basis(lim),
+                lambda lim: normal_form(g, gens[:1], lim)):
+        run(EngineLimits(max_reductions=302))
+        with pytest.raises(ResourceLimitError):
+            run(EngineLimits(max_reductions=301))
+    # exact_div walks the same growing remainder before it fails
+    with pytest.raises(ArithmeticError):
+        ref.exact_div(parse_poly(R, "x1^300").terms, gens[0].terms)
+    with pytest.raises(ArithmeticError):
+        exact_div(parse_poly(R, "x1^300"), gens[0])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
+def test_exponents_past_2_to_the_40_match_max_scan_reference(ring):
+    rng = random.Random(f"{SEED}:big:{ring.p}:{ring.n}:{ring.order}")
+    ref = Reference(order_key(ring.order), ring.p)
+    for g, divisors in poly_cases(rng, ring, 15):
+        g = Polynomial(ring, scaled(g.terms, BIG))
+        divisors = [Polynomial(ring, scaled(d.terms, BIG)) for d in divisors]
+        want = ref.normal_form(g.terms, [d.terms for d in divisors], divides, poly_shift)
+        got = normal_form(g, divisors)
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+        q = divisors[0]
+        assert exact_div(g * q, q) == g
+    # x_i -> x_i^BIG maps the reduced basis of I onto that of the image
+    for _ in range(5):
+        gens = [Polynomial(ring, random_divisor(rng, ring.n, ring.p)) for _ in range(3)]
+        gb = Ideal(ring, [Polynomial(ring, scaled(g.terms, BIG)) for g in gens]).groebner_basis()
+        assert verify_confluence(ring, gb)
+        small = Ideal(ring, gens).groebner_basis()
+        assert gb == tuple(Polynomial(ring, scaled(g.terms, BIG)) for g in small)

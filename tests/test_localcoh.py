@@ -1,27 +1,25 @@
 """Checker layer: level choice, the degree criterion, the torsion
-question for R/I, the top cohomology certificate, regular linear forms,
-and the projective dimension bound.
+question for R/I, the top cohomology certificate, and the projective
+dimension bound.
 
 Witnesses inside reports are re-verified from scratch here: a torsion
-witness must lie in the saturation but not the ideal, a returned linear
-form must actually satisfy (I : y) = I, and certified stages must also
-certify at the next stage (the memberships are nested).
+witness must lie in the saturation but not the ideal, and certified
+stages must also certify at the next stage (the memberships are nested).
 """
 
 import random
 
 import pytest
 
+from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import HypothesisViolatedError, NonHomogeneousError
 from fplocal.frobenius import FrobeniusLevel, bracket_power
-from fplocal.groebner import Ideal, ideal_quotient, ideals_equal, maximal_ideal, saturation
+from fplocal.groebner import Ideal, maximal_ideal, saturation
 from fplocal.localcoh import (
     CheckReport,
-    InstanceSpec,
     choose_level,
     degree_criterion,
-    find_regular_linear_form,
     pd_bound_check,
     question_q_check,
     top_lc_vanishing_certificate,
@@ -266,44 +264,6 @@ def test_topvan_resource_limit():
 
 
 # ---------------------------------------------------------------------------
-# regular linear forms
-
-
-def test_regular_form_frozen_char2():
-    R = PolyRing(2, 2)
-    y = find_regular_linear_form(Ideal(R, ["x1*x2"]))
-    assert y == P(R, "x1 + x2")
-
-
-def test_regular_form_none_over_small_field():
-    # R/(x1, x2) = F_2: every linear form is a zerodivisor
-    R = PolyRing(2, 2)
-    assert find_regular_linear_form(Ideal(R, ["x1", "x2"])) is None
-
-
-def test_regular_form_frozen_char3():
-    # the power scheme fires first when p > n
-    R = PolyRing(3, 2)
-    y = find_regular_linear_form(Ideal(R, ["x1"]))
-    assert y == P(R, "x1 + 2*x2")
-
-
-def test_regular_form_reverifies():
-    rng = random.Random(SEED + 2)
-    for p in (2, 3):
-        R = PolyRing(p, 2)
-        for _ in range(4):
-            I = Ideal(R, [random_poly(R, rng, 2)])
-            if I.is_zero():
-                continue
-            y = find_regular_linear_form(I)
-            if y is None:
-                continue
-            assert y.total_degree() == 1 and y.is_homogeneous()
-            assert ideals_equal(ideal_quotient(I, y), I)
-
-
-# ---------------------------------------------------------------------------
 # projective dimension bound
 
 
@@ -345,20 +305,38 @@ def test_pd_bound_resource_limit():
     assert rep.data["pd"] is None
 
 
+def test_q1_fails_exactly_when_pd_is_n():
+    """Two routes to depth(R/I) = 0 for homogeneous I at the origin.
+
+    question_q_check fails iff m is associated to R/I, iff depth(R/I) = 0,
+    iff pd(R/I) = n by Auslander-Buchsbaum.  The q1 check reaches its
+    answer by saturation, pd_bound_check by a minimal resolution: they
+    share the Buchberger engine and no algorithm.  The inputs are the
+    acceptance suite's pd families, each also spoiled to g*m + (f1) for a
+    random linear form g, which usually puts m in Ass(R/I).
+    """
+    patterns = {2: ((1,),), 3: ((1, 1), (2,)), 4: ((1, 2), (1, 1, 1), (3,))}
+    rng = random.Random(SEED + 7)
+    seen = []
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            R = PolyRing(p, n)
+            for pat in patterns[n]:
+                cfg = CampaignConfig(p=p, n=n, degrees=pat, trials=3, seed="acc:pd")
+                for k in range(3):
+                    f = random_instance(cfg, k)
+                    g = random_polynomial(R, 1, rng)
+                    spoiled = [g * Polynomial.variable(R, j) for j in range(1, n + 1)] + f[:1]
+                    for gens in (f, spoiled):
+                        fails = question_q_check(gens).outcome == "fail"
+                        pd = pd_bound_check(gens).data["pd"]
+                        assert fails == (pd == n), [str(x) for x in gens]
+                        seen.append(fails)
+    assert 20 <= seen.count(True) <= len(seen) - 20  # both answers occur often
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def test_instance_spec():
-    spec = InstanceSpec(p=2, n=3, degrees=(1, 1), homogeneous=True, seed="s:0")
-    assert spec.sum_deg == 2
-    assert spec.hypothesis_ok is True
-    worse = InstanceSpec(p=2, n=2, degrees=(1, 1), homogeneous=True, seed="s:1")
-    assert worse.hypothesis_ok is False
-    with pytest.raises(ValueError):
-        InstanceSpec(p=2, n=2, degrees=(), homogeneous=True, seed="s")
-    with pytest.raises(ValueError):
-        InstanceSpec(p=2, n=2, degrees=(0,), homogeneous=True, seed="s")
 
 
 def test_report_timing_toggle():

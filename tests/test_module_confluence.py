@@ -1,0 +1,155 @@
+"""Module bases checked by a route that shares no code with the engine.
+
+verify_confluence replays Buchberger's criterion for ideal bases only.
+The verifier here does the same for module bases: it forms every
+S-vector between two basis elements whose leads lie in one component
+and reduces it by a max-scan division, scanning the divisors from the
+back of the basis.  Order keys, leads, S-vectors and division are all
+written out below on plain (component, exponent tuple) terms; only the
+inputs come from fplocal.  A reduced basis must also be canonical:
+monic, with no lead dividing any term of another element.
+"""
+
+import random
+
+import pytest
+
+from fplocal.modres import module_gb
+from fplocal.polycore import Polynomial, PolyRing
+
+SEED = 27182
+
+
+def order_key(order):
+    if order == "lex":
+        return lambda a: tuple(a)
+    return lambda a: (sum(a), tuple(-e for e in reversed(a)))  # grevlex
+
+
+def term_key(order):
+    """Position over term: component 0 is the largest, then the ring order."""
+    key = order_key(order)
+    return lambda cm: (-cm[0], key(cm[1]))
+
+
+def divides(d, t):
+    return d[0] == t[0] and all(x <= y for x, y in zip(d[1], t[1]))
+
+
+def shifted(v, s):
+    return {(c, tuple(x + y for x, y in zip(a, s))): w for (c, a), w in v.items()}
+
+
+def axpy(h, v, coeff, p):
+    """h += coeff * v, in place."""
+    for m, w in v.items():
+        x = (h.get(m, 0) + coeff * w) % p
+        if x:
+            h[m] = x
+        else:
+            h.pop(m, None)
+
+
+def remainder(v, basis, key, p):
+    h = dict(v)
+    out = {}
+    while h:
+        t = max(h, key=key)
+        for b in reversed(basis):
+            lead = max(b, key=key)
+            if divides(lead, t):
+                s = tuple(y - x for x, y in zip(lead[1], t[1]))
+                axpy(h, shifted(b, s), -h[t] * pow(b[lead], -1, p), p)
+                break
+        else:
+            out[t] = h.pop(t)
+    return out
+
+
+def s_vector(f, g, key, p):
+    lf, lg = max(f, key=key), max(g, key=key)
+    u = tuple(max(x, y) for x, y in zip(lf[1], lg[1]))
+    s = {}
+    axpy(s, shifted(f, tuple(x - y for x, y in zip(u, lf[1]))), pow(f[lf], -1, p), p)
+    axpy(s, shifted(g, tuple(x - y for x, y in zip(u, lg[1]))), -pow(g[lg], -1, p), p)
+    return s
+
+
+def module_confluent(basis, order, p):
+    key = term_key(order)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if max(basis[i], key=key)[0] != max(basis[j], key=key)[0]:
+                continue  # leads in different components: no S-vector
+            if remainder(s_vector(basis[i], basis[j], key, p), basis, key, p):
+                return False
+    return True
+
+
+def reduced(basis, order):
+    key = term_key(order)
+    leads = [max(b, key=key) for b in basis]
+    if any(b[lead] != 1 for b, lead in zip(basis, leads)):
+        return False
+    return not any(
+        divides(leads[i], t) for i in range(len(basis)) for j, b in enumerate(basis) if j != i for t in b
+    )
+
+
+def to_vec(col):
+    return {(c, a): v for c, g in enumerate(col) for a, v in g.terms.items()}
+
+
+def random_col(rng, ring, rank):
+    """Sparse entries of low degree: module bases are computed without
+    pair criteria, and in lex some denser rank-3 inputs take minutes."""
+    top = 2 if ring.n == 2 else 1
+    col = []
+    for _ in range(rank):
+        if rng.random() < 0.3:
+            col.append(Polynomial.zero(ring))
+            continue
+        t = {}
+        for _ in range(rng.randint(1, 2)):
+            t[tuple(rng.randint(0, top) for _ in range(ring.n))] = rng.randint(1, ring.p - 1)
+        col.append(Polynomial(ring, t))
+    return tuple(col)
+
+
+CASES = [(p, n, rank, order) for p in (2, 3, 5) for n in (2, 3) for rank in (2, 3)
+         for order in ("grevlex", "lex")]
+
+
+@pytest.mark.parametrize("p,n,rank,order", CASES, ids=lambda v: str(v))
+def test_module_gb_is_confluent_and_reduced(p, n, rank, order):
+    R = PolyRing(p, n, order)
+    rng = random.Random(f"{SEED}:{p}:{n}:{rank}:{order}")
+    key = term_key(order)
+    for _ in range(8):
+        cols = [random_col(rng, R, rank) for _ in range(rng.randint(2, 3))]
+        gb = [to_vec(v) for v in module_gb(R, cols)]
+        assert all(gb)
+        assert module_confluent(gb, order, p)
+        assert reduced(gb, order)
+        # the basis spans every input column
+        for c in cols:
+            assert not remainder(to_vec(c), gb, key, p)
+
+
+def test_verifier_rejects_a_non_basis():
+    # (x1, x2) and (x2, 0): the S-vector x2*(x1, x2) - x1*(x2, 0) = (0, x2^2)
+    # has no divisor among the leads, both in component 0
+    R = PolyRing(3, 2)
+    x1 = {(1, 0): 1}
+    x2 = {(0, 1): 1}
+    not_a_basis = [
+        {(0, a): w for a, w in x1.items()} | {(1, a): w for a, w in x2.items()},
+        {(0, a): w for a, w in x2.items()},
+    ]
+    assert not module_confluent(not_a_basis, "grevlex", R.p)
+    gb = [to_vec(v) for v in module_gb(R, [
+        (Polynomial(R, x1), Polynomial(R, x2)),
+        (Polynomial(R, x2), Polynomial.zero(R)),
+    ])]
+    assert module_confluent(gb, "grevlex", R.p)
+    assert len(gb) == 3
