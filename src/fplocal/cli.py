@@ -246,7 +246,7 @@ def _cmd_check_topvan(args) -> int:
 
 def _cmd_check_propvan(args) -> int:
     ring = _ring(args)
-    level = FrobeniusLevel(args.p, args.level) if args.level else None
+    level = FrobeniusLevel(args.p, args.level) if args.level is not None else None
     cert = verify_prop_van(
         _gens(ring, args.gens), args.i, _point(args), level, _limits(args)
     )

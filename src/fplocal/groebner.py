@@ -34,7 +34,9 @@ set.  The field width is chosen per call, from four times the largest
 input degree; a new term whose guard bit is set has overflowed, and the
 call restarts at double width with its reduction budget as it was at the
 start, so a restart changes no result and no step count.  Terms are
-packed where they enter the engine and unpacked where they leave it.
+packed where they enter the engine and unpacked where they leave it;
+_divisor_basis hands a basis over still packed, as divisors for
+_reduce.  The layout is polycore's, shared with the product kernel.
 
 Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
 division using a heap", JSC 2011): normal forms and exact_div keep the
@@ -56,17 +58,19 @@ packing or pair bookkeeping.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, groupby
-from operator import itemgetter, mul
-from typing import Any, Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
 from .polycore import (
     Polynomial,
     PolyRing,
+    _Layout,
+    _layout,
+    _width,
     add_scaled,
     mono_div,
     mono_divides,
@@ -93,76 +97,6 @@ __all__ = [
 
 class _Overflow(Exception):
     """A new term's field reached its guard bit: the call restarts wider."""
-
-
-def _order_fields(order: str, xs: list) -> list:
-    """The variables summed in each order field, most significant first."""
-    if order.startswith("elim-"):
-        return [(xs[-1],)] + _order_fields(order[5:], xs[:-1])
-    if order == "lex":
-        return [(x,) for x in xs]
-    return [tuple(xs[:k]) for k in range(len(xs), 0, -1)]  # grevlex partial sums
-
-
-class _Layout:
-    """How terms in n variables pack into ints, for one monomial order
-    and one field width.
-
-    The fields, most significant first, are the order fields and then one
-    plain field per variable that no order field holds alone.  Each field
-    is `bits` wide with a guard bit above it; the negated component sits
-    above all of them.
-    """
-
-    __slots__ = ("bits", "S", "top", "mask", "guard", "units", "offsets")
-
-    def __init__(self, n: int, order: str, bits: int):
-        fields = _order_fields(order, list(range(n)))
-        fields += [(x,) for x in range(n) if (x,) not in fields]
-        stride = bits + 1
-        offset = {f: (len(fields) - 1 - k) * stride for k, f in enumerate(fields)}
-        self.bits = bits
-        self.S = len(fields) * stride
-        self.top = 1 << self.S  # the packs of component 0 are [0, top)
-        self.mask = (1 << bits) - 1
-        self.guard = sum(1 << (o + bits) for o in offset.values())
-        self.units = [sum(1 << o for f, o in offset.items() if x in f) for x in range(n)]
-        self.offsets = [offset[(x,)] for x in range(n)]
-
-    def pack(self, c: int, a: tuple) -> int:
-        return (-c << self.S) + sum(map(mul, a, self.units))
-
-    def unpack(self, t: int) -> tuple:
-        m = self.mask
-        return (-(t >> self.S), tuple([(t >> o) & m for o in self.offsets]))
-
-    def divides(self, d: int, t: int) -> bool:
-        """D divides T when T - D has component 0 and no field borrowed."""
-        s = t - d
-        return 0 <= s < self.top and not s & self.guard
-
-    def pack_vec(self, v: dict) -> dict:
-        S, units = self.S, self.units  # pack, inlined
-        return {(-c << S) + sum(map(mul, a, units)): w for (c, a), w in v.items()}
-
-    def unpack_vec(self, v: dict) -> dict:
-        S, m, offsets = self.S, self.mask, self.offsets  # unpack, inlined
-        return {(-(t >> S), tuple([(t >> o) & m for o in offsets])): w for t, w in v.items()}
-
-
-@lru_cache(maxsize=None)  # one entry per (n, order, width) in use
-def _layout(n: int, order: str, bits: int) -> _Layout:
-    return _Layout(n, order, bits)
-
-
-def _width(monos: Iterable[tuple]) -> int:
-    """The first field width, 8 bits or a power of two above, that holds
-    four times the largest degree: every field is a sum of exponents."""
-    d = max(map(sum, monos), default=0)
-    bits = 8
-    while d >> (bits - 2):
-        bits *= 2
-    return bits
 
 
 def _retry(run: Callable[[int], Any], bits: int):
@@ -244,21 +178,44 @@ def _split(v: dict, p: int) -> tuple:
 
 
 class _Divisors:
-    """Divisors for _reduce, in the given order; they are made monic and
-    packed once per field width."""
+    """Monic divisors (lead, tail) for _reduce, in the given order, packed
+    once per field width.  They are built from vectors, or handed over
+    packed by the engine (_divisor_basis); the vectors are then unpacked
+    only when another width or a caller asks for them."""
 
-    __slots__ = ("vecs", "p", "bits", "packed")
+    __slots__ = ("ring", "bits", "packed", "_vecs")
 
     def __init__(self, vecs: Sequence[dict], ring: PolyRing):
-        self.vecs = list(vecs)
-        self.p = ring.p
-        self.bits = _width(a for v in self.vecs for _, a in v)
+        self.ring = ring
+        self._vecs = list(vecs)
+        self.bits = _width(a for v in self._vecs for _, a in v)
         self.packed: dict = {}
+
+    @classmethod
+    def _of_packed(cls, split: list, lay: _Layout, ring: PolyRing) -> "_Divisors":
+        out = cls.__new__(cls)
+        out.ring = ring
+        out._vecs = None
+        out.bits = lay.bits
+        out.packed = {lay.bits: split}
+        return out
+
+    @property
+    def vecs(self) -> list:
+        """The divisors as {(component, monomial): coeff}, leads first."""
+        if self._vecs is None:
+            unpack = _layout(self.ring.n, self.ring.order, self.bits).unpack
+            self._vecs = [
+                dict([(unpack(lead), 1)] + [(unpack(t), w) for t, w in tail])
+                for lead, tail in self.packed[self.bits]
+            ]
+        return self._vecs
 
     def at(self, lay: _Layout) -> list:
         out = self.packed.get(lay.bits)
         if out is None:
-            out = self.packed[lay.bits] = [_split(lay.pack_vec(v), self.p) for v in self.vecs]
+            p = self.ring.p
+            out = self.packed[lay.bits] = [_split(lay.pack_vec(v), p) for v in self.vecs]
         return out
 
 
@@ -317,15 +274,24 @@ def _reduced_basis(
     applied, and a basis overflow is reported as "basis size" rather
     than "module basis size".  The basis elements list their leads first.
     """
+    return _divisor_basis(vecs, ring, limits, ideal).vecs
+
+
+def _divisor_basis(
+    vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits, ideal: bool = False
+) -> _Divisors:
+    """_reduced_basis as monic divisors, still packed at the width the
+    basis was computed at: a caller that reduces by the basis skips the
+    unpacking and packing again."""
     vecs = [v for v in vecs if v]
     if not vecs:
-        return []
+        return _Divisors([], ring)
     p = ring.p
 
-    def run(bits: int) -> list:
+    def run(bits: int) -> _Divisors:
         lay = _layout(ring.n, ring.order, bits)
         G = _canonical_input(vecs, lay, p)
-        return [lay.unpack_vec(v) for v in _packed_basis(G, lay, p, limits, ideal)]
+        return _Divisors._of_packed(_packed_basis(G, lay, p, limits, ideal), lay, ring)
 
     return _retry(run, _width(a for v in vecs for _, a in v))
 
@@ -388,8 +354,8 @@ def _packed_basis(G0: list, lay: _Layout, p: int, limits: EngineLimits, ideal: b
 
 
 def _interreduce(G: list, lay: _Layout, p: int, budget: Budget) -> list:
-    """Minimal leads, each element tail-reduced by the others: packed
-    vectors in descending lead order, leads first."""
+    """Minimal leads, each element tail-reduced by the others: monic
+    (lead, tail) in descending lead order, each tail descending."""
     kept: list = []
     for lead, tail in sorted(G, key=itemgetter(0)):
         if any(lay.divides(k, lead) for k, _ in kept):
@@ -401,7 +367,7 @@ def _interreduce(G: list, lay: _Layout, p: int, budget: Budget) -> list:
         h[lead] = 1
         r = _divide(h, kept[:i] + kept[i + 1:], lay, p, budget)
         kept[i] = (lead, list(r.items())[1:])  # no other lead divides this one
-    return [dict([(lead, 1)] + tail) for lead, tail in kept]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +579,11 @@ def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
 
     def run(bits: int) -> dict:
         lay = _layout(ring.n, ring.order, bits)
-        top, guard, units = lay.top, lay.guard, lay.units
-        tail = {sum(map(mul, a, units)): v for a, v in h.terms.items()}  # component 0
+        top, guard = lay.top, lay.guard
+        tail = lay.pack_terms(h.terms)
         hlead = max(tail)
         hinv = pow(tail.pop(hlead), -1, p)
-        rem = {sum(map(mul, a, units)): v for a, v in g.terms.items()}
+        rem = lay.pack_terms(g.terms)
         heap = [-t for t in rem]
         heapify(heap)
         q: dict = {}
@@ -644,8 +610,7 @@ def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
                     heappush(heap, -m)
                 else:
                     rem[m] = (old + coeff * w) % p
-        mask, offsets = lay.mask, lay.offsets  # lay.unpack of component-0 terms, inlined
-        return {tuple([(s >> o) & mask for o in offsets]): c for s, c in q.items()}
+        return lay.unpack_terms(q, p)
 
     return Polynomial(ring, _retry(run, _width(chain(g.terms, h.terms))), _raw=True)
 

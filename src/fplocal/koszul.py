@@ -237,11 +237,15 @@ def verify_prop_van(
     and checks phi(g) lies in the image of the level-q differential,
     retrying at higher levels up to the cap.  Membership of each
     generator suffices: phi is R-linear and the image is a submodule.
+    An explicit `level` above `limits.level_cap` raises ValueError: no
+    level could be tried.
     """
     f = tuple(f)
     lim = resolve_limits(limits)
     if not f:
         raise ValueError("need at least one polynomial")
+    if level is not None and level.l > lim.level_cap:
+        raise ValueError(f"level {level.l} is above the level cap {lim.level_cap}")
     ring = f[0].ring
     n = ring.n
     s = len(f)

@@ -196,9 +196,12 @@ def top_lc_vanishing_certificate(
     power of I for every saturation generator h; the first stage where
     all memberships hold kills the torsion downstream (Lyubeznik 1997,
     Prop. 2.3 at that stage).  No stage working is reported
-    inconclusive, not fail.
+    inconclusive, not fail.  e_max = 0 tries stage 0 only; a negative
+    e_max raises ValueError.
     """
     ring = _ring_of(f)
+    if e_max < 0:
+        raise ValueError(f"e_max must be >= 0, got {e_max}")
     lim = resolve_limits(limits)
     t0 = time.monotonic()
     pt = _normalize_point(ring, point)

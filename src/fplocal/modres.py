@@ -33,8 +33,15 @@ from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
-from .groebner import Ideal, _Divisors, _monic, _reduce, _reduced_basis
-from .polycore import Polynomial, PolyRing, RationalPoint, mono_divides, mono_mul
+from .groebner import Ideal, _divisor_basis, _Divisors, _monic, _reduce, _reduced_basis
+from .polycore import (
+    Polynomial,
+    PolyRing,
+    RationalPoint,
+    _mul_acc,
+    _product_layout,
+    mono_divides,
+)
 
 __all__ = [
     "PolyMatrix",
@@ -181,21 +188,41 @@ class PolyMatrix:
     def apply(self, vec: Sequence[Polynomial]) -> FreeElem:
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)}, expected {self.cols}")
-        out = [Polynomial.zero(self.ring) for _ in range(self.rows)]
-        for j, vj in enumerate(vec):
-            if not vj:
-                continue
-            col = self.columns[j]
-            for i in range(self.rows):
-                if col[i]:
-                    out[i] = out[i] + vj * col[i]
-        return tuple(out)
+        for g in vec:
+            if g.ring != self.ring:
+                raise RingMismatchError(f"{g.ring} entry applied to a {self.ring} matrix")
+        return self._times((tuple(vec),))[0]
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other, defined when other maps into self's source."""
         if other.rows != self.cols:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return PolyMatrix(self.ring, self.rows, tuple(self.apply(c) for c in other.columns))
+        if other.ring != self.ring:
+            raise RingMismatchError(f"{other.ring} matrix composed with a {self.ring} matrix")
+        return PolyMatrix(self.ring, self.rows, self._times(other.columns))
+
+    def _times(self, vecs: Sequence[FreeElem]) -> tuple:
+        """self applied to each of `vecs`.  Every entry is packed once per
+        call, each output entry accumulates in one packed dict, and it is
+        unpacked once."""
+        ring = self.ring
+
+        def degree(cols) -> int:
+            return max((max(map(sum, g.terms)) for col in cols for g in col if g), default=0)
+
+        lay = _product_layout(ring.n, degree(self.columns) + degree(vecs))
+        pack = lay.pack_terms
+        mat = [[(i, pack(g.terms)) for i, g in enumerate(col) if g] for col in self.columns]
+        out = []
+        for v in vecs:
+            acc: list = [{} for _ in range(self.rows)]
+            for col, g in zip(mat, v):
+                if g:
+                    pg = pack(g.terms)
+                    for i, entry in col:
+                        _mul_acc(acc[i], pg, entry)
+            out.append(tuple(Polynomial(ring, lay.unpack_terms(a, ring.p), _raw=True) for a in acc))
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return all(not g for col in self.columns for g in col)
@@ -304,7 +331,7 @@ def subquotient_presentation(
     iv = [v for v in iv if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        gb = _Divisors(_reduced_basis(kv, ring, lim), ring)
+        gb = _divisor_basis(kv, ring, lim)
         budget = Budget(lim)
         for v in iv:
             if _reduce(v, gb, ring, budget):
@@ -439,7 +466,7 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
     while i < len(out):
         others = out[:i] + out[i + 1:]
         if others:
-            gb = _Divisors(_reduced_basis(others, ring, lim), ring)
+            gb = _divisor_basis(others, ring, lim)
             if not _reduce(out[i], gb, ring, Budget(lim)):
                 out.pop(i)
                 continue
@@ -518,21 +545,25 @@ def _module_colon_poly(
 def _module_intersect(
     A: Sequence[dict], B: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> list:
+    """span(A) meet span(B): sum over idx < len(A) of s_idx * A[idx], for
+    every syzygy s of A + B, on packed terms."""
     cols = list(A) + list(B)
     syz = _syzygies_raw(cols, rank, ring, limits)
-    p = ring.p
+    k, p = len(A), ring.p
+    d = max((sum(m) for s in syz for i, m in s if i < k), default=0)
+    lay = _product_layout(ring.n, d + max((sum(a) for v in A for _, a in v), default=0))
+    vecs = [lay.pack_vec(v) for v in A]
     out: list = []
     for s in syz:
-        w: dict = {}  # sum over idx < len(A) of s_idx * A[idx]
-        for (idx, mono), coeff in s.items():
-            if idx < len(A):
-                for (c, a), v in A[idx].items():
-                    m = (c, mono_mul(a, mono))
-                    x = (w.get(m, 0) + coeff * v) % p
-                    if x:
-                        w[m] = x
-                    else:
-                        w.pop(m, None)
+        coeffs: list = [{} for _ in range(k)]
+        for (i, m), c in s.items():
+            if i < k:
+                coeffs[i][m] = c
+        acc: dict = {}
+        for t, v in zip(coeffs, vecs):
+            if t:
+                _mul_acc(acc, lay.pack_terms(t), v)
+        w = lay.unpack_vec({t: r for t, c in acc.items() if (r := c % p)})
         if w and w not in out:
             out.append(w)
     return out
@@ -585,7 +616,7 @@ def module_h0m(
         if v:
             cols.append(v)
     sat = _module_saturation_origin(cols, rank, ring, lim)
-    ngb = _Divisors(_reduced_basis(cols, ring, lim), ring)
+    ngb = _divisor_basis(cols, ring, lim)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []

@@ -6,14 +6,32 @@ modulus, the variable count and the monomial order, and every operation
 is exact integer arithmetic mod p.
 
 Two layers coexist on purpose: Polynomial is the immutable public value,
-while the raw dict helpers (add_scaled, dict_mul, ...) are the hot-loop
-kernels shared with the Groebner engines.  The kernels never mutate a
+while the raw dict helpers are the hot-loop kernels shared with the
+Groebner engine and the module layer.  The kernels never mutate a
 Polynomial's term map; they work on plain dict copies.
+
+One packing scheme serves the whole package.  _Layout packs a term
+(component, monomial) into one int whose fields are sums of exponents,
+for one monomial order and one field width; it is linear in the
+exponents, so multiplying two terms adds their packs.  The engine in
+groebner orders, divides and restarts on these packs (see there).
+Products use the same layout in its lex form, one field per variable:
+dict_mul packs each operand once, multiplies with _mul_acc, which adds
+packs and leaves the coefficient sums unreduced, and unpacks the result
+once, reducing mod p.  Its fields are sized from deg A + deg B, which
+bounds every exponent of the product, so no field can carry.
+Polynomial.translate runs the same kernel on each term's binomial
+factors, and so do PolyMatrix.apply and compose in modres, with every
+matrix entry packed once per call and each output entry accumulated in
+one packed dict.  add_scaled stays on exponent tuples: it serves sums
+and the confluence verifier, which shares no code with the engine.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ParseError, RingMismatchError
@@ -292,6 +310,112 @@ class FpElem:
 
 
 # ---------------------------------------------------------------------------
+# packed terms: one int per (component, monomial)
+
+def _order_fields(order: str, xs: list) -> list:
+    """The variables summed in each order field, most significant first."""
+    if order.startswith("elim-"):
+        return [(xs[-1],)] + _order_fields(order[5:], xs[:-1])
+    if order == "lex":
+        return [(x,) for x in xs]
+    return [tuple(xs[:k]) for k in range(len(xs), 0, -1)]  # grevlex partial sums
+
+
+class _Layout:
+    """How terms in n variables pack into ints, for one monomial order
+    and one field width.
+
+    The fields, most significant first, are the order fields and then one
+    plain field per variable that no order field holds alone.  Each field
+    is `bits` wide with a guard bit above it; the negated component sits
+    above all of them.
+    """
+
+    __slots__ = ("bits", "S", "top", "mask", "guard", "units", "offsets")
+
+    def __init__(self, n: int, order: str, bits: int):
+        fields = _order_fields(order, list(range(n)))
+        fields += [(x,) for x in range(n) if (x,) not in fields]
+        stride = bits + 1
+        offset = {f: (len(fields) - 1 - k) * stride for k, f in enumerate(fields)}
+        self.bits = bits
+        self.S = len(fields) * stride
+        self.top = 1 << self.S  # the packs of component 0 are [0, top)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (o + bits) for o in offset.values())
+        self.units = [sum(1 << o for f, o in offset.items() if x in f) for x in range(n)]
+        self.offsets = [offset[(x,)] for x in range(n)]
+
+    def pack(self, c: int, a: tuple) -> int:
+        return (-c << self.S) + sum(map(mul, a, self.units))
+
+    def unpack(self, t: int) -> tuple:
+        m = self.mask
+        return (-(t >> self.S), tuple([(t >> o) & m for o in self.offsets]))
+
+    def divides(self, d: int, t: int) -> bool:
+        """D divides T when T - D has component 0 and no field borrowed."""
+        s = t - d
+        return 0 <= s < self.top and not s & self.guard
+
+    def pack_vec(self, v: Mapping) -> dict:
+        S, units = self.S, self.units  # pack, inlined
+        return {(-c << S) + sum(map(mul, a, units)): w for (c, a), w in v.items()}
+
+    def unpack_vec(self, v: Mapping) -> dict:
+        S, m, offsets = self.S, self.mask, self.offsets  # unpack, inlined
+        return {(-(t >> S), tuple([(t >> o) & m for o in offsets])): w for t, w in v.items()}
+
+    def pack_terms(self, terms: Mapping) -> dict:
+        """{monomial: coeff} as packed terms of component 0."""
+        units = self.units
+        return {sum(map(mul, a, units)): c for a, c in terms.items()}
+
+    def unpack_terms(self, acc: Mapping, p: int) -> dict:
+        """Packed terms of component 0 as {monomial: coeff}, coefficients
+        reduced mod p and zeros dropped."""
+        m, offsets = self.mask, self.offsets
+        return {
+            tuple([(t >> o) & m for o in offsets]): w for t, c in acc.items() if (w := c % p)
+        }
+
+
+@lru_cache(maxsize=None)  # one entry per (n, order, width) in use
+def _layout(n: int, order: str, bits: int) -> _Layout:
+    return _Layout(n, order, bits)
+
+
+def _bits(d: int) -> int:
+    """The first field width, 8 bits or a power of two above, that holds d."""
+    bits = 8
+    while d >> bits:
+        bits *= 2
+    return bits
+
+
+def _width(monos: Iterable[tuple]) -> int:
+    """The engine's first field width: it holds four times the largest
+    degree, since every field is a sum of exponents."""
+    return _bits(4 * max(map(sum, monos), default=0))
+
+
+def _product_layout(n: int, d: int) -> _Layout:
+    """The packing for products of degree at most d: the lex layout, one
+    field per variable, wide enough for d.  A product's exponent is at
+    most its degree, so adding two packs never carries."""
+    return _layout(n, "lex", _bits(d))
+
+
+def _mul_acc(acc: dict, A: Mapping, B: Mapping) -> None:
+    """acc += A * B on packed terms, coefficients left unreduced."""
+    get = acc.get
+    for a, ca in A.items():
+        for b, cb in B.items():
+            m = a + b
+            acc[m] = get(m, 0) + ca * cb
+
+
+# ---------------------------------------------------------------------------
 # raw term-dict kernels
 
 def add_scaled(acc: dict, src: Mapping, coeff: int, shift: tuple, p: int) -> None:
@@ -306,18 +430,16 @@ def add_scaled(acc: dict, src: Mapping, coeff: int, shift: tuple, p: int) -> Non
 
 
 def dict_mul(A: Mapping, B: Mapping, p: int) -> dict:
-    out: dict = {}
+    """A * B: both operands packed once, multiplied by adding packs, and
+    the product unpacked once."""
+    if not A or not B:
+        return {}
     if len(A) > len(B):
         A, B = B, A
-    for a, ca in A.items():
-        for b, cb in B.items():
-            m = tuple(x + y for x, y in zip(a, b))
-            v = (out.get(m, 0) + ca * cb) % p
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
+    lay = _product_layout(len(next(iter(A))), max(map(sum, A)) + max(map(sum, B)))
+    acc: dict = {}
+    _mul_acc(acc, lay.pack_terms(A), lay.pack_terms(B))
+    return lay.unpack_terms(acc, p)
 
 
 class Polynomial:
@@ -506,41 +628,43 @@ class Polynomial:
         return total
 
     def translate(self, point) -> "Polynomial":
-        """g(x + a): shift coordinates by the rational point a."""
+        """g(x + a): shift coordinates by the rational point a.
+
+        Each term expands as a product of binomial powers (x_i + a_i)^e,
+        on packed terms: no term of g(x + a) has a larger degree than g.
+        """
         coords = _coords(self.ring, point)
         if not any(coords):
             return self
         ring = self.ring
         p = ring.p
-        n = ring.n
+        lay = _product_layout(ring.n, max(map(sum, self.terms), default=0))
+        units = lay.units
         cache: dict = {}
         out: dict = {}
         for mono, c in self.terms.items():
-            term = {ring.zero_mono(): c}
+            term = {0: c}
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 a = coords[i]
                 if a == 0:
-                    shift = tuple(e if j == i else 0 for j in range(n))
-                    term = {mono_mul(m, shift): v for m, v in term.items()}
+                    shift = e * units[i]
+                    term = {m + shift: v for m, v in term.items()}
                     continue
                 factor = cache.get((i, e))
                 if factor is None:
-                    factor = {}
-                    for k in range(e + 1):
-                        cc = (math.comb(e, k) * pow(a, e - k, p)) % p
-                        if cc:
-                            factor[tuple(k if j == i else 0 for j in range(n))] = cc
-                    cache[(i, e)] = factor
-                term = dict_mul(term, factor, p)
+                    factor = cache[(i, e)] = {
+                        k * units[i]: cc
+                        for k in range(e + 1)
+                        if (cc := math.comb(e, k) * pow(a, e - k, p) % p)
+                    }
+                prod: dict = {}
+                _mul_acc(prod, term, factor)
+                term = prod
             for m, v in term.items():
-                w = (out.get(m, 0) + v) % p
-                if w:
-                    out[m] = w
-                else:
-                    del out[m]
-        return Polynomial(ring, out, _raw=True)
+                out[m] = out.get(m, 0) + v
+        return Polynomial(ring, lay.unpack_terms(out, p), _raw=True)
 
     # -- comparison and text
 

@@ -386,3 +386,40 @@ def test_output_is_sorted_and_stable(capsys):
     _, out = run(capsys, *argv)
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_check_propvan_level_zero_exit2(capsys):
+    code, out, err = run_err(
+        capsys, "check-propvan", "--p", "3", "--n", "3", "--gens", "x1,x2^2",
+        "--i", "2", "--level", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "level must be >= 1" in err
+
+
+def test_check_propvan_level_above_cap_exit2(capsys):
+    code, out, err = run_err(
+        capsys, "check-propvan", "--p", "3", "--n", "3", "--gens", "x1,x2^2",
+        "--i", "2", "--level", "7",
+    )
+    assert code == 2
+    assert out == ""
+    assert "above the level cap 4" in err
+
+
+def test_check_topvan_negative_e_max_exit2(capsys):
+    code, out, err = run_err(
+        capsys, "check-topvan", "--p", "3", "--n", "3", "--gens", "x1,x2^2",
+        "--e-max", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "e_max must be >= 0" in err

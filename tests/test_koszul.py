@@ -298,3 +298,20 @@ def test_verify_json_shape():
 def test_verify_rejects_empty_input():
     with pytest.raises(ValueError):
         verify_prop_van([], 0)
+
+
+def test_verify_explicit_level_above_cap_is_rejected():
+    R = PolyRing(3, 3)
+    f = [P(R, "x1"), P(R, "x2^2")]
+    with pytest.raises(ValueError, match="above the level cap 4"):
+        verify_prop_van(f, 2, level=FrobeniusLevel(3, 7))
+    with pytest.raises(ValueError, match="above the level cap 2"):
+        verify_prop_van(f, 2, level=FrobeniusLevel(3, 3), limits=EngineLimits(level_cap=2))
+
+
+def test_verify_explicit_level_at_cap_is_tried():
+    R = PolyRing(2, 2)
+    f = [P(R, "x1^2"), P(R, "x1*x2")]
+    cert = verify_prop_van(f, 2, level=FrobeniusLevel(2, 2), limits=EngineLimits(level_cap=2))
+    assert cert.level_used == 2
+    assert cert.verdicts == (True,)

@@ -347,3 +347,19 @@ def test_report_timing_toggle():
     timed = rep.to_json_dict(include_timing=True)
     assert isinstance(timed["millis"], float)
     assert {k: v for k, v in timed.items() if k != "millis"} == plain
+
+
+def test_topvan_rejects_negative_e_max():
+    R = PolyRing(2, 2)
+    with pytest.raises(ValueError, match="e_max"):
+        top_lc_vanishing_certificate([P(R, "x1^2"), P(R, "x1*x2")], e_max=-1)
+
+
+def test_topvan_e_max_zero_tries_stage_zero_only():
+    R = PolyRing(2, 2)
+    rep = top_lc_vanishing_certificate([P(R, "x1^2"), P(R, "x1*x2")], e_max=0)
+    assert rep.outcome == "inconclusive"
+    assert rep.data["stages_tried"] == 0
+    rep = top_lc_vanishing_certificate([P(R, "x1")], e_max=0)
+    assert rep.outcome == "pass"
+    assert rep.data["stage"] == 0

@@ -609,3 +609,80 @@ def test_finite_length_ceiling():
     with pytest.raises(ResourceLimitError):
         finite_length_data(pres, EngineLimits(max_length=50))
     assert finite_length_data(pres) == (True, 100)
+
+
+# ---------------------------------------------------------------------------
+# the packed matrix product, against an entry-wise reference
+
+
+def _reference_times(m, v):
+    p = m.ring.p
+    out = []
+    for i in range(m.rows):
+        acc = {}
+        for j in range(m.cols):
+            for a, ca in v[j].terms.items():
+                for b, cb in m.columns[j][i].terms.items():
+                    mono = tuple(x + y for x, y in zip(a, b))
+                    acc[mono] = (acc.get(mono, 0) + ca * cb) % p
+        out.append(Polynomial(m.ring, {a: c for a, c in acc.items() if c}))
+    return tuple(out)
+
+
+def _sparse_matrix(ring, rng, rows, cols, deg):
+    columns = []
+    for j in range(cols):
+        if rng.random() < 0.2:
+            columns.append(tuple(Polynomial.zero(ring) for _ in range(rows)))
+            continue
+        columns.append(tuple(
+            Polynomial.zero(ring) if rng.random() < 0.3
+            else random_poly(ring, rng, deg=deg, terms=rng.randint(1, 4))
+            for _ in range(rows)
+        ))
+    return PolyMatrix.from_columns(ring, rows, columns)
+
+
+@pytest.mark.parametrize("p", [2, 3, 18446744073709551557])
+@pytest.mark.parametrize("n, order", [(1, "grevlex"), (3, "grevlex"), (3, "lex"), (4, "elim-grevlex")])
+def test_compose_and_apply_match_entrywise_reference(p, n, order):
+    rng = random.Random(f"{SEED}:{p}:{n}:{order}")
+    R = PolyRing(p, n, order)
+    for _ in range(8):
+        r, k, c = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        a = _sparse_matrix(R, rng, r, k, deg=rng.choice((2, 40, 300)))
+        b = _sparse_matrix(R, rng, k, c, deg=rng.choice((2, 40, 300)))
+        ab = a.compose(b)
+        assert (ab.rows, ab.cols) == (r, c)
+        for j in range(c):
+            assert ab.column(j) == _reference_times(a, b.column(j))
+            assert a.apply(b.column(j)) == _reference_times(a, b.column(j))
+
+
+def test_compose_cancels_to_zero_char2():
+    R = PolyRing(2, 2)
+    a = PolyMatrix.from_columns(R, 1, [vec(R, "x1"), vec(R, "x2")])
+    b = PolyMatrix.from_columns(R, 2, [vec(R, "x2", "x1"), vec(R, "0", "0")])
+    ab = a.compose(b)
+    assert ab.is_zero()
+    assert all(not g.terms for col in ab.columns for g in col)
+
+
+def test_compose_and_apply_reject_other_rings():
+    R, S = PolyRing(2, 2), PolyRing(3, 2)
+    a = PolyMatrix.from_columns(R, 1, [vec(R, "x1")])
+    with pytest.raises(RingMismatchError):
+        a.compose(PolyMatrix.from_columns(S, 1, [vec(S, "x2")]))
+    with pytest.raises(RingMismatchError):
+        a.apply(vec(S, "x2"))
+
+
+def test_resolution_rejects_maps_that_do_not_compose_to_zero():
+    R = PolyRing(3, 2)
+    d0 = PolyMatrix.from_columns(R, 1, [vec(R, "x1"), vec(R, "x2")])
+    d1 = PolyMatrix.from_columns(R, 2, [vec(R, "x2", "x1")])  # x1*x2 + x2*x1 = 2 x1 x2
+    with pytest.raises(ValueError, match="composite of maps 0 and 1"):
+        Resolution(R, 1, (d0, d1))
+    # the same maps with the sign that makes the composite vanish
+    good = PolyMatrix.from_columns(R, 2, [vec(R, "x2", "2*x1")])
+    assert Resolution(R, 1, (d0, good)).ranks == (1, 2, 1)

@@ -9,6 +9,7 @@ as an independent witness for the product.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,9 @@ from fplocal.polycore import (
     mono_mul,
     monomials_of_degree,
     monomials_up_to_degree,
+    _bits,
     _is_prime,
+    _width,
     parse_poly,
 )
 
@@ -565,3 +568,155 @@ def test_dict_mul_matches_polynomial_mul():
     g = parse_poly(R, "x1 + 2*x2")
     h = parse_poly(R, "x1*x2 + 1")
     assert dict_mul(g.terms, h.terms, 3) == (g * h).terms
+
+
+# ---------------------------------------------------------------------------
+# packed product kernel, against a schoolbook product on exponent tuples
+
+P64 = 18446744073709551557  # the largest prime below 2^64
+ORDERS = ("grevlex", "lex", "elim-grevlex", "elim-lex")
+
+
+def schoolbook(A, B, p):
+    out = {}
+    for a, ca in A.items():
+        for b, cb in B.items():
+            m = tuple(x + y for x, y in zip(a, b))
+            out[m] = (out.get(m, 0) + ca * cb) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_product(g, h):
+    want = schoolbook(g.terms, h.terms, g.ring.p)
+    assert dict_mul(g.terms, h.terms, g.ring.p) == want
+    assert (g * h).terms == want
+    assert (h * g).terms == want
+
+
+def poly_of_degree(ring, rng, d, terms=4, heavy=None):
+    """A polynomial of total degree exactly d: one term of degree d whose
+    exponents are spread over the variables, the variable `heavy` (random
+    if None) taking all but a few, and lower terms."""
+    mono = [0] * ring.n
+    for _ in range(min(d, 3 * ring.n)):
+        mono[rng.randrange(ring.n)] += 1
+    mono[rng.randrange(ring.n) if heavy is None else heavy] += d - sum(mono)
+    t = {tuple(mono): rng.randrange(1, ring.p)}
+    for _ in range(terms - 1):
+        low = [rng.randint(0, 2) for _ in range(ring.n)]
+        if sum(low) < d:
+            t[tuple(low)] = rng.randrange(1, ring.p)
+    return Polynomial(ring, t)
+
+
+def test_width_steps():
+    # the engine's width holds four times the degree, a product's width
+    # holds the product's degree
+    for bits in (8, 16, 32, 64):
+        assert _width([(2 ** (bits - 2) - 1,)]) == bits
+        assert _width([(2 ** (bits - 2),)]) == 2 * bits
+        assert _bits(2**bits - 1) == bits
+        assert _bits(2**bits) == 2 * bits
+
+
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("order", ORDERS)
+def test_product_degrees_around_width_steps(n, order):
+    rng = random.Random(f"width:{n}:{order}")
+    R = PolyRing(5, n, order)
+    steps = [2 ** (bits - 2) for bits in (8, 16, 32, 64)] + [2**bits for bits in (8, 16, 32, 64)]
+    for step in steps:
+        for d in (step - 1, step):
+            dg = d // 2
+            heavy = rng.randrange(n)  # one exponent of the product nears d
+            g = poly_of_degree(R, rng, dg, heavy=heavy)
+            h = poly_of_degree(R, rng, d - dg, heavy=heavy)
+            assert (g * h).total_degree() == d
+            assert_product(g, h)
+
+
+def test_product_single_variable_exponent_fills_its_field():
+    # the product's exponent of one variable equals its degree: the field
+    # of x1 is full and the field above it must not see a carry
+    R = PolyRing(3, 6, "lex")
+    for d in (255, 256, 65535, 65536):
+        g = Polynomial(R, {(d - 100, 0, 0, 0, 0, 1): 1, (0,) * 6: 2})
+        h = Polynomial(R, {(100, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 1): 1})
+        assert_product(g, h)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("order", ORDERS)
+def test_product_random_against_schoolbook(n, order):
+    rng = random.Random(f"random:{n}:{order}")
+    for p in (2, 3, 7, P64):
+        R = PolyRing(p, n, order)
+        for _ in range(10):
+            g = poly_of_degree(R, rng, rng.randint(0, 6), rng.randint(1, 6))
+            h = poly_of_degree(R, rng, rng.randint(0, 6), rng.randint(1, 6))
+            assert_product(g, h)
+
+
+def test_product_char2_cancellation():
+    R = PolyRing(2, 2)
+    # every middle term cancels: (x1 + 1)(x1^7 + ... + 1) = x1^8 + 1
+    g = parse_poly(R, "x1 + 1")
+    h = Polynomial(R, {(k, 0): 1 for k in range(8)})
+    assert_product(g, h)
+    assert (g * h) == parse_poly(R, "x1^8 + 1")
+    # (x1 + x2)^2 = x1^2 + x2^2: the cross term reaches 2 = 0
+    s = parse_poly(R, "x1 + x2")
+    assert_product(s, s)
+    assert s * s == parse_poly(R, "x1^2 + x2^2")
+    # a sum of products that cancels to zero
+    assert not (s * parse_poly(R, "x1") + parse_poly(R, "x1^2 + x1*x2"))
+
+
+def test_product_64_bit_prime():
+    R = PolyRing(P64, 3)
+    g = Polynomial(R, {(1, 0, 0): P64 - 1, (0, 1, 0): P64 - 2, (0, 0, 0): 3})
+    h = Polynomial(R, {(1, 0, 0): P64 - 1, (0, 0, 2): 5})
+    assert_product(g, h)
+    assert (g * h).terms[(2, 0, 0)] == 1
+    # the coefficient sums past p several times before it is reduced
+    s = Polynomial(R, {(k, 0, 0): P64 - 1 for k in range(6)})
+    assert_product(s, s)
+
+
+def test_product_zero_and_constant_factors():
+    for order in ORDERS:
+        R = PolyRing(3, 3, order)
+        g = parse_poly(R, "x1^2*x3 + 2*x2 + 1")
+        zero = Polynomial.zero(R)
+        assert_product(g, zero)
+        assert not g * zero and not zero * g
+        assert dict_mul({}, g.terms, 3) == {} and dict_mul(g.terms, {}, 3) == {}
+        assert g * Polynomial.one(R) == g
+        assert_product(g, Polynomial.constant(R, 2))
+        assert (Polynomial.constant(R, 2) * Polynomial.constant(R, 2)).terms == {(0, 0, 0): 1}
+
+
+
+def schoolbook_translate(g, coords):
+    p, n = g.ring.p, g.ring.n
+    out = {}
+    for mono, c in g.terms.items():
+        term = {(0,) * n: c}
+        for i, e in enumerate(mono):
+            unit = tuple(1 if j == i else 0 for j in range(n))
+            for _ in range(e):
+                term = schoolbook(term, {unit: 1, (0,) * n: coords[i]} if coords[i] else {unit: 1}, p)
+        for m, v in term.items():
+            out[m] = (out.get(m, 0) + v) % p
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_translate_against_schoolbook_expansion(n):
+    rng = random.Random(f"translate:{n}")
+    for p in (2, 3, P64):
+        R = PolyRing(p, n)
+        coords = [rng.randrange(p) if k % 2 else 0 for k in range(n)] if n > 1 else [1]
+        for d in (3, 255, 256):
+            g = poly_of_degree(R, rng, d, terms=3)
+            assert g.translate(coords).terms == schoolbook_translate(g, coords)
