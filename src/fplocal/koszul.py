@@ -112,8 +112,10 @@ def build_koszul(f: Sequence[Polynomial], t: int = 1) -> KoszulComplex:
     return KoszulComplex(ring, f, t, tuple(diffs), index_maps)
 
 
-def _phi_with_complexes(f: Sequence[Polynomial], lvl: FrobeniusLevel):
-    k1 = build_koszul(f, 1)
+def _phi_with_complexes(k1: KoszulComplex, lvl: FrobeniusLevel):
+    """phi from the level-1 complex k1, which the caller built, to the
+    level-q complex built here; commutation is checked at every call."""
+    f = k1.f
     kq = build_koszul(f, lvl.q)
     ring = k1.ring
     if lvl.p != ring.p:
@@ -134,13 +136,13 @@ def _phi_with_complexes(f: Sequence[Polynomial], lvl: FrobeniusLevel):
     for j in range(k1.s):
         if kq.diffs[j].compose(phis[j]) != phis[j + 1].compose(k1.diffs[j]):
             raise ValueError(f"chain map fails to commute at degree {j}")
-    return tuple(phis), k1, kq
+    return tuple(phis), kq
 
 
 def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
     """Per-degree diagonal multipliers prod f_a^{q-1}; commutation with
     both differentials is checked exactly."""
-    phis, _, _ = _phi_with_complexes(f, lvl)
+    phis, _ = _phi_with_complexes(build_koszul(f, 1), lvl)
     return phis
 
 
@@ -322,7 +324,7 @@ def verify_prop_van(
     verdicts: list = []
     for l in range(l0, lim.level_cap + 1):
         lvl = FrobeniusLevel(ring.p, l)
-        phis, _, kq = _phi_with_complexes(fs, lvl)
+        phis, kq = _phi_with_complexes(k1, lvl)
         im_q = tuple(kq.diffs[i - 1].columns) if i > 0 else ()
         imgb = module_gb(ring, im_q, lim) if im_q else ()
         verdicts = []

@@ -33,7 +33,15 @@ from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
-from .groebner import Ideal, _divisor_basis, _Divisors, _monic, _reduce, _reduced_basis
+from .groebner import (
+    Ideal,
+    _divisor_basis,
+    _Divisors,
+    _monic,
+    _reduce,
+    _reduced_basis,
+    _spans_all,
+)
 from .polycore import (
     Polynomial,
     PolyRing,
@@ -331,11 +339,8 @@ def subquotient_presentation(
     iv = [v for v in iv if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        gb = _divisor_basis(kv, ring, lim)
-        budget = Budget(lim)
-        for v in iv:
-            if _reduce(v, gb, ring, budget):
-                raise ValueError("image generators do not lie in the kernel span")
+        if not _spans_all(_divisor_basis(kv, ring, lim), iv, ring, lim):
+            raise ValueError("image generators do not lie in the kernel span")
     elif iv:
         raise ValueError("image generators do not lie in the kernel span")
     else:
@@ -572,17 +577,26 @@ def _module_intersect(
 def _module_saturation_origin(
     gens: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> list:
-    """Saturation of span(gens) <= R^rank with respect to m = (x1..xn)."""
+    """Saturation of span(gens) <= R^rank with respect to m = (x1..xn),
+    as its reduced basis.
+
+    A round colons the current module N by each variable in turn.  If
+    N : x lies in N, then N : m = N (N <= N : m <= N : x), and N is
+    returned at once; otherwise the colons are intersected, and the
+    loop ends when a round gives N back.
+    """
     mvars = [Polynomial.variable(ring, k) for k in range(1, ring.n + 1)]
-    cur = _reduced_basis(list(gens), ring, limits)
+    cur = _divisor_basis(list(gens), ring, limits)
     for _ in range(limits.max_rounds):
         quot = None
         for xv in mvars:
-            q = _module_colon_poly(cur, xv, rank, ring, limits)
+            q = _module_colon_poly(cur.vecs, xv, rank, ring, limits)
+            if _spans_all(cur, q, ring, limits):
+                return cur.vecs
             quot = q if quot is None else _module_intersect(quot, q, rank, ring, limits)
-        qgb = _reduced_basis(quot, ring, limits)
-        if qgb == cur:
-            return cur
+        qgb = _divisor_basis(quot, ring, limits)
+        if qgb.vecs == cur.vecs:
+            return cur.vecs
         cur = qgb
     raise ResourceLimitError("module saturation rounds", limits.max_rounds)
 

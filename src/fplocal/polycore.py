@@ -23,8 +23,11 @@ bounds every exponent of the product, so no field can carry.
 Polynomial.translate runs the same kernel on each term's binomial
 factors, and so do PolyMatrix.apply and compose in modres, with every
 matrix entry packed once per call and each output entry accumulated in
-one packed dict.  add_scaled stays on exponent tuples: it serves sums
-and the confluence verifier, which shares no code with the engine.
+one packed dict.  Polynomial.__pow__ packs its base once, in a layout
+sized for the final degree, so its Frobenius steps scale packs by p and
+its squarings stay packed until the one unpack at the end.  add_scaled
+stays on exponent tuples: it serves sums and the confluence verifier,
+which shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -592,26 +595,45 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def _frobenius(self) -> "Polynomial":
-        # g -> g^p is exponent scaling; coefficients are fixed by Fermat
-        p = self.ring.p
-        return Polynomial(
-            self.ring, {tuple(e * p for e in a): c for a, c in self.terms.items()}, _raw=True
-        )
-
     def __pow__(self, e: int) -> "Polynomial":
+        """self^e by its base-p digits: g^(d0 + d1*p + ...) is the product
+        of the (g^(p^k))^dk, where g^(p^k) scales every exponent by p^k
+        (c^p = c in F_p), and each digit's power is a square-and-multiply.
+
+        All of it runs on packs in one product layout sized for the final
+        degree e * deg g, one field per variable: no intermediate power
+        has a larger exponent, so a Frobenius step multiplies every pack
+        by p, no field can carry, and the result is unpacked once.
+        """
         if e < 0:
             raise ValueError("negative powers are not defined in R")
-        p = self.ring.p
-        result = Polynomial.one(self.ring)
-        base = self
+        ring = self.ring
+        if not e:
+            return Polynomial.one(ring)
+        if not self.terms:
+            return self
+        p = ring.p
+        lay = _product_layout(ring.n, e * max(map(sum, self.terms)))
+
+        def times(A: dict, B: dict) -> dict:
+            acc: dict = {}
+            _mul_acc(acc, A, B)
+            return {t: r for t, c in acc.items() if (r := c % p)}
+
+        base = lay.pack_terms(self.terms)
+        result = None
         while e:
             e, d = divmod(e, p)
-            if d:
-                result = result * _small_pow(base, d)
+            square = base
+            while d:
+                if d & 1:
+                    result = square if result is None else times(result, square)
+                d >>= 1
+                if d:
+                    square = times(square, square)
             if e:
-                base = base._frobenius()
-        return result
+                base = {t * p: c for t, c in base.items()}
+        return Polynomial(ring, lay.unpack_terms(result, p), _raw=True)
 
     # -- substitution
 
@@ -694,19 +716,6 @@ class Polynomial:
 
     def __repr__(self):
         return str(self)
-
-
-def _small_pow(g: Polynomial, d: int) -> Polynomial:
-    # square-and-multiply for exponents below p
-    result = None
-    base = g
-    while d:
-        if d & 1:
-            result = base if result is None else result * base
-        d >>= 1
-        if d:
-            base = base * base
-    return result if result is not None else Polynomial.one(g.ring)
 
 
 class RationalPoint:

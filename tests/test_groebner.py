@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from fplocal import groebner
 from fplocal.config import EngineLimits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.groebner import (
@@ -26,6 +27,7 @@ from fplocal.groebner import (
     saturation,
     verify_confluence,
 )
+from fplocal.localcoh import question_q_check
 from fplocal.polycore import Polynomial, PolyRing, mono_div, mono_lcm, parse_poly
 
 SEED = 20260819
@@ -427,6 +429,110 @@ def test_saturation_round_budget():
     with pytest.raises(ResourceLimitError):
         saturation(I, J, EngineLimits(max_rounds=2))
     assert ideals_equal(saturation(I, J), Ideal(R, ["1"]))
+
+
+# ---------------------------------------------------------------------------
+# saturation's early exit, against a loop that colons by every generator
+
+
+def reference_saturation(I, J, rounds=50):
+    """I : J^infinity with no early exit: each round colons by every
+    generator of J through the public ideal_quotient, intersects the
+    colons in order, and stops when the reduced bases agree."""
+    K = I
+    for _ in range(rounds):
+        K2 = None
+        for h in J.gens:
+            Q = ideal_quotient(K, h)
+            K2 = Q if K2 is None else intersect(K2, Q)
+        if K2.groebner_basis() == K.groebner_basis():
+            return K
+        K = K2
+    raise AssertionError("reference saturation did not settle")
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def torsion_ideal(R, rng, point):
+    """g * m_a + (f): R/I has m_a-torsion (the class of g) unless g lies
+    in (f)."""
+    g = random_poly(R, rng, deg=1, terms=2)
+    f = random_poly(R, rng, deg=2, terms=3)
+    return Ideal(R, [g * h for h in maximal_ideal(R, point).gens] + [f])
+
+
+def test_saturation_matches_reference_loop():
+    rng = random.Random(SEED + 20)
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            R = PolyRing(p, n)
+            point = tuple(rng.randrange(p) for _ in range(n))
+            ideals = [
+                Ideal(R, [random_poly(R, rng), random_poly(R, rng)]),
+                torsion_ideal(R, rng, None),
+                torsion_ideal(R, rng, point),
+            ]
+            Js = [
+                maximal_ideal(R),
+                maximal_ideal(R, point),
+                Ideal(R, [random_poly(R, rng, deg=1, terms=2) for _ in range(rng.choice((2, 3)))]),
+            ]
+            for I in ideals:
+                for J in Js:
+                    if J.is_zero():
+                        continue
+                    assert saturation(I, J).gens == reference_saturation(I, J).gens
+
+
+def test_quotient_ideal_returns_I_when_a_later_generator_passes(monkeypatch):
+    # x1 and x2 are zerodivisors on R/(x1*x2), x3 is not: one round of three
+    # colons, no intersection of colons, and I itself comes back
+    R = PolyRing(3, 3)
+    I = Ideal(R, ["x1*x2"])
+    quotients = count_calls(monkeypatch, groebner, "ideal_quotient")
+    intersections = count_calls(monkeypatch, groebner, "intersect")
+    assert ideal_quotient_ideal(I, maximal_ideal(R)) is I
+    assert len(quotients) == 3
+    assert [J.gens for _, J, _ in intersections] == [(h,) for h in maximal_ideal(R).gens]
+    assert saturation(I, maximal_ideal(R)) is I
+    # x1 + 1 lies in no associated prime of (x1*x2) in two variables
+    R2 = PolyRing(5, 2)
+    I2 = Ideal(R2, ["x1*x2"])
+    J2 = Ideal(R2, ["x2", "x1 + 1"])
+    assert saturation(I2, J2) is I2
+    assert saturation(I2, J2).gens == reference_saturation(I2, J2).gens
+
+
+def test_quotient_ideal_intersects_when_no_generator_passes():
+    # (x1^2, x1*x2) : x1 = (x1, x2) and : x2 = (x1); neither lies in I
+    R = PolyRing(2, 2)
+    I = Ideal(R, ["x1^2", "x1*x2"])
+    K = ideal_quotient_ideal(I, maximal_ideal(R))
+    assert K is not I and ideals_equal(K, Ideal(R, ["x1"]))
+    S = saturation(I, maximal_ideal(R))
+    assert S.gens == reference_saturation(I, maximal_ideal(R)).gens
+    assert S.gens == (parse_poly(R, "x1"),)
+
+
+def test_q1_on_a_complete_intersection_makes_one_colon(monkeypatch):
+    # x1 is a nonzerodivisor on R/I: the first colon of the one round
+    # gives I back
+    R = PolyRing(3, 5)
+    f = [parse_poly(R, "x1*x2 + x3^2 + x4*x5"), parse_poly(R, "x1^2 + x2*x4 + 2*x5^2")]
+    quotients = count_calls(monkeypatch, groebner, "ideal_quotient")
+    report = question_q_check(f)
+    assert report.outcome == "pass"
+    assert len(quotients) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+from fplocal import modres
 from fplocal.config import EngineLimits
 from fplocal.errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
-from fplocal.groebner import Ideal
+from fplocal.groebner import Ideal, maximal_ideal
 from fplocal.modres import (
     ModulePresentation,
     PolyMatrix,
@@ -569,6 +570,61 @@ def test_h0m_zero_rank():
     R = PolyRing(2, 2)
     tor = module_h0m(ModulePresentation(R, 0, PolyMatrix(R, 0, ())))
     assert tor.generators == () and tor.length == 0
+
+
+def reference_module_saturation(gens, rank, ring, limits):
+    """Saturation at the origin with no early exit: every round colons by
+    every variable, intersects the colons, and stops when the reduced
+    basis comes back unchanged."""
+    cur = modres._reduced_basis(list(gens), ring, limits)
+    for _ in range(limits.max_rounds):
+        quot = None
+        for k in range(1, ring.n + 1):
+            q = modres._module_colon_poly(cur, Polynomial.variable(ring, k), rank, ring, limits)
+            quot = q if quot is None else modres._module_intersect(quot, q, rank, ring, limits)
+        qgb = modres._reduced_basis(quot, ring, limits)
+        if qgb == cur:
+            return cur
+        cur = qgb
+    raise AssertionError("reference module saturation did not settle")
+
+
+def sparse_vec(R, rng, rank, terms):
+    return tuple(random_poly(R, rng, deg=2, terms=terms) for _ in range(rank))
+
+
+def torsion_presentation(R, rng, rank, point, terms):
+    """Random relations plus (x_i - a_i) * v for every variable: v is
+    m_a-torsion unless it lies in the span of the other relations."""
+    v = sparse_vec(R, rng, rank, terms)
+    cols = [sparse_vec(R, rng, rank, terms) for _ in range(rng.randint(0, rank))]
+    cols += [tuple(x * g for g in v) for x in maximal_ideal(R, point).gens]
+    rng.shuffle(cols)
+    return ModulePresentation(R, rank, PolyMatrix.from_columns(R, rank, cols))
+
+
+def test_h0m_matches_reference_loop(monkeypatch):
+    rng = random.Random(SEED + 40)
+    cases = []
+    for p in (2, 3, 5):
+        for n in (2, 3):
+            R = PolyRing(p, n)
+            for rank in (1, 2, 3):
+                terms = 1 if rank * n >= 6 else 2  # dense input outgrows a module basis
+                point = tuple(rng.randrange(p) for _ in range(n))
+                cases.append((torsion_presentation(R, rng, rank, None, terms), None))
+                cases.append((torsion_presentation(R, rng, rank, point, terms), point))
+                cols = [sparse_vec(R, rng, rank, terms) for _ in range(rank + 1)]
+                rel = PolyMatrix.from_columns(R, rank, cols)
+                cases.append((ModulePresentation(R, rank, rel), None))
+    got = [module_h0m(pres, point) for pres, point in cases]
+    monkeypatch.setattr(modres, "_module_saturation_origin", reference_module_saturation)
+    want = [module_h0m(pres, point) for pres, point in cases]
+    assert sum(1 for t in want if t.generators) >= len(cases) // 3
+    for g, w in zip(got, want):
+        assert g.generators == w.generators
+        assert g.presentation == w.presentation
+        assert (g.finite, g.length) == (w.finite, w.length)
 
 
 # ---------------------------------------------------------------------------

@@ -697,6 +697,62 @@ def test_product_zero_and_constant_factors():
 
 
 
+# ---------------------------------------------------------------------------
+# packed powers, against repeated schoolbook products
+
+
+def schoolbook_pow(g, e):
+    out = {(0,) * g.ring.n: 1}
+    for _ in range(e):
+        out = schoolbook(out, g.terms, g.ring.p)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pow_degrees_around_width_steps(n, p):
+    # e divides 2^bits - 1 for every step, so g = a*x_n^deg + b*x1 + c
+    # with deg = d fills the field of x_n in g^e, and deg = d + 1 crosses
+    # the step; the exponents cover one to three base-p digits
+    rng = random.Random(f"pow:{n}:{p}")
+    R = PolyRing(p, n, "lex" if n == 1 else "grevlex")
+    x1 = (1,) + (0,) * (n - 1)
+    for bits in (8, 16, 32):
+        for e in (3, 5, 15, 17):
+            d = (2**bits - 1) // e
+            for deg in (d, d + 1):
+                lead = (0,) * (n - 1) + (deg,)
+                coeffs = [rng.randrange(1, p), rng.randrange(1, p), rng.randrange(p)]
+                g = Polynomial(R, dict(zip((lead, x1, (0,) * n), coeffs)))
+                assert (g**e).terms == schoolbook_pow(g, e)
+                assert (g**e).total_degree() == e * deg
+
+
+def test_pow_64_bit_prime():
+    rng = random.Random("pow:p64")
+    R = PolyRing(P64, 3)
+    for e in range(6):
+        for d in (0, 1, 3):
+            g = poly_of_degree(R, rng, d, terms=4)
+            assert (g**e).terms == schoolbook_pow(g, e)
+    g = poly_of_degree(R, rng, 255 // 5, terms=3, heavy=1)
+    assert (g**5).terms == schoolbook_pow(g, 5)
+
+
+def test_pow_zero_exponent_zero_and_constants():
+    for p in (2, 3, 5, P64):
+        R = PolyRing(p, 2)
+        zero, one = Polynomial.zero(R), Polynomial.one(R)
+        g = parse_poly(R, "x1^2*x2 + x2 + 1")
+        c = Polynomial.constant(R, p - 1)
+        for h in (g, zero, one, c):
+            assert h**0 == one
+        for e in (1, 2, p, p + 1, 2 * p + 3):
+            assert zero**e == zero
+            assert (c**e).terms == {(0, 0): pow(p - 1, e, p)}
+        assert g**1 == g
+
+
 def schoolbook_translate(g, coords):
     p, n = g.ring.p, g.ring.n
     out = {}
