@@ -39,22 +39,20 @@ _OUTCOME_EXIT = {
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    val = os.environ.get(name)
-    return int(val) if val else default
-
-
 def _common_flags(sp) -> None:
+    # An FPLOCAL_* value is a str default, which argparse converts with
+    # `type` only when the flag is absent: a bad value is a usage error
+    # (exit 2), and an explicit flag wins.  An empty variable counts as unset.
     sp.add_argument("--max-reductions", type=int,
-                    default=_env_int("FPLOCAL_MAX_REDUCTIONS", DEFAULT_LIMITS.max_reductions))
+                    default=os.environ.get("FPLOCAL_MAX_REDUCTIONS") or DEFAULT_LIMITS.max_reductions)
     sp.add_argument("--max-basis", type=int,
-                    default=_env_int("FPLOCAL_MAX_BASIS", DEFAULT_LIMITS.max_basis))
+                    default=os.environ.get("FPLOCAL_MAX_BASIS") or DEFAULT_LIMITS.max_basis)
     sp.add_argument("--max-rounds", type=int,
-                    default=_env_int("FPLOCAL_MAX_ROUNDS", DEFAULT_LIMITS.max_rounds))
+                    default=os.environ.get("FPLOCAL_MAX_ROUNDS") or DEFAULT_LIMITS.max_rounds)
     sp.add_argument("--max-length", type=int,
-                    default=_env_int("FPLOCAL_MAX_LENGTH", DEFAULT_LIMITS.max_length))
+                    default=os.environ.get("FPLOCAL_MAX_LENGTH") or DEFAULT_LIMITS.max_length)
     sp.add_argument("--level-cap", type=int,
-                    default=_env_int("FPLOCAL_LEVEL_CAP", DEFAULT_LIMITS.level_cap))
+                    default=os.environ.get("FPLOCAL_LEVEL_CAP") or DEFAULT_LIMITS.level_cap)
     sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
     sp.add_argument("--timings", action="store_true", help="include wall-clock millis in reports")
 

@@ -8,14 +8,21 @@ conversions and the module logic, and calls that engine for bases and
 normal forms.  The module order is position-over-term: component 0
 dominates, ties broken by the ring's monomial order.  Module bases are
 computed without the product or chain criteria: the product criterion is
-unsound for modules, and the chain criterion waits for a confluence check
-of module bases that shares no code with the engine.
+unsound for modules, and the chain criterion is not turned on yet;
+tests/test_module_confluence.py checks module bases by a route that
+shares no code with the engine.
 
-Syzygies use the tag-component form of Schreyer's construction: append
-one tag component per input column, compute a module basis where the
-real components dominate, and read the syzygy generators off the
-elements whose real part vanished.  Each syzygy is an exact certificate;
-tests verify them by substitution.
+One tagged kernel, _syzygies_raw, computes syzygies modulo a submodule:
+each column gets a unit tag component, the submodule's vectors get none,
+and the elements of one module basis whose lead is a tag are the reduced
+basis of {a : sum a_j col_j in the submodule}.  Colons, intersections and
+subquotient presentations read their answers off it.  Tagging the
+submodule's vectors too and projecting onto the column tags gives the
+same list: in position-over-term order the column tags rank above the
+others, so the projection sends each basis element whose lead is a column
+tag onto the reduced basis of the relations, and every other element to
+0.  Each syzygy is an exact certificate; tests verify them by
+substitution.
 
 Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
@@ -100,23 +107,29 @@ def _vkey(ring: PolyRing):
     return vk
 
 
-def _syzygies_raw(cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
-    """Generators of {a in R^k : sum a_j cols_j = 0}, k = len(cols)."""
-    k = len(cols)
-    if k == 0:
+def _eliminate(vecs: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
+    """Reduced basis of the vectors in span(vecs) with no term below
+    component `rank`, shifted down by `rank`.  They are the basis elements
+    whose lead lies at a component >= rank: position-over-term order puts
+    every lower component above the lead."""
+    return [
+        {(c - rank, a): v for (c, a), v in u.items()}
+        for u in _reduced_basis(vecs, ring, limits)
+        if next(iter(u))[0] >= rank  # engine output: lead first
+    ]
+
+
+def _syzygies_raw(
+    cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits, modulo: Sequence = ()
+) -> list:
+    """Reduced basis of {a in R^k : sum a_j cols_j in span(modulo)},
+    k = len(cols).  Column j is tagged at component rank + j; the
+    `modulo` vectors are not tagged."""
+    if not cols:
         return []
-    aug = []
     zero = ring.zero_mono()
-    for j, col in enumerate(cols):
-        w = dict(col)
-        w[(rank + j, zero)] = 1
-        aug.append(w)
-    G = _reduced_basis(aug, ring, limits)
-    syz = []
-    for u in G:
-        if all(c >= rank for (c, _a) in u):
-            syz.append({(c - rank, a): v for (c, a), v in u.items()})
-    return syz
+    tagged = [{**col, (rank + j, zero): 1} for j, col in enumerate(cols)]
+    return _eliminate(tagged + list(modulo), rank, ring, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +320,13 @@ def kernel_of_map(mat: PolyMatrix, limits: Optional[EngineLimits] = None) -> tup
 def _presentation_raw(
     gens: Sequence[dict], modulo: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> ModulePresentation:
-    """Presentation of (span(gens) + span(modulo)) / span(modulo)."""
+    """Presentation of (span(gens) + span(modulo)) / span(modulo).  Its
+    relations are the syzygies of gens modulo span(modulo), the same list
+    as full tags projected onto the gens tags (see the module docstring)."""
     u = len(gens)
     if u == 0:
         return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ()))
-    combined = list(gens) + [m for m in modulo if m]
-    syz = _syzygies_raw(combined, rank, ring, limits)
-    rels = []
-    for s in syz:
-        proj = {(c, a): v for (c, a), v in s.items() if c < u}
-        if proj and proj not in rels:
-            rels.append(proj)
+    rels = _syzygies_raw(gens, rank, ring, limits, modulo)
     cols = tuple(_free_from_vec(v, u, ring) for v in rels)
     return ModulePresentation(ring, u, PolyMatrix(ring, u, cols))
 
@@ -533,45 +542,20 @@ class TorsionData:
 def _module_colon_poly(
     gens: Sequence[dict], f: Polynomial, rank: int, ring: PolyRing, limits: EngineLimits
 ) -> list:
-    """Generators of {v in R^rank : f*v in span(gens)}."""
-    fcols = []
-    for c in range(rank):
-        fcols.append({(c, a): v for a, v in f.terms.items()})
-    cols = fcols + list(gens)
-    syz = _syzygies_raw(cols, rank, ring, limits)
-    out: list = []
-    for s in syz:
-        proj = {(c, a): v for (c, a), v in s.items() if c < rank}
-        if proj and proj not in out:
-            out.append(proj)
-    return out
+    """Reduced basis of {v in R^rank : f*v in span(gens)}: the syzygies of
+    f*e_c, c < rank, modulo span(gens), as in _presentation_raw."""
+    fcols = [{(c, a): v for a, v in f.terms.items()} for c in range(rank)]
+    return _syzygies_raw(fcols, rank, ring, limits, gens)
 
 
 def _module_intersect(
     A: Sequence[dict], B: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> list:
-    """span(A) meet span(B): sum over idx < len(A) of s_idx * A[idx], for
-    every syzygy s of A + B, on packed terms."""
-    cols = list(A) + list(B)
-    syz = _syzygies_raw(cols, rank, ring, limits)
-    k, p = len(A), ring.p
-    d = max((sum(m) for s in syz for i, m in s if i < k), default=0)
-    lay = _product_layout(ring.n, d + max((sum(a) for v in A for _, a in v), default=0))
-    vecs = [lay.pack_vec(v) for v in A]
-    out: list = []
-    for s in syz:
-        coeffs: list = [{} for _ in range(k)]
-        for (i, m), c in s.items():
-            if i < k:
-                coeffs[i][m] = c
-        acc: dict = {}
-        for t, v in zip(coeffs, vecs):
-            if t:
-                _mul_acc(acc, lay.pack_terms(t), v)
-        w = lay.unpack_vec({t: r for t, c in acc.items() if (r := c % p)})
-        if w and w not in out:
-            out.append(w)
-    return out
+    """Reduced basis of span(A) meet span(B).  Each a in A is tagged with
+    its own copy, (a | a), and B is not: the span's elements with zero real
+    part are (0 | sum s_i a_i) with sum s_i a_i in span(B)."""
+    tagged = [{**a, **{(rank + c, m): v for (c, m), v in a.items()}} for a in A]
+    return _eliminate(tagged + list(B), rank, ring, limits)
 
 
 def _module_saturation_origin(
@@ -594,10 +578,9 @@ def _module_saturation_origin(
             if _spans_all(cur, q, ring, limits):
                 return cur.vecs
             quot = q if quot is None else _module_intersect(quot, q, rank, ring, limits)
-        qgb = _divisor_basis(quot, ring, limits)
-        if qgb.vecs == cur.vecs:
+        if quot == cur.vecs:  # colons and meets come back as reduced bases
             return cur.vecs
-        cur = qgb
+        cur = _Divisors(quot, ring)
     raise ResourceLimitError("module saturation rounds", limits.max_rounds)
 
 

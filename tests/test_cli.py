@@ -355,6 +355,33 @@ def test_env_ceiling(monkeypatch, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("var", ["FPLOCAL_MAX_REDUCTIONS", "FPLOCAL_LEVEL_CAP"])
+def test_malformed_env_ceiling_is_a_usage_error(monkeypatch, capsys, var):
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(SystemExit) as ei:
+        main(["gb", "--p", "2", "--n", "2", "--gens", "x1"])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid int value: 'abc'" in captured.err
+    assert captured.out == ""
+
+
+def test_flag_beats_malformed_env_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("FPLOCAL_MAX_REDUCTIONS", "abc")
+    code, doc = run_json(
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        "--max-reductions", "1",
+    )
+    assert code == 2
+    assert doc["outcome"] == "resource-limit"
+    monkeypatch.setenv("FPLOCAL_MAX_REDUCTIONS", "")  # empty counts as unset
+    code, doc = run_json(
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2"
+    )
+    assert code == 1
+    assert doc["outcome"] != "resource-limit"
+
+
 def test_parse_error_exit2(capsys):
     code = main(["gb", "--p", "2", "--n", "2", "--gens", "x1 + y"])
     captured = capsys.readouterr()
