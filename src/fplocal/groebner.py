@@ -12,12 +12,16 @@ descending lead order, each listing its lead first.  Pairs are formed
 between leads in one component and selected by the normal strategy
 (smallest lcm in the module order first); every skipped or reduced pair
 counts against the configured reduction budget, so a runaway computation
-raises ResourceLimitError instead of spinning.  The product and chain
-criteria are applied to ideals only.
-The product criterion is unsound for modules.  The chain criterion is
-sound within one component, but it stays off for modules; module bases
-are checked by a test-side confluence verifier, and only ideal bases
-reach the on_basis observer.
+raises ResourceLimitError instead of spinning.  The chain criterion
+(Gebauer and Moeller, "On an installation of Buchberger's algorithm",
+JSC 1988) is applied to every basis: a pair is skipped when a third lead
+divides its lcm and neither of the pairs it forms with the two is still
+pending.  It is sound within one component, and that is all it sees:
+pairs are formed only within one component, and a lead divides only
+terms of its own component.  The product criterion is applied to ideals
+only; it is unsound for modules.  Module bases are checked by a
+test-side confluence verifier, and only ideal bases reach the on_basis
+observer.
 
 Inside the engine each term is one int (Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
@@ -278,10 +282,11 @@ def _reduced_basis(
     """Reduced basis of the span of `vecs`, position-over-term order.
 
     Pairs are formed only between leads in one component and popped
-    smallest first on (-component, lcm).  `ideal` marks rank-1 input
-    from the ideal entry: only there are the product and chain criteria
-    applied, and a basis overflow is reported as "basis size" rather
-    than "module basis size".  The basis elements list their leads first.
+    smallest first on (-component, lcm).  The chain criterion applies to
+    every basis.  `ideal` marks rank-1 input from the ideal entry: only
+    there is the product criterion applied, and a basis overflow is
+    reported as "basis size" rather than "module basis size".  The basis
+    elements list their leads first.
     """
     return _divisor_basis(vecs, ring, limits, ideal).vecs
 
@@ -333,21 +338,20 @@ def _packed_basis(G0: list, lay: _Layout, p: int, limits: EngineLimits, ideal: b
         budget.step()
         li, ti = G[i]
         lj, tj = G[j]
-        if ideal:
-            if li + (lj & rest) == u:
-                continue  # product criterion: coprime leads
-            skip = False
-            for k in range(len(G)):
-                if k == i or k == j:
-                    continue
-                if divides(G[k][0], u):
-                    a = (i, k) if i < k else (k, i)
-                    b = (j, k) if j < k else (k, j)
-                    if a not in pending and b not in pending:
-                        skip = True  # chain criterion
-                        break
-            if skip:
+        if ideal and li + (lj & rest) == u:
+            continue  # product criterion: coprime leads
+        skip = False
+        for k in range(len(G)):
+            if k == i or k == j:
                 continue
+            if divides(G[k][0], u):  # so G[k] leads in u's component
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pending and b not in pending:
+                    skip = True  # chain criterion
+                    break
+        if skip:
+            continue
         s: dict = {}
         _add_scaled(s, ti, 1, u - li, p, guard)  # the leads cancel at u
         _add_scaled(s, tj, p - 1, u - lj, p, guard)

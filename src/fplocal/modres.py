@@ -7,8 +7,8 @@ Buchberger engine in groebner works on; this module holds the
 conversions and the module logic, and calls that engine for bases and
 normal forms.  The module order is position-over-term: component 0
 dominates, ties broken by the ring's monomial order.  Module bases are
-computed without the product or chain criteria: the product criterion is
-unsound for modules, and the chain criterion is not turned on yet;
+computed with the chain criterion, which is sound within one component,
+and without the product criterion, which is unsound for modules;
 tests/test_module_confluence.py checks module bases by a route that
 shares no code with the engine.
 
@@ -28,14 +28,20 @@ Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
 presentation are cancelled first; after that every level's generators
 are pruned to an irredundant set, and no syzygy of irredundant
-generators has a constant entry.  Projective dimension reads the
+generators has a constant entry.  Pruning keeps the generators that a
+front-to-back pass keeps, dropping each one that lies in the span of the
+rest.  Graded input takes that pass one degree at a time: one basis of
+the kept generators of lower degree per degree, and an F_p echelon of
+the normal forms against it (_prune_graded proves the two passes keep
+the same generators).  Other input takes it one candidate at a time,
+with one basis of the others each.  Projective dimension reads the
 resolution's length; depth follows by the Auslander-Buchsbaum formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from itertools import groupby, product as _iproduct
 from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
@@ -404,11 +410,16 @@ def free_resolution(
     Constant relation entries are cancelled first (see
     _cancel_constant_entries).  At every level, generators lying in the
     span of the others are then dropped, so each level's generators are
-    irredundant.  A syzygy of irredundant generators has no nonzero
-    constant entry: a constant a_j would give g_j = -a_j^{-1} (sum of the
-    other terms), a redundant g_j.  So every map has its entries in m, and
-    for graded input an exact resolution with its entries in m is the
-    minimal graded resolution; graded input terminates within n steps.
+    irredundant: graded input is pruned one degree at a time against one
+    basis per degree (_prune_graded), other input one candidate at a time
+    (_prune_generators), and both keep the same generators.  A syzygy of
+    irredundant generators has no nonzero constant entry: a constant a_j
+    would give g_j = -a_j^{-1} (sum of the other terms), a redundant g_j.
+    So every map has its entries in m, and for graded input an exact
+    resolution with its entries in m is the minimal graded resolution;
+    graded input terminates within n steps.  The shifts are carried level
+    to level: the next level's shifts are the degrees of the current
+    columns.
     """
     ring = pres.ring
     lim = resolve_limits(limits)
@@ -416,8 +427,9 @@ def free_resolution(
         max_len = ring.n + 4
     pres = _cancel_constant_entries(pres)
     maps: list = []
+    shifts = [pres.shifts]
     cols = [_vec_from_free(c) for c in pres.relations.columns]
-    cols = _prune_generators(_dedupe_nonzero(cols), ring, lim)
+    cols, degs = _prune(_dedupe_nonzero(cols), pres.shifts, ring, lim)
     cur_rank = pres.rank
     while cols:
         if len(maps) >= max_len:
@@ -426,11 +438,12 @@ def free_resolution(
         if any(g and g.is_constant() for col in m.columns for g in col):
             raise AssertionError(f"map {len(maps)} of the resolution holds a constant entry")
         maps.append(m)
+        shifts.append(degs)
         syz = _syzygies_raw(cols, cur_rank, ring, lim)
         cur_rank = len(cols)
-        cols = _prune_generators(_dedupe_nonzero(syz), ring, lim)
-    shifts = _resolution_shifts(pres.shifts, maps)
-    return Resolution(ring, pres.rank, tuple(maps), shifts)
+        cols, degs = _prune(_dedupe_nonzero(syz), degs, ring, lim)
+    graded = pres.shifts is not None
+    return Resolution(ring, pres.rank, tuple(maps), tuple(shifts) if graded else None)
 
 
 def _cancel_constant_entries(pres: ModulePresentation) -> ModulePresentation:
@@ -473,8 +486,25 @@ def _dedupe_nonzero(vecs: Sequence[dict]) -> list:
     return out
 
 
+def _prune(vecs: list, shifts: Optional[tuple], ring: PolyRing, lim: EngineLimits) -> tuple:
+    """(generators, degrees): the irredundant subset of `vecs` that
+    _prune_generators keeps, in input order, and its degrees where
+    component c is shifted by shifts[c]; no degrees when ungraded."""
+    if shifts is None:
+        return _prune_generators(vecs, ring, lim), None
+    degs = []
+    for v in vecs:
+        d = {sum(a) + shifts[c] for c, a in v}
+        if len(d) != 1:
+            raise NonHomogeneousError("resolution column is not homogeneous in the shifts")
+        degs.append(d.pop())
+    keep = _prune_graded(vecs, degs, ring, lim)
+    return [vecs[i] for i in keep], tuple(degs[i] for i in keep)
+
+
 def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
-    """Drop generators lying in the span of the remaining ones."""
+    """Drop generators lying in the span of the remaining ones, front to
+    back, with one basis of the others per candidate."""
     out = list(vecs)
     i = 0
     while i < len(out):
@@ -488,17 +518,61 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
     return out
 
 
-def _resolution_shifts(base: Optional[Tuple[int, ...]], maps: Sequence[PolyMatrix]):
-    if base is None:
-        return None
-    shifts = [base]
-    try:
-        for m in maps:
-            # resolution columns are nonzero, so no degree here is None
-            shifts.append(_column_degrees(m.columns, shifts[-1]))
-    except NonHomogeneousError:
-        return None
-    return tuple(shifts)
+def _prune_graded(vecs: list, degs: Sequence[int], ring: PolyRing, lim: EngineLimits) -> list:
+    """Indices, ascending, of the generators _prune_generators keeps, for
+    homogeneous `vecs` of degrees `degs`; one basis per degree.
+
+    Let M_<d be the span of the generators of degree < d.  A generator g
+    of degree d lies in the span of the others iff its normal form modulo
+    M_<d lies in the F_p-span of the normal forms of the other degree-d
+    generators: in g = sum a_h h only the degree-d part counts, where the
+    a_h of degree-d generators are constants and those of higher ones
+    vanish.  So removing g leaves the span of the remaining generators of
+    degree <= e unchanged for every e, and M_<d is the same at every step
+    of the front-to-back loop: the span of the kept generators of degree
+    < d.  Within degree d that loop is front-to-back removal on the normal
+    forms v_1..v_m, which keeps v_i iff v_i is not in span(v_{>i}): were
+    v_i = sum c_j v_j + w with w in span(v_{>i}) and kept v_j, j < i, the
+    first kept v_j with c_j != 0 would have lain in the span of the list
+    at its own step.  A reverse scan that keeps each v_i independent of
+    the ones it kept before decides exactly that, since those span
+    span(v_{>i}).  Inhomogeneous input has no such degree-d part, and
+    stays on _prune_generators.
+    """
+    p = ring.p
+    kept: list = []
+    for _, block in groupby(sorted(range(len(vecs)), key=degs.__getitem__), degs.__getitem__):
+        block = list(block)
+        nfs = [vecs[i] for i in block]
+        if kept:  # every kept generator has degree < d
+            lower = _divisor_basis([vecs[i] for i in kept], ring, lim)
+            budget = Budget(lim)
+            nfs = [_reduce(v, lower, ring, budget) for v in nfs]
+        rows: list = []
+        kept += [i for i, v in reversed(list(zip(block, nfs))) if _independent(v, rows, p)]
+    return sorted(kept)
+
+
+def _independent(v: dict, rows: list, p: int) -> bool:
+    """Whether v lies outside the F_p-span of `rows`; if so, v reduced by
+    them joins them.  A row is (pivot, vector) with vector[pivot] = 1 and
+    no term at the pivot of an earlier row."""
+    v = dict(v)
+    for t, row in rows:
+        c = v.get(t)
+        if c:
+            for m, w in row.items():
+                x = (v.get(m, 0) - c * w) % p
+                if x:
+                    v[m] = x
+                else:
+                    del v[m]
+    if not v:
+        return False
+    t = next(iter(v))
+    inv = pow(v[t], -1, p)
+    rows.append((t, {m: w * inv % p for m, w in v.items()}))
+    return True
 
 
 def projective_dimension(

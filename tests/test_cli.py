@@ -348,11 +348,12 @@ def test_env_ceiling(monkeypatch, capsys):
     assert code == 2
     assert doc["outcome"] == "resource-limit"
     # an explicit flag still beats the environment
-    monkeypatch.setenv("FPLOCAL_MAX_REDUCTIONS", "1000000")
-    code, _ = run_json(
-        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2"
+    code, doc = run_json(
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        "--max-reductions", "1000000",
     )
     assert code == 1
+    assert doc["outcome"] == "fail"
 
 
 @pytest.mark.parametrize("var", ["FPLOCAL_MAX_REDUCTIONS", "FPLOCAL_LEVEL_CAP"])

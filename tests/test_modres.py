@@ -94,8 +94,8 @@ def test_module_gb_standard_basis():
 
 
 def test_module_gb_rank_one_matches_ideal_gb():
-    # modules run without pair criteria, ideals with the product and chain
-    # criteria; on rank-1 input both must land on the same reduced basis
+    # modules run without the product criterion, ideals with it; on
+    # rank-1 input both must land on the same reduced basis
     rng = random.Random(SEED)
     cases = [(2, 2, "grevlex"), (3, 2, "grevlex"), (5, 2, "grevlex"),
              (3, 2, "lex"), (2, 3, "grevlex"), (3, 3, "lex"), (5, 3, "grevlex")]
@@ -752,6 +752,120 @@ def test_module_intersect_matches_full_tag_reference():
             assert got == want
             met += bool(got)
     assert met >= 50
+
+
+# ---------------------------------------------------------------------------
+# pruning in degree order, against the per-candidate loop it replaced for
+# graded input: front to back, drop each generator that lies in the span
+# of the remaining ones, with a full module basis of the others each time
+
+
+def reference_prune(vecs, degs, ring, lim):
+    """Indices of the generators the per-candidate loop keeps."""
+    rank = 1 + max((c for v in vecs for c, _ in v), default=0)
+    cols = [modres._free_from_vec(v, rank, ring) for v in vecs]
+    keep = list(range(len(cols)))
+    i = 0
+    while i < len(keep):
+        others = [cols[j] for j in keep if j != keep[i]]
+        if others and not any(
+            module_normal_form(ring, cols[keep[i]], module_gb(ring, others, lim))
+        ):
+            keep.pop(i)
+        else:
+            i += 1
+    return keep
+
+
+def redundant_ideal(R, rng):
+    """Forms of degree 1 to 3, and one or two R-combinations of two of
+    them inserted at random places, so that some generator is redundant."""
+    def multiplier(e):
+        return random_form(R, rng, e) if e else Polynomial.constant(R, rng.randint(1, R.p - 1))
+
+    gens = [random_form(R, rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.sample(gens, 2)
+        d = max(a.total_degree(), b.total_degree())
+        combo = multiplier(d - a.total_degree()) * a + multiplier(d - b.total_degree()) * b
+        gens.insert(rng.randrange(len(gens) + 1), combo)
+    return quotient_presentation(Ideal(R, gens))
+
+
+def pruning_cases():
+    rng = random.Random(SEED + 60)
+    cases = []
+    for p in (2, 3):
+        for n in (3, 4):
+            R = PolyRing(p, n, "lex" if n == 3 and p == 3 else "grevlex")
+            cases += [redundant_ideal(R, rng) for _ in range(6)]
+    R = PolyRing(3, 3)
+    cases.append(quotient_presentation(Ideal(R, ["x1", "2*x1", "x1*x2"])))
+    cases.append(quotient_presentation(Ideal(R, ["x1*x2", "x1*x3", "x1*x2 + x1*x3"])))
+    # a shifted rank-2 presentation: the third column is x1 times the
+    # first, and the fourth the sum of the first two
+    cols = [vec(R, "x2", "x1^2"), vec(R, "x3", "x2^2"), vec(R, "x1*x2", "x1^3"),
+            vec(R, "x2 + x3", "x1^2 + x2^2"), vec(R, "0", "x3^2"), vec(R, "x1", "0")]
+    cases.append(ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, cols), (1, 0)))
+    return cases
+
+
+def test_graded_pruning_matches_reference_loop(monkeypatch):
+    cases = pruning_cases()
+    got = [free_resolution(pres) for pres in cases]
+    dropped = []  # per call: how many went, and how many beside a kept one of their degree
+
+    def reference(vecs, degs, ring, lim):
+        keep = reference_prune(vecs, degs, ring, lim)
+        gone = [i for i in range(len(vecs)) if i not in keep]
+        dropped.append((len(gone), sum(1 for i in gone if degs[i] in {degs[k] for k in keep})))
+        return keep
+
+    monkeypatch.setattr(modres, "_prune_graded", reference)
+    want = [free_resolution(pres) for pres in cases]
+    assert sum(1 for d, _ in dropped if d) >= 25
+    assert sum(e for _, e in dropped) >= 25
+    for g, w in zip(got, want):
+        assert g.maps == w.maps
+        assert g.shifts == w.shifts
+        assert_no_constant_entry(g)
+
+
+def test_equal_degree_redundancy_keeps_the_later_generators():
+    # front to back, the earlier of two dependent generators of one degree goes
+    R = PolyRing(3, 3)
+    res = free_resolution(quotient_presentation(Ideal(R, ["x1", "2*x1", "x1*x2"])))
+    assert res.maps[0].columns == (vec(R, "2*x1"),)
+    assert res.ranks == (1, 1)
+    res = free_resolution(quotient_presentation(Ideal(R, ["x1*x2", "x1*x3", "x1*x2 + x1*x3"])))
+    assert res.maps[0].columns == (vec(R, "x1*x3"), vec(R, "x1*x2 + x1*x3"))
+    assert res.ranks == (1, 2, 1)
+    assert res.shifts == ((0,), (2, 2), (3,))
+
+
+def test_graded_pruning_computes_fewer_bases(monkeypatch):
+    from fplocal import groebner
+    from fplocal.localcoh import pd_bound_check
+
+    R = PolyRing(3, 4)
+    f = [P(R, s) for s in ("x1^2 + x2*x3", "x1*x2 + 2*x3^2", "x2^2 + x1*x3 + x4^2")]
+    calls = []
+    divisor_basis = groebner._divisor_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return divisor_basis(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divisor_basis", counted)
+    monkeypatch.setattr(modres, "_divisor_basis", counted)
+    rep = pd_bound_check(f)
+    by_degree = len(calls)
+    del calls[:]
+    monkeypatch.setattr(modres, "_prune_graded", reference_prune)
+    assert pd_bound_check(f).data == rep.data == {"pd": 3, "depth": 1, "bound": 6}
+    # one syzygy basis per level, plus one pruning basis per degree above
+    # the lowest, against one per candidate
+    assert (by_degree, len(calls)) == (4, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ monic, with no lead dividing any term of another element.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from fplocal.modres import module_gb
-from fplocal.polycore import Polynomial, PolyRing
+from fplocal.polycore import Polynomial, PolyRing, parse_poly
 
 SEED = 27182
 
@@ -102,7 +103,8 @@ def to_vec(col):
 
 def random_col(rng, ring, rank):
     """Sparse entries of low degree: module bases are computed without
-    pair criteria, and in lex some denser rank-3 inputs take minutes."""
+    the product criterion, and in lex some denser rank-3 inputs take
+    minutes."""
     top = 2 if ring.n == 2 else 1
     col = []
     for _ in range(rank):
@@ -153,3 +155,89 @@ def test_verifier_rejects_a_non_basis():
     ])]
     assert module_confluent(gb, "grevlex", R.p)
     assert len(gb) == 3
+
+
+# ---------------------------------------------------------------------------
+# bases where the chain criterion skips pairs outside component 0
+#
+# The engine applies the chain criterion to module bases too.  The bases
+# below are those of tagged columns (col_j | e_j), the ones syzygies are
+# read from: their elements with leads at the tags form pairs beyond
+# component 0.  The engine is only observed, never reused: a wrapped
+# heappop logs the component of each pair popped, and a wrapped
+# _add_scaled marks the pairs whose S-vector was formed; the others were
+# skipped.
+
+
+def tagged_columns(R, gens):
+    k = len(gens)
+    unit = [tuple(Polynomial.one(R) if i == j else Polynomial.zero(R) for i in range(k))
+            for j in range(k)]
+    return [col + e for col, e in zip(gens, unit)]
+
+
+def random_form(rng, ring, d):
+    monos = [a for a in product(range(d + 1), repeat=ring.n) if sum(a) == d]
+    return Polynomial(ring, {a: rng.randint(1, ring.p - 1) for a in rng.sample(monos, 2)})
+
+
+def observe_pairs(monkeypatch):
+    """A log of [component, formed] per pair the engine pops."""
+    from fplocal import groebner
+
+    log, seen = [], {}
+    packed_basis, heappop, add_scaled = groebner._packed_basis, groebner.heappop, groebner._add_scaled
+
+    def watch_basis(G0, lay, *rest):
+        seen["lay"] = lay
+        return packed_basis(G0, lay, *rest)
+
+    def watch_pop(heap):
+        top = heappop(heap)
+        if isinstance(top, tuple):  # a pair (lcm, i, j); the division heap holds ints
+            log.append([seen["lay"].unpack(top[0])[0], False])
+        return top
+
+    def watch_add(acc, tail, coeff, *rest):
+        if coeff == 1:  # the first half of an S-vector
+            log[-1][1] = True
+        return add_scaled(acc, tail, coeff, *rest)
+
+    monkeypatch.setattr(groebner, "_packed_basis", watch_basis)
+    monkeypatch.setattr(groebner, "heappop", watch_pop)
+    monkeypatch.setattr(groebner, "_add_scaled", watch_add)
+    return log
+
+
+SYZ_CASES = [(p, n, rank, order) for p in (2, 3, 5) for n in (3, 4) for rank in (1, 2)
+             for order in ("grevlex", "lex")]
+
+
+def test_tagged_bases_where_the_chain_criterion_fires(monkeypatch):
+    log = observe_pairs(monkeypatch)
+    beyond = 0
+    for p, n, rank, order in SYZ_CASES:
+        R = PolyRing(p, n, order)
+        rng = random.Random(f"{SEED}:tags:{p}:{n}:{rank}:{order}")
+        gens = [tuple(random_form(rng, R, rng.randint(1, 2)) for _ in range(rank))
+                for _ in range(3)]
+        cols = tagged_columns(R, gens)
+        del log[:]
+        gb = [to_vec(v) for v in module_gb(R, cols)]
+        beyond += sum(1 for c, formed in log if c >= rank and not formed)
+        assert module_confluent(gb, order, p)
+        assert reduced(gb, order)
+        for c in cols:
+            assert not remainder(to_vec(c), gb, term_key(order), p)
+    assert beyond >= 40
+
+
+def test_syzygy_tags_of_three_quadrics(monkeypatch):
+    # one fixed lex input: 22 of its skipped pairs have leads at a tag
+    log = observe_pairs(monkeypatch)
+    R = PolyRing(3, 3, "lex")
+    gens = [(parse_poly(R, s),) for s in ("x1^2 + x2*x3", "x1*x2 + 2*x3^2", "x2^2 + x1*x3 + x3^2")]
+    gb = [to_vec(v) for v in module_gb(R, tagged_columns(R, gens))]
+    assert sum(1 for c, formed in log if c >= 1 and not formed) == 22
+    assert module_confluent(gb, "lex", 3)
+    assert reduced(gb, "lex")
