@@ -19,8 +19,9 @@ approximation anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _iproduct
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .config import EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
@@ -32,6 +33,7 @@ __all__ = [
     "FrobComponents",
     "level_for_degree",
     "frobenius_power",
+    "frobenius_multipliers",
     "bracket_power",
     "frobenius_decompose",
     "component_at",
@@ -146,10 +148,37 @@ def frobenius_power(g: Polynomial, lvl: FrobeniusLevel) -> Polynomial:
     return Polynomial(g.ring, {tuple(e * q for e in a): c for a, c in g.terms.items()}, _raw=True)
 
 
+def frobenius_multipliers(g: Polynomial, p: int) -> Iterator[Polynomial]:
+    """g^(q-1) for q = p, p^2, p^3, ..., one level per step.
+
+    g^(pq-1) = (g^(q-1))^p * g^(p-1), and the p-th power is Frobenius,
+    an exponent scaling: each step after the first costs one product of
+    the large g^(q-1), scaled, with the small g^(p-1).
+    """
+    step = FrobeniusLevel(p, 1)
+    base = mult = g ** (p - 1)
+    while True:
+        yield mult
+        mult = frobenius_power(mult, step) * base
+
+
 def bracket_power(I: Ideal, lvl: FrobeniusLevel) -> Ideal:
-    """The ideal generated by the q-th powers of the given generators."""
+    """The ideal generated by the q-th powers of the given generators.
+
+    Its reduced basis is I's, scaled, and no Buchberger run computes it:
+    x^a -> x^(qa) is an injective ring map that fixes every coefficient
+    of F_p and preserves the monomial order and divisibility, so it
+    carries S-polynomials, standard representations and tail reductions
+    of I's reduced basis to those of the scaled one.  The scaled basis
+    reaches the on_basis observer like any fresh ideal basis.
+    """
     _check_level(I.ring, lvl)
-    return Ideal(I.ring, [frobenius_power(g, lvl) for g in I.gens])
+    gens = [frobenius_power(g, lvl) for g in I.gens]
+    return Ideal(I.ring, gens, _basis=partial(_bracket_basis, I, lvl))
+
+
+def _bracket_basis(I: Ideal, lvl: FrobeniusLevel, limits: EngineLimits) -> tuple:
+    return tuple(frobenius_power(g, lvl) for g in I.groebner_basis(limits))
 
 
 def psi_map(h: Polynomial, g: Polynomial, lvl: FrobeniusLevel) -> Polynomial:

@@ -217,12 +217,21 @@ class _Divisors:
     def vecs(self) -> list:
         """The divisors as {(component, monomial): coeff}, leads first."""
         if self._vecs is None:
-            unpack = _layout(self.ring.n, self.ring.order, self.bits).unpack
-            self._vecs = [
-                dict([(unpack(lead), 1)] + [(unpack(t), w) for t, w in tail])
-                for lead, tail in self.packed[self.bits]
-            ]
+            self._vecs = self.vecs_from(0)
         return self._vecs
+
+    def vecs_from(self, c: int) -> list:
+        """The divisors whose lead lies at a component >= c, as vectors,
+        leads first; only those are unpacked."""
+        if self._vecs is not None:
+            return [v for v in self._vecs if next(iter(v))[0] >= c]
+        lay = _layout(self.ring.n, self.ring.order, self.bits)
+        unpack, S = lay.unpack, lay.S
+        return [
+            dict([(unpack(lead), 1)] + [(unpack(t), w) for t, w in tail])
+            for lead, tail in self.packed[self.bits]
+            if -(lead >> S) >= c  # the lead's component, as unpack reads it
+        ]
 
     def at(self, lay: _Layout) -> list:
         out = self.packed.get(lay.bits)
@@ -413,12 +422,14 @@ class Ideal:
 
     Generators are stored nonzero and in the given order; the basis
     cache is filled compute-then-publish, so concurrent readers either
-    see nothing or the finished tuple.
+    see nothing or the finished tuple.  The basis comes from Buchberger,
+    or from `_basis(limits)` when the ideal was built with one: a route
+    that derives the same reduced basis without it, as bracket powers do.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_basis")
 
-    def __init__(self, ring: PolyRing, gens: Sequence):
+    def __init__(self, ring: PolyRing, gens: Sequence, *, _basis: Optional[Callable] = None):
         gs = []
         for g in gens:
             if isinstance(g, str):
@@ -432,12 +443,19 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(gs)
         self._gb = None
+        self._basis = _basis
 
     def groebner_basis(self, limits: Optional[EngineLimits] = None) -> tuple:
         gb = self._gb
         if gb is None:
             lim = resolve_limits(limits)
-            gb = _wrap(self.ring, _buchberger([dict(g.terms) for g in self.gens], self.ring, lim))
+            if self._basis is None:
+                gb = _wrap(self.ring, _buchberger([dict(g.terms) for g in self.gens], self.ring, lim))
+            else:
+                gb = self._basis(lim)
+                # a derived basis reaches the observer like a fresh one
+                if gb and lim.on_basis is not None:
+                    lim.on_basis(self.ring, gb)
             self._gb = gb
         return gb
 

@@ -14,7 +14,7 @@ cohomology.
 
 Between exponent t=1 and t=q the multiplication maps
 
-    phi^j = diag( prod over a in T of f_a^{q-1} )
+    phi^j = diag( M_T(q) ),   M_T(q) = prod over a in T of f_a^{q-1}
 
 form a chain map (checked exactly), and iterating them realizes the
 directed system whose limit is the local cohomology module.  The
@@ -22,17 +22,34 @@ verifier computes the m-torsion of H^i at level 1 and certifies that
 phi pushes every torsion generator into the image of the level-q
 differential, which kills its class downstream (Lyubeznik 1997,
 Prop. 2.3 supplies the limit argument).
+
+The level walk reuses the level below.  The multipliers follow the
+recurrence M_T(pq) = F(M_T(q)) * M_T(p), with F the p-th power, an
+exponent scaling: one product of a large and a small polynomial per
+subset T and level, built up from level 1 even when the walk starts
+higher.  The image of the level-q differential is the level-1 image
+under x^a e_c -> x^(qa) e_c, an injective map that fixes F_p and
+preserves the module order and divisibility, so it carries the reduced
+basis of im d_1 to that of im d_q: one Buchberger run, at level 1,
+serves every level.  The d compose d and commutation checks still run
+at every level tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from itertools import combinations, islice
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .config import EngineLimits, resolve_limits
 from .errors import RingMismatchError
-from .frobenius import FrobeniusLevel, level_for_degree
+from .frobenius import (
+    FrobeniusLevel,
+    _check_level,
+    frobenius_multipliers,
+    frobenius_power,
+    level_for_degree,
+)
 from .modres import (
     ModulePresentation,
     PolyMatrix,
@@ -112,38 +129,53 @@ def build_koszul(f: Sequence[Polynomial], t: int = 1) -> KoszulComplex:
     return KoszulComplex(ring, f, t, tuple(diffs), index_maps)
 
 
-def _phi_with_complexes(k1: KoszulComplex, lvl: FrobeniusLevel):
+def _multiplier_levels(f: Sequence[Polynomial], p: int) -> Iterator[dict]:
+    """{T: M_T(q)} for q = p, p^2, ..., one dict per level, T over every
+    increasing tuple of generator indices, the empty one included.
+
+    M_T(q) is (prod over a in T of f_a)^(q-1), and each walks by
+    frobenius_multipliers' recurrence: a level after the first costs one
+    product per subset.
+    """
+    s = len(f)
+    prods = {(): Polynomial.one(f[0].ring)}
+    for j in range(1, s + 1):
+        for T in combinations(range(1, s + 1), j):
+            prods[T] = prods[T[:-1]] * f[T[-1] - 1]
+    walks = {T: frobenius_multipliers(g, p) for T, g in prods.items()}
+    while True:
+        yield {T: next(w) for T, w in walks.items()}
+
+
+def _phi_with_complexes(k1: KoszulComplex, lvl: FrobeniusLevel, mults: dict):
     """phi from the level-1 complex k1, which the caller built, to the
-    level-q complex built here; commutation is checked at every call."""
-    f = k1.f
-    kq = build_koszul(f, lvl.q)
+    level-q complex, built here for the commutation check that runs at
+    every call.  mults[T] is M_T(q), from the caller's _multiplier_levels
+    walk."""
+    kq = build_koszul(k1.f, lvl.q)
     ring = k1.ring
-    if lvl.p != ring.p:
-        raise ValueError(f"level is at p={lvl.p}, ring at p={ring.p}")
     zero = Polynomial.zero(ring)
-    e = lvl.q - 1
     phis = []
-    for j, tuples in enumerate(k1.index_maps):
+    for tuples in k1.index_maps:
         cols = []
         for r, T in enumerate(tuples):
-            mult = Polynomial.one(ring)
-            for alpha in T:
-                mult = mult * (f[alpha - 1] ** e)
             col = [zero] * len(tuples)
-            col[r] = mult
+            col[r] = mults[T]
             cols.append(tuple(col))
         phis.append(PolyMatrix(ring, len(tuples), tuple(cols)))
     for j in range(k1.s):
         if kq.diffs[j].compose(phis[j]) != phis[j + 1].compose(k1.diffs[j]):
             raise ValueError(f"chain map fails to commute at degree {j}")
-    return tuple(phis), kq
+    return tuple(phis)
 
 
 def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
     """Per-degree diagonal multipliers prod f_a^{q-1}; commutation with
     both differentials is checked exactly."""
-    phis, _ = _phi_with_complexes(build_koszul(f, 1), lvl)
-    return phis
+    k1 = build_koszul(f, 1)
+    _check_level(k1.ring, lvl)
+    mults = next(islice(_multiplier_levels(k1.f, lvl.p), lvl.l - 1, None))
+    return _phi_with_complexes(k1, lvl, mults)
 
 
 def _cohomology_data(
@@ -320,13 +352,20 @@ def verify_prop_van(
             if d is not MINUS_INF:
                 dmax = max(dmax, d)
     l0 = level.l if level is not None else level_for_degree(ring.p, dmax).l
+    if l0 > lim.level_cap:
+        return finish("inconclusive", None, 0, ())
+    im_1 = k1.diffs[i - 1].columns if i > 0 else ()
+    imgb_1 = module_gb(ring, im_1, lim) if im_1 else ()
     retries = 0
     verdicts: list = []
-    for l in range(l0, lim.level_cap + 1):
+    walk = _multiplier_levels(fs, ring.p)
+    for l in range(1, lim.level_cap + 1):
+        mults = next(walk)
+        if l < l0:
+            continue
         lvl = FrobeniusLevel(ring.p, l)
-        phis, kq = _phi_with_complexes(k1, lvl)
-        im_q = tuple(kq.diffs[i - 1].columns) if i > 0 else ()
-        imgb = module_gb(ring, im_q, lim) if im_q else ()
+        phis = _phi_with_complexes(k1, lvl, mults)
+        imgb = tuple(tuple(frobenius_power(g, lvl) for g in v) for v in imgb_1)
         verdicts = []
         for rep in reps:
             image = phis[i].apply(rep)

@@ -16,7 +16,13 @@ from typing import Optional, Sequence, Tuple
 
 from .config import EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
-from .frobenius import FrobeniusLevel, bracket_power, level_for_degree, psi_map
+from .frobenius import (
+    FrobeniusLevel,
+    bracket_power,
+    frobenius_multipliers,
+    level_for_degree,
+    psi_map,
+)
 from .groebner import Ideal, ideals_equal, maximal_ideal, saturation
 from .modres import depth, projective_dimension, quotient_presentation
 from .polycore import MINUS_INF, Polynomial, PolyRing, RationalPoint
@@ -198,6 +204,10 @@ def top_lc_vanishing_certificate(
     Prop. 2.3 at that stage).  No stage working is reported
     inconclusive, not fail.  e_max = 0 tries stage 0 only; a negative
     e_max raises ValueError.
+
+    Each stage's multiplier comes from the one before
+    (frobenius_multipliers), and each bracket power's basis is I's,
+    scaled (bracket_power): no stage runs Buchberger.
     """
     ring = _ring_of(f)
     if e_max < 0:
@@ -227,10 +237,11 @@ def top_lc_vanishing_certificate(
         prod = Polynomial.one(ring)
         for g in fs:
             prod = prod * g
+        mults = frobenius_multipliers(prod, ring.p)
         for e in range(1, e_max + 1):
             lvl = FrobeniusLevel(ring.p, e)
             Iq = bracket_power(I, lvl)
-            mult = prod ** (ring.p ** e - 1)
+            mult = next(mults)
             verdicts = [bool(not Iq.normal_form(mult * h, lim)) for h in S.gens]
             if all(verdicts):
                 return CheckReport(

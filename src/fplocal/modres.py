@@ -117,11 +117,10 @@ def _eliminate(vecs: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLi
     """Reduced basis of the vectors in span(vecs) with no term below
     component `rank`, shifted down by `rank`.  They are the basis elements
     whose lead lies at a component >= rank: position-over-term order puts
-    every lower component above the lead."""
+    every lower component above the lead.  Only those are unpacked."""
     return [
         {(c - rank, a): v for (c, a), v in u.items()}
-        for u in _reduced_basis(vecs, ring, limits)
-        if next(iter(u))[0] >= rank  # engine output: lead first
+        for u in _divisor_basis(vecs, ring, limits).vecs_from(rank)
     ]
 
 

@@ -417,6 +417,50 @@ def test_output_is_sorted_and_stable(capsys):
 
 
 
+# The report of a propvan input that walks every level up to the default
+# cap, as the direct-product level walk printed it.
+HEAVY_PROPVAN = """\
+{
+  "check": "torsion-vanishing",
+  "conclusion": "degree hypothesis fails; run is exploratory only",
+  "generators": [
+    "2*x2 + 2*x3",
+    "2*x1 + 2*x2 + x3",
+    "x1^2 + 2*x1*x3 + x2*x3 + x3^2"
+  ],
+  "hypothesis_ok": false,
+  "i": 3,
+  "level_used": null,
+  "n": 3,
+  "num_torsion_generators": 1,
+  "outcome": "hypothesis-violated",
+  "p": 3,
+  "point": [
+    0,
+    0,
+    0
+  ],
+  "retries": 4,
+  "s": 3,
+  "sum_deg": 4,
+  "torsion_finite": true,
+  "torsion_length": 2,
+  "verdicts": [
+    false
+  ]
+}
+"""
+
+
+def test_check_propvan_heavy_walk_bytes(capsys):
+    code, out = run(
+        capsys, "check-propvan", "--p", "3", "--n", "3",
+        "--gens", "2*x2 + 2*x3, 2*x1 + 2*x2 + x3, x1^2 + 2*x1*x3 + x2*x3 + x3^2", "--i", "3",
+    )
+    assert code == 1
+    assert out == HEAVY_PROPVAN
+
+
 def run_err(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

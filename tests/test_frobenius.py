@@ -17,12 +17,14 @@ from fplocal.frobenius import (
     bracket_power,
     component_at,
     frobenius_decompose,
+    frobenius_multipliers,
     frobenius_power,
     level_for_degree,
     psi_map,
     td_roundtrip_check,
 )
-from fplocal.groebner import Ideal, ideals_equal
+from fplocal.groebner import Ideal, ideals_equal, verify_confluence
+from fplocal.modres import module_gb
 from fplocal.polycore import MINUS_INF, Polynomial, PolyRing, parse_poly
 
 SEED = 27182
@@ -227,6 +229,80 @@ def test_bracket_power_generator_independent():
             combo = gens[0] + random_poly(R, rng, deg=1) * gens[1]
             J = Ideal(R, gens + [combo])
             assert ideals_equal(bracket_power(I, lvl), bracket_power(J, lvl))
+
+
+# ---------------------------------------------------------------------------
+# level-q bases by exponent scaling, and multipliers by recurrence
+
+SCALING_GRID = [(p, n, order) for p in (2, 3, 5) for n in (2, 3) for order in ("grevlex", "lex")]
+
+
+def scaled(vectors, lvl):
+    return [tuple(frobenius_power(g, lvl) for g in v) for v in vectors]
+
+
+def test_bracket_basis_is_the_scaled_basis():
+    # the reference runs Buchberger on the level-q generators themselves
+    rng = random.Random(SEED + 11)
+    for p, n, order in SCALING_GRID:
+        R = PolyRing(p, n, order)
+        for _ in range(3):
+            I = Ideal(R, [random_poly(R, rng, deg=2, terms=3) for _ in range(n)])
+            for l in (1, 2):
+                lvl = FrobeniusLevel(p, l)
+                Iq = bracket_power(I, lvl)
+                assert Iq.groebner_basis() == Ideal(R, Iq.gens).groebner_basis()
+
+
+def test_module_basis_scales_to_the_level_q_basis():
+    # what verify_prop_van relies on for im d_q: F^e of the reduced basis
+    # of a rank-2 module is the reduced basis of the scaled generators
+    rng = random.Random(SEED + 12)
+    for p, n, order in SCALING_GRID:
+        R = PolyRing(p, n, order)
+        for _ in range(3):
+            gens = [tuple(random_poly(R, rng, deg=2, terms=2) for _ in range(2)) for _ in range(3)]
+            gb = module_gb(R, gens)
+            for l in (1, 2):
+                lvl = FrobeniusLevel(p, l)
+                assert tuple(scaled(gb, lvl)) == module_gb(R, scaled(gens, lvl))
+
+
+def test_scaled_bracket_basis_reaches_the_observer():
+    # one fresh basis per bracket power, and each passes the independent
+    # confluence check; a cache hit does not fire again
+    seen = []
+    lim = EngineLimits(on_basis=lambda ring, basis: seen.append((ring, basis)))
+    R = PolyRing(3, 3)
+    I = Ideal(R, ["x1^2 + x2*x3", "x1*x2 + 2*x3^2", "x2^3"])
+    base = I.groebner_basis(lim)
+    assert len(seen) == 1
+    for l in (1, 2):
+        Iq = bracket_power(I, FrobeniusLevel(3, l))
+        gb = Iq.groebner_basis(lim)
+        Iq.groebner_basis(lim)
+        assert seen[-1] == (R, gb)
+        assert len(gb) == len(base)
+        assert verify_confluence(R, gb)
+    assert len(seen) == 3
+
+
+def test_bracket_basis_of_the_zero_ideal_stays_silent():
+    seen = []
+    lim = EngineLimits(on_basis=lambda ring, basis: seen.append(basis))
+    R = PolyRing(2, 2)
+    assert bracket_power(Ideal(R, []), FrobeniusLevel(2, 1)).groebner_basis(lim) == ()
+    assert seen == []
+
+
+def test_frobenius_multipliers_match_direct_powers():
+    rng = random.Random(SEED + 13)
+    for p, n in GRID:
+        R = PolyRing(p, n)
+        for g in (random_poly(R, rng, deg=2, terms=3), Polynomial.one(R), Polynomial.zero(R)):
+            walk = frobenius_multipliers(g, p)
+            for l in range(1, 4 if p < 5 else 3):
+                assert next(walk) == g ** (p ** l - 1)
 
 
 # ---------------------------------------------------------------------------

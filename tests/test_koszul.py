@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from fplocal import frobenius, groebner, koszul
+from fplocal.campaign import random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import RingMismatchError
 from fplocal.frobenius import FrobeniusLevel
@@ -21,7 +23,7 @@ from fplocal.koszul import (
     phi_chain_map,
     verify_prop_van,
 )
-from fplocal.modres import finite_length_data
+from fplocal.modres import finite_length_data, module_gb
 from fplocal.polycore import Polynomial, PolyRing, parse_poly
 
 SEED = 16180
@@ -315,3 +317,160 @@ def test_verify_explicit_level_at_cap_is_tried():
     cert = verify_prop_van(f, 2, level=FrobeniusLevel(2, 2), limits=EngineLimits(level_cap=2))
     assert cert.level_used == 2
     assert cert.verdicts == (True,)
+
+
+# ---------------------------------------------------------------------------
+# the level walk: multipliers by recurrence, level-q bases by scaling
+
+# the generator lists of acceptance criterion 5
+CRITERION_5 = [
+    (2, 2, ["x1"]),
+    (3, 2, ["x2"]),
+    (5, 2, ["x1 + x2"]),
+    (2, 3, ["x1*x2"]),
+    (3, 3, ["x1^2 + x2*x3"]),
+    (2, 3, ["x1", "x2"]),
+    (3, 3, ["x1", "x2 + x3"]),
+    (5, 3, ["x1 + 2*x2", "x3"]),
+    (2, 3, ["x1 + x3"]),
+    (5, 3, ["x1*x3 + x2^2"]),
+]
+
+
+def criterion_3_families(count):
+    """(f, level) for the first `count` draws of acceptance criterion 3,
+    drawn in its order."""
+    rng = random.Random("acc:3")
+    out = []
+    for _ in range(count):
+        p = rng.choice((2, 3, 5))
+        ring = PolyRing(p, rng.choice((2, 3)))
+        s = rng.randint(1, 4)
+        f = [random_polynomial(ring, rng.randint(1, 2), rng) for _ in range(s)]
+        rng.choice((1, 1, 2))
+        out.append((f, rng.choice((1, 2)) if p == 2 else 1))
+    return out
+
+
+def direct_multipliers(f, index_maps, q):
+    out = {}
+    for tuples in index_maps:
+        for T in tuples:
+            m = Polynomial.one(f[0].ring)
+            for a in T:
+                m = m * f[a - 1] ** (q - 1)
+            out[T] = m
+    return out
+
+
+def test_recurrence_multipliers_match_direct_products():
+    families = [([P(PolyRing(p, n), g) for g in gens], 4) for p, n, gens in CRITERION_5]
+    # criterion 3 tries levels 1 and 2 at p = 2, level 1 otherwise; the
+    # recurrence is checked at level 2 for p = 3 as well
+    families += [(f, max(l, 2 if f[0].ring.p < 5 else 1)) for f, l in criterion_3_families(200)]
+    for f, top in families:
+        p = f[0].ring.p
+        index_maps = build_koszul(f).index_maps
+        walk = koszul._multiplier_levels(f, p)
+        for l in range(1, top + 1):
+            assert next(walk) == direct_multipliers(f, index_maps, p ** l)
+
+
+def test_level_q_image_bases_match_buchberger(monkeypatch):
+    # the basis each level reduces by is the reduced basis that Buchberger
+    # computes from the level-q image columns
+    seen = []
+    real = koszul.module_normal_form
+
+    def spy(ring, vec, basis, limits=None):
+        seen.append(basis)
+        return real(ring, vec, basis, limits)
+
+    monkeypatch.setattr(koszul, "module_normal_form", spy)
+    cases = [
+        (PolyRing(2, 2), ["x1", "x2"], 2, 3),
+        (PolyRing(3, 2), ["x1", "x2", "x1 + x2"], 2, 2),
+        (PolyRing(3, 2), ["x1^2", "x1*x2", "x2^2"], 2, 2),
+        (PolyRing(2, 3, "lex"), ["x1^2", "x1*x2", "x3"], 3, 2),
+        (PolyRing(3, 3, "lex"), ["x1", "x2", "x3"], 3, 2),
+    ]
+    for R, gens, i, cap in cases:
+        f = [P(R, g) for g in gens]
+        seen.clear()
+        cert = verify_prop_van(f, i, limits=EngineLimits(level_cap=cap))
+        tried = cert.retries + (cert.level_used is not None)
+        assert tried >= 1 and len(seen) == tried * cert.num_torsion_generators
+        first = (cap + 1 if cert.level_used is None else cert.level_used) - cert.retries
+        for k, l in enumerate(range(first, first + tried)):
+            kq = build_koszul(f, R.p ** l)
+            ref = module_gb(R, kq.diffs[i - 1].columns)
+            for basis in seen[k * cert.num_torsion_generators:(k + 1) * cert.num_torsion_generators]:
+                assert basis == ref
+
+
+def count_work(monkeypatch):
+    """Patch in counters: Buchberger runs, levels entered, recurrence
+    steps (the p-th powers of frobenius_multipliers), products of two
+    polynomials, and the exponents of the powers taken."""
+    log = {"gb": 0, "steps": 0, "mul": 0, "pows": [], "levels": []}
+    packed_basis = groebner._packed_basis
+    frob = frobenius.frobenius_power
+    phi = koszul._phi_with_complexes
+    mul, pow_ = Polynomial.__mul__, Polynomial.__pow__
+
+    def gb(*args):
+        log["gb"] += 1
+        return packed_basis(*args)
+
+    def step(g, lvl):
+        log["steps"] += lvl.l == 1
+        return frob(g, lvl)
+
+    def level(k1, lvl, mults):
+        log["levels"].append(dict(l=lvl.l, gb=log["gb"], steps=log["steps"], mul=log["mul"],
+                                  pows=len(log["pows"])))
+        return phi(k1, lvl, mults)
+
+    def product(a, b):
+        log["mul"] += isinstance(b, Polynomial)
+        return mul(a, b)
+
+    def power(g, e):
+        log["pows"].append(e)
+        return pow_(g, e)
+
+    monkeypatch.setattr(groebner, "_packed_basis", gb)
+    monkeypatch.setattr(frobenius, "frobenius_power", step)
+    monkeypatch.setattr(koszul, "_phi_with_complexes", level)
+    monkeypatch.setattr(Polynomial, "__mul__", product)
+    monkeypatch.setattr(Polynomial, "__pow__", power)
+    return log
+
+
+def test_propvan_work_per_level_is_pinned(monkeypatch):
+    # I = m never certifies, so every level up to the cap is tried.  After
+    # the first level no Buchberger run happens, and each level costs
+    # 2^s = 4 recurrence steps and products, one per subset.  The only
+    # powers are build_koszul's f^q, with no f^(q-1) among them.
+    log = count_work(monkeypatch)
+    R = PolyRing(2, 2)
+    cert = verify_prop_van([P(R, "x1"), P(R, "x2")], 2, limits=EngineLimits(level_cap=4))
+    assert cert.retries == 4
+    levels = log["levels"]
+    assert [v["l"] for v in levels] == [1, 2, 3, 4]
+    end = dict(gb=log["gb"], steps=log["steps"], mul=log["mul"], pows=len(log["pows"]))
+    marks = levels + [end]
+    assert all(v["gb"] == levels[0]["gb"] for v in marks)
+    for k, (a, b) in enumerate(zip(levels, levels[1:]), 2):
+        assert (b["steps"] - a["steps"], b["mul"] - a["mul"]) == (4, 4)
+        assert log["pows"][a["pows"]:b["pows"]] == [2 ** (k - 1)] * 2
+
+
+def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
+    log = count_work(monkeypatch)
+    R = PolyRing(2, 2)
+    f = [P(R, "x1^2"), P(R, "x1*x2")]
+    cert = verify_prop_van(f, 2, level=FrobeniusLevel(2, 3))
+    assert cert.level_used == 3
+    assert [v["l"] for v in log["levels"]] == [3]
+    assert log["levels"][0]["steps"] == 8  # levels 2 and 3, four subsets each

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from fplocal import groebner
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import HypothesisViolatedError, NonHomogeneousError
@@ -363,3 +364,29 @@ def test_topvan_e_max_zero_tries_stage_zero_only():
     rep = top_lc_vanishing_certificate([P(R, "x1")], e_max=0)
     assert rep.outcome == "pass"
     assert rep.data["stage"] == 0
+
+
+def test_topvan_stages_run_no_buchberger(monkeypatch):
+    # I = m has torsion and never certifies, so every stage is tried.  The
+    # stages add no Buchberger run: each bracket power's basis is I's,
+    # scaled, and reaches the observer.  The multipliers take one power,
+    # (x1 x2)^(p-1); later stages come from the recurrence.
+    runs, pows = [], []
+    packed_basis = groebner._packed_basis
+    monkeypatch.setattr(groebner, "_packed_basis", lambda *a: runs.append(1) or packed_basis(*a))
+    pow_ = Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__", lambda g, e: pows.append(e) or pow_(g, e))
+    R = PolyRing(3, 2)
+    f = [P(R, "x1"), P(R, "x2")]
+    counts = {}
+    for e_max in (0, 3):
+        runs.clear()
+        pows.clear()
+        seen = []
+        lim = EngineLimits(on_basis=lambda ring, basis: seen.append(basis))
+        rep = top_lc_vanishing_certificate(f, e_max=e_max, limits=lim)
+        assert rep.outcome == "inconclusive"
+        counts[e_max] = (len(runs), len(seen), list(pows))
+    assert counts[3][0] == counts[0][0]
+    assert counts[3][1] == counts[0][1] + 3
+    assert counts[3][2] == counts[0][2] + [2]

@@ -754,6 +754,39 @@ def test_module_intersect_matches_full_tag_reference():
     assert met >= 50
 
 
+def reference_eliminate(vecs, rank, R, lim):
+    """Unpack the whole basis, then keep the elements whose lead lies at a
+    component >= rank, shifted down."""
+    return [
+        {(c - rank, a): v for (c, a), v in u.items()}
+        for u in modres._reduced_basis(vecs, R, lim)
+        if next(iter(u))[0] >= rank
+    ]
+
+
+def test_eliminate_matches_unpack_then_filter():
+    # the tagged inputs of _syzygies_raw, with and without a submodule;
+    # the kept vectors match term for term, lead first
+    lim = EngineLimits()
+    kept = 0
+    for R, rank, terms, rng in kernel_rings():
+        cols = raw([sparse_vec(R, rng, rank, terms) for _ in range(rng.randint(1, 3))])
+        tagged = [{**col, (rank + j, R.zero_mono()): 1} for j, col in enumerate(cols)]
+        for modulo in ((), raw([sparse_vec(R, rng, rank, terms)])):
+            vecs = tagged + list(modulo)
+            got = modres._eliminate(vecs, rank, R, lim)
+            want = reference_eliminate(vecs, rank, R, lim)
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+            # an unpacked basis filters the same way
+            basis = modres._Divisors(modres._reduced_basis(vecs, R, lim), R)
+            assert basis.vecs_from(rank) == [
+                u for u in modres._reduced_basis(vecs, R, lim) if next(iter(u))[0] >= rank
+            ]
+            kept += len(got)
+    assert modres._eliminate([], 1, PolyRing(2, 2), lim) == []
+    assert kept >= 50
+
+
 # ---------------------------------------------------------------------------
 # pruning in degree order, against the per-candidate loop it replaced for
 # graded input: front to back, drop each generator that lies in the span
