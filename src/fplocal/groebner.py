@@ -3,8 +3,8 @@
 One engine serves ideals and modules.  Its callers hand it flat vectors
 {(component, monomial): coeff} in position-over-term order: component 0
 dominates, ties broken by the ring's monomial order.  An ideal is the
-rank-1 case: _buchberger and normal_form lift {a: c} to {(0, a): c} at
-the boundary and convert back, and modres calls the engine directly.
+rank-1 case: the ideal entries lift {a: c} to {(0, a): c} at the
+boundary and convert back, and modres calls the engine directly.
 
 The engine computes the unique reduced basis for the order: leads monic,
 every element fully tail-reduced against the others, sorted in
@@ -20,8 +20,9 @@ pending.  It is sound within one component, and that is all it sees:
 pairs are formed only within one component, and a lead divides only
 terms of its own component.  The product criterion is applied to ideals
 only; it is unsound for modules.  Module bases are checked by a
-test-side confluence verifier, and only ideal bases reach the on_basis
-observer.
+test-side confluence verifier.  Only the bases of Ideal.groebner_basis
+reach the on_basis observer: colons, meets and saturations compute
+module bases, tags included, and stay silent.
 
 Inside the engine each term is one int (Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
@@ -49,19 +50,22 @@ pop, and a cancelled term is skipped when it is popped.  Divisors are
 monic, so each step cancels the lead exactly.  The divisor chosen for a
 lead is the first one in basis order that divides it.
 
-Ideal quotients go through the classic elimination route: intersect with
-the principal ideal using one auxiliary variable that dominates the base
-order, then divide by the generator.  I : J is the intersection of the
-I : h over the generators h of J, and each I : h is tested as soon as it
-is computed: if its generators all reduce to zero modulo I's basis,
-I : J = I, since I <= I : J <= I : h for every h in J, and the colon
-returns I without computing any further quotient or any intersection.
-Saturation iterates the colon until the reduced bases agree.  The test
-passes only in a round whose colon gives I back, which is the round the
-loop stops at anyway, so the early exit changes no saturation's
-generators; when x1 is a nonzerodivisor on R/I, as for a generic
-complete intersection, a saturated ideal costs one elimination basis
-instead of one per generator of J plus the intersections.
+Syzygies modulo a submodule come from one tagged kernel, _syzygies_raw:
+each column gets a unit tag component, the submodule's vectors get none,
+and the basis elements whose lead is a tag are the reduced basis of
+{a : sum a_j col_j in the submodule}; tagging the submodule too and
+projecting onto the column tags would give the same list.  A colon
+N : h, N <= R^rank, is the syzygies of h*e_c, c < rank, modulo N; a meet
+tags each vector with its own copy.  A reduced basis the engine computed
+joins such a call as a known part (N's in a colon, the later colon's in
+a meet), and no S-pair between two of its elements is formed: each
+reduces to zero by Buchberger's criterion.  N : J is the meet of the
+N : h over the generators h of J, and each N : h is tested as soon as it
+is computed: if it is N, then N : J = N, since N <= N : J <= N : h.
+Saturation, of ideals and modules alike, iterates the colon until it
+gives N back, the one round where that test can pass, so the early exit
+changes no saturation's generators; when x1 is a nonzerodivisor modulo
+N, a saturated N costs one colon.
 
 verify_confluence is an independent second route used as an oracle: it
 re-derives every S-polynomial on exponent tuples and reduces it with its
@@ -194,15 +198,18 @@ class _Divisors:
     """Monic divisors (lead, tail) for _reduce, in the given order, packed
     once per field width.  They are built from vectors, or handed over
     packed by the engine (_divisor_basis); the vectors are then unpacked
-    only when another width or a caller asks for them."""
+    only when another width or a caller asks for them.  `reduced` marks
+    the engine's output, a reduced basis of its span: only such divisors
+    may join an engine call as its known part."""
 
-    __slots__ = ("ring", "bits", "packed", "_vecs")
+    __slots__ = ("ring", "bits", "packed", "_vecs", "reduced")
 
     def __init__(self, vecs: Sequence[dict], ring: PolyRing):
         self.ring = ring
         self._vecs = list(vecs)
         self.bits = _width(a for v in self._vecs for _, a in v)
         self.packed: dict = {}
+        self.reduced = False
 
     @classmethod
     def _of_packed(cls, split: list, lay: _Layout, ring: PolyRing) -> "_Divisors":
@@ -211,27 +218,34 @@ class _Divisors:
         out._vecs = None
         out.bits = lay.bits
         out.packed = {lay.bits: split}
+        out.reduced = True
         return out
 
     @property
     def vecs(self) -> list:
         """The divisors as {(component, monomial): coeff}, leads first."""
         if self._vecs is None:
-            self._vecs = self.vecs_from(0)
+            lay = _layout(self.ring.n, self.ring.order, self.bits)
+            unpack = lay.unpack
+            self._vecs = [
+                dict([(unpack(lead), 1)] + [(unpack(t), w) for t, w in tail])
+                for lead, tail in self.packed[self.bits]
+            ]
         return self._vecs
 
-    def vecs_from(self, c: int) -> list:
-        """The divisors whose lead lies at a component >= c, as vectors,
-        leads first; only those are unpacked."""
-        if self._vecs is not None:
-            return [v for v in self._vecs if next(iter(v))[0] >= c]
+    def above(self, c: int) -> "_Divisors":
+        """The engine's basis elements whose lead lies at a component >= c,
+        moved down by c components, still packed: the reduced basis of the
+        span's meet with those components, since position-over-term order
+        puts every lower component above such a lead."""
         lay = _layout(self.ring.n, self.ring.order, self.bits)
-        unpack, S = lay.unpack, lay.S
-        return [
-            dict([(unpack(lead), 1)] + [(unpack(t), w) for t, w in tail])
+        off = c << lay.S  # a pack holds its term's component negated
+        split = [
+            (lead + off, [(t + off, w) for t, w in tail])
             for lead, tail in self.packed[self.bits]
-            if -(lead >> S) >= c  # the lead's component, as unpack reads it
+            if -(lead >> lay.S) >= c  # the lead's component, as unpack reads it
         ]
+        return _Divisors._of_packed(split, lay, self.ring)
 
     def at(self, lay: _Layout) -> list:
         out = self.packed.get(lay.bits)
@@ -301,29 +315,45 @@ def _reduced_basis(
 
 
 def _divisor_basis(
-    vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits, ideal: bool = False
+    vecs: Sequence[dict],
+    ring: PolyRing,
+    limits: EngineLimits,
+    ideal: bool = False,
+    known: Optional[_Divisors] = None,
 ) -> _Divisors:
     """_reduced_basis as monic divisors, still packed at the width the
     basis was computed at: a caller that reduces by the basis skips the
-    unpacking and packing again."""
+    unpacking and packing again.  `known`, a reduced basis the engine
+    computed, joins the input: its packs are reused at their width, and no
+    pair between two of its elements is formed, since such an S-vector
+    reduces to zero by it; for the chain criterion, none is pending.
+    """
     vecs = [v for v in vecs if v]
-    if not vecs:
-        return _Divisors([], ring)
+    if known is not None and not known.reduced:
+        raise ValueError("a known part must be a reduced basis computed by the engine")
     p = ring.p
 
     def run(bits: int) -> _Divisors:
         lay = _layout(ring.n, ring.order, bits)
-        G = _canonical_input(vecs, lay, p)
-        return _Divisors._of_packed(_packed_basis(G, lay, p, limits, ideal), lay, ring)
+        K = known.at(lay) if known is not None else []
+        G = K + [
+            (lead, [(t, w) for t, w in v.items() if t != lead])
+            for lead, v in _canonical_input(vecs, lay, p)
+        ]
+        return _Divisors._of_packed(_packed_basis(G, lay, p, limits, ideal, len(K)), lay, ring)
 
-    return _retry(run, _width(a for v in vecs for _, a in v))
+    bits = _width(a for v in vecs for _, a in v)
+    return _retry(run, bits if known is None else max(bits, known.bits))
 
 
-def _packed_basis(G0: list, lay: _Layout, p: int, limits: EngineLimits, ideal: bool) -> list:
+def _packed_basis(
+    G: list, lay: _Layout, p: int, limits: EngineLimits, ideal: bool, known: int = 0
+) -> list:
+    """The reduced basis of the span of monic (lead, tail) divisors G, a
+    fresh list that grows in place; its first `known` are a reduced basis."""
     budget = Budget(limits)
     pack, divides, guard, rest = lay.pack, lay.divides, lay.guard, lay.top - 1
-    G = [(lead, [(t, w) for t, w in v.items() if t != lead]) for lead, v in G0]
-    leads = [lay.unpack(lead) for lead, _ in G0]  # for the lcms
+    leads = [lay.unpack(lead) for lead, _ in G]  # for the lcms
     heap: list = []
     pending = set()
 
@@ -338,7 +368,7 @@ def _packed_basis(G0: list, lay: _Layout, p: int, limits: EngineLimits, ideal: b
                 heappush(heap, (u, i, j))
                 pending.add((i, j))
 
-    for j in range(len(G)):
+    for j in range(known, len(G)):
         push_pairs(j)
 
     while heap:
@@ -393,6 +423,68 @@ def _interreduce(G: list, lay: _Layout, p: int, budget: Budget) -> list:
 
 
 # ---------------------------------------------------------------------------
+# syzygies modulo a submodule, and the one saturation loop
+
+def _syzygies_raw(
+    cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits, modulo=()
+) -> _Divisors:
+    """Reduced basis of {a in R^k : sum a_j cols_j in span(modulo)},
+    k = len(cols).  Column j is tagged at component rank + j; the
+    `modulo` vectors are not tagged.  `modulo` is a list of vectors, or
+    a reduced basis as the engine's _Divisors, which then joins the
+    engine call as its known part."""
+    zero = ring.zero_mono()
+    tagged = [{**col, (rank + j, zero): 1} for j, col in enumerate(cols)]
+    if isinstance(modulo, _Divisors):
+        return _divisor_basis(tagged, ring, limits, known=modulo).above(rank)
+    return _divisor_basis(tagged + list(modulo), ring, limits).above(rank)
+
+
+def _meet(
+    A: Sequence[dict], B: _Divisors, rank: int, ring: PolyRing, limits: EngineLimits
+) -> _Divisors:
+    """Reduced basis of span(A) meet span(B), B a reduced basis.  Each a
+    in A is tagged with its own copy, (a | a), and B is not: the span's
+    elements with zero real part are (0 | sum s_i a_i) with
+    sum s_i a_i in span(B)."""
+    tagged = [{**a, **{(rank + c, m): w for (c, m), w in a.items()}} for a in A]
+    return _divisor_basis(tagged, ring, limits, known=B).above(rank)
+
+
+def _colon(
+    N: _Divisors, hs: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
+) -> _Divisors:
+    """N : J as a reduced basis, N <= R^rank given by its reduced basis and
+    J by the generators `hs` ({monomial: coeff}); N itself when N : J = N.
+    Each N : h contains N, so it lies in N exactly when it has N's basis.
+    The colons are met in order only once none has, each meet taking the
+    later colon's basis as its known part."""
+    quots = []
+    for h in hs:
+        cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
+        q = _syzygies_raw(cols, rank, ring, limits, N)
+        if q.vecs == N.vecs:
+            return N
+        quots.append(q)
+    K = quots[0]
+    for q in quots[1:]:
+        K = _meet(K.vecs, q, rank, ring, limits)
+    return N if K.vecs == N.vecs else K
+
+
+def _saturate(N, colon: Callable, limits: EngineLimits):
+    """N : J^infinity, where colon(N) is N : J, and is N itself exactly
+    when N : J = N; N is returned.  The one saturation loop: ideals call it
+    through saturation, modules through modres.module_h0m."""
+    for _ in range(limits.max_rounds):
+        Q = colon(N)
+        if Q is N:
+            return N
+        N = Q
+    raise ResourceLimitError("saturation rounds", limits.max_rounds)
+
+
+# ---------------------------------------------------------------------------
 # the ideal entries: rank-1 vectors at the boundary
 
 def _rank1(terms: dict) -> dict:
@@ -401,16 +493,6 @@ def _rank1(terms: dict) -> dict:
 
 def _terms(v: dict) -> dict:
     return {a: c for (_, a), c in v.items()}
-
-
-def _buchberger(gens: Sequence[dict], ring: PolyRing, limits: EngineLimits) -> list:
-    """Reduced Groebner basis of the ideal spanned by `gens`, as term dicts."""
-    gb = _reduced_basis([_rank1(t) for t in gens], ring, limits, ideal=True)
-    out = [_terms(v) for v in gb]
-    # observer sees every freshly reduced ideal basis, elimination rings included
-    if out and limits.on_basis is not None:
-        limits.on_basis(ring, _wrap(ring, out))
-    return out
 
 
 def _wrap(ring: PolyRing, dicts: Sequence[dict]) -> tuple:
@@ -427,7 +509,7 @@ class Ideal:
     that derives the same reduced basis without it, as bracket powers do.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_basis")
+    __slots__ = ("ring", "gens", "_gb", "_basis", "_div")
 
     def __init__(self, ring: PolyRing, gens: Sequence, *, _basis: Optional[Callable] = None):
         gs = []
@@ -444,20 +526,41 @@ class Ideal:
         self.gens = tuple(gs)
         self._gb = None
         self._basis = _basis
+        self._div = None
+
+    @classmethod
+    def _of_basis(cls, ring: PolyRing, basis: _Divisors) -> "Ideal":
+        """The ideal with reduced basis `basis`, which is also its list of
+        generators."""
+        gb = _wrap(ring, [_terms(v) for v in basis.vecs])
+        out = cls(ring, gb)
+        out._div = basis
+        out._gb = gb
+        return out
 
     def groebner_basis(self, limits: Optional[EngineLimits] = None) -> tuple:
         gb = self._gb
         if gb is None:
             lim = resolve_limits(limits)
             if self._basis is None:
-                gb = _wrap(self.ring, _buchberger([dict(g.terms) for g in self.gens], self.ring, lim))
+                div = _divisor_basis([_rank1(g.terms) for g in self.gens], self.ring, lim, True)
+                gb = _wrap(self.ring, [_terms(v) for v in div.vecs])
+                self._div = div
             else:
                 gb = self._basis(lim)
-                # a derived basis reaches the observer like a fresh one
-                if gb and lim.on_basis is not None:
-                    lim.on_basis(self.ring, gb)
+            # a fresh or derived ideal basis reaches the observer; cache hits do not
+            if gb and lim.on_basis is not None:
+                lim.on_basis(self.ring, gb)
             self._gb = gb
         return gb
+
+    def _divisors(self, limits: EngineLimits) -> _Divisors:
+        """The reduced basis as the engine's divisors, fit to be a known
+        part.  A derived basis goes through the engine once more."""
+        gb = self.groebner_basis(limits)  # sets _div when it runs the engine
+        if self._div is None:
+            self._div = _divisor_basis([_rank1(g.terms) for g in gb], self.ring, limits, True)
+        return self._div
 
     def normal_form(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
         return normal_form(g, self.groebner_basis(limits), limits)
@@ -558,42 +661,25 @@ def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# elimination machinery
+# rank-1 entries on the tagged kernel
 
 def _base_ring_check(ring: PolyRing) -> None:
     if ring.order.startswith("elim-"):
         raise ValueError("ideal operations expect a base (non-elimination) ring")
 
 
-def _elim_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.p, ring.n + 1, "elim-" + ring.order)
-
-
-def _lift(terms: dict, aux_exp: int) -> dict:
-    return {a + (aux_exp,): c for a, c in terms.items()}
-
-
 def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
-    """I intersect J via (t*I + (1-t)*J) with t eliminated."""
+    """I intersect J: I's generators, each tagged with its own copy,
+    modulo J's reduced basis (_meet)."""
     ring = I.ring
     if ring != J.ring:
         raise RingMismatchError(f"{I.ring} vs {J.ring}")
     _base_ring_check(ring)
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    ering = _elim_ring(ring)
-    p = ring.p
-    gens = [_lift(g.terms, 1) for g in I.gens]
-    for g in J.gens:
-        t = _lift(g.terms, 0)
-        add_scaled(t, _lift(g.terms, 1), p - 1, ering.zero_mono(), p)
-        gens.append(t)
-    gb = _buchberger(gens, ering, resolve_limits(limits))
-    kept = []
-    for t in gb:
-        if all(a[-1] == 0 for a in t):
-            kept.append({a[:-1]: c for a, c in t.items()})
-    return Ideal(ring, _wrap(ring, kept))
+    lim = resolve_limits(limits)
+    A = [_rank1(g.terms) for g in I.gens]
+    return Ideal._of_basis(ring, _meet(A, J._divisors(lim), 1, ring, lim))
 
 
 def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
@@ -647,12 +733,12 @@ def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:
-    """(I : h) by intersecting with (h) and dividing each generator by h."""
+    """(I : h): the syzygies of h modulo I's reduced basis."""
     if not h:
         raise ValueError("colon by the zero polynomial")
     ring = I.ring
-    J = intersect(I, Ideal(ring, (h,)), limits)
-    return Ideal(ring, tuple(exact_div(g, h) for g in J.gens))
+    lim = resolve_limits(limits)
+    return Ideal._of_basis(ring, _syzygies_raw([_rank1(h.terms)], 1, ring, lim, I._divisors(lim)))
 
 
 def _spans_all(
@@ -665,36 +751,18 @@ def _spans_all(
 
 
 def ideal_quotient_ideal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
-    """(I : J) as the intersection of the single-generator quotients.
-
-    Each quotient I : h is tested as soon as it is computed: if it lies
-    in I, then I : J = I, and I itself is returned, with its own
-    generators.  Otherwise the quotients are intersected in order.
-    """
+    """(I : J) by _colon at rank 1: I itself when I : J = I, with its own
+    generators, and otherwise the ideal of the new reduced basis."""
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = I.ring
     lim = resolve_limits(limits)
-    divisors = _Divisors([_rank1(g.terms) for g in I.groebner_basis(limits)], ring)
-    quots = []
-    for h in J.gens:
-        Q = ideal_quotient(I, h, limits)
-        if _spans_all(divisors, [_rank1(g.terms) for g in Q.gens], ring, lim):
-            return I  # I <= I : J <= I : h <= I
-        quots.append(Q)
-    K = quots[0]
-    for Q in quots[1:]:
-        K = intersect(K, Q, limits)
-    return K
+    N = I._divisors(lim)
+    Q = _colon(N, [g.terms for g in J.gens], 1, ring, lim)
+    return I if Q is N else Ideal._of_basis(ring, Q)
 
 
 def saturation(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
-    """(I : J^infinity): iterate the colon until the reduced bases agree."""
-    lim = resolve_limits(limits)
-    K = I
-    for _ in range(lim.max_rounds):
-        K2 = ideal_quotient_ideal(K, J, limits)
-        if ideals_equal(K2, K, limits):
-            return K
-        K = K2
-    raise ResourceLimitError("saturation rounds", lim.max_rounds)
+    """(I : J^infinity) by _saturate, one ideal_quotient_ideal per round;
+    I itself when I is saturated."""
+    return _saturate(I, lambda K: ideal_quotient_ideal(K, J, limits), resolve_limits(limits))

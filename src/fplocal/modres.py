@@ -12,17 +12,9 @@ and without the product criterion, which is unsound for modules;
 tests/test_module_confluence.py checks module bases by a route that
 shares no code with the engine.
 
-One tagged kernel, _syzygies_raw, computes syzygies modulo a submodule:
-each column gets a unit tag component, the submodule's vectors get none,
-and the elements of one module basis whose lead is a tag are the reduced
-basis of {a : sum a_j col_j in the submodule}.  Colons, intersections and
-subquotient presentations read their answers off it.  Tagging the
-submodule's vectors too and projecting onto the column tags gives the
-same list: in position-over-term order the column tags rank above the
-others, so the projection sends each basis element whose lead is a column
-tag onto the reduced basis of the relations, and every other element to
-0.  Each syzygy is an exact certificate; tests verify them by
-substitution.
+Syzygies modulo a submodule come from groebner's tagged kernel,
+_syzygies_raw, and the m-torsion from its saturation loop; each syzygy
+is an exact certificate, and tests verify them by substitution.
 
 Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
@@ -48,12 +40,15 @@ from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
 from .groebner import (
     Ideal,
+    _colon,
     _divisor_basis,
     _Divisors,
     _monic,
     _reduce,
     _reduced_basis,
+    _saturate,
     _spans_all,
+    _syzygies_raw,
 )
 from .polycore import (
     Polynomial,
@@ -113,30 +108,6 @@ def _vkey(ring: PolyRing):
     return vk
 
 
-def _eliminate(vecs: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits) -> list:
-    """Reduced basis of the vectors in span(vecs) with no term below
-    component `rank`, shifted down by `rank`.  They are the basis elements
-    whose lead lies at a component >= rank: position-over-term order puts
-    every lower component above the lead.  Only those are unpacked."""
-    return [
-        {(c - rank, a): v for (c, a), v in u.items()}
-        for u in _divisor_basis(vecs, ring, limits).vecs_from(rank)
-    ]
-
-
-def _syzygies_raw(
-    cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits, modulo: Sequence = ()
-) -> list:
-    """Reduced basis of {a in R^k : sum a_j cols_j in span(modulo)},
-    k = len(cols).  Column j is tagged at component rank + j; the
-    `modulo` vectors are not tagged."""
-    if not cols:
-        return []
-    zero = ring.zero_mono()
-    tagged = [{**col, (rank + j, zero): 1} for j, col in enumerate(cols)]
-    return _eliminate(tagged + list(modulo), rank, ring, limits)
-
-
 # ---------------------------------------------------------------------------
 # public module layer
 
@@ -171,7 +142,7 @@ def syzygies(
         return ()
     rank = _common_rank(columns)
     raw = _syzygies_raw([_vec_from_free(c) for c in columns], rank, ring, resolve_limits(limits))
-    return tuple(_free_from_vec(v, len(columns), ring) for v in raw)
+    return tuple(_free_from_vec(v, len(columns), ring) for v in raw.vecs)
 
 
 def _common_rank(vectors: Sequence[Sequence[Polynomial]]) -> int:
@@ -319,7 +290,7 @@ def kernel_of_map(mat: PolyMatrix, limits: Optional[EngineLimits] = None) -> tup
     raw = _syzygies_raw(
         [_vec_from_free(c) for c in mat.columns], mat.rows, mat.ring, resolve_limits(limits)
     )
-    return tuple(_free_from_vec(v, mat.cols, mat.ring) for v in raw)
+    return tuple(_free_from_vec(v, mat.cols, mat.ring) for v in raw.vecs)
 
 
 def _presentation_raw(
@@ -332,7 +303,7 @@ def _presentation_raw(
     if u == 0:
         return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ()))
     rels = _syzygies_raw(gens, rank, ring, limits, modulo)
-    cols = tuple(_free_from_vec(v, u, ring) for v in rels)
+    cols = tuple(_free_from_vec(v, u, ring) for v in rels.vecs)
     return ModulePresentation(ring, u, PolyMatrix(ring, u, cols))
 
 
@@ -438,7 +409,7 @@ def free_resolution(
             raise AssertionError(f"map {len(maps)} of the resolution holds a constant entry")
         maps.append(m)
         shifts.append(degs)
-        syz = _syzygies_raw(cols, cur_rank, ring, lim)
+        syz = _syzygies_raw(cols, cur_rank, ring, lim).vecs
         cur_rank = len(cols)
         cols, degs = _prune(_dedupe_nonzero(syz), degs, ring, lim)
     graded = pres.shifts is not None
@@ -612,51 +583,6 @@ class TorsionData:
     length: Optional[int]
 
 
-def _module_colon_poly(
-    gens: Sequence[dict], f: Polynomial, rank: int, ring: PolyRing, limits: EngineLimits
-) -> list:
-    """Reduced basis of {v in R^rank : f*v in span(gens)}: the syzygies of
-    f*e_c, c < rank, modulo span(gens), as in _presentation_raw."""
-    fcols = [{(c, a): v for a, v in f.terms.items()} for c in range(rank)]
-    return _syzygies_raw(fcols, rank, ring, limits, gens)
-
-
-def _module_intersect(
-    A: Sequence[dict], B: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
-) -> list:
-    """Reduced basis of span(A) meet span(B).  Each a in A is tagged with
-    its own copy, (a | a), and B is not: the span's elements with zero real
-    part are (0 | sum s_i a_i) with sum s_i a_i in span(B)."""
-    tagged = [{**a, **{(rank + c, m): v for (c, m), v in a.items()}} for a in A]
-    return _eliminate(tagged + list(B), rank, ring, limits)
-
-
-def _module_saturation_origin(
-    gens: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
-) -> list:
-    """Saturation of span(gens) <= R^rank with respect to m = (x1..xn),
-    as its reduced basis.
-
-    A round colons the current module N by each variable in turn.  If
-    N : x lies in N, then N : m = N (N <= N : m <= N : x), and N is
-    returned at once; otherwise the colons are intersected, and the
-    loop ends when a round gives N back.
-    """
-    mvars = [Polynomial.variable(ring, k) for k in range(1, ring.n + 1)]
-    cur = _divisor_basis(list(gens), ring, limits)
-    for _ in range(limits.max_rounds):
-        quot = None
-        for xv in mvars:
-            q = _module_colon_poly(cur.vecs, xv, rank, ring, limits)
-            if _spans_all(cur, q, ring, limits):
-                return cur.vecs
-            quot = q if quot is None else _module_intersect(quot, q, rank, ring, limits)
-        if quot == cur.vecs:  # colons and meets come back as reduced bases
-            return cur.vecs
-        cur = _Divisors(quot, ring)
-    raise ResourceLimitError("module saturation rounds", limits.max_rounds)
-
-
 def module_h0m(
     pres: ModulePresentation,
     point=None,
@@ -685,12 +611,13 @@ def module_h0m(
         v = _vec_from_free(col)
         if v:
             cols.append(v)
-    sat = _module_saturation_origin(cols, rank, ring, lim)
     ngb = _divisor_basis(cols, ring, lim)
+    m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]
+    sat = _saturate(ngb, lambda N: _colon(N, m, rank, ring, lim), lim)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []
-    for v in sat:
+    for v in sat.vecs:
         r = _reduce(v, ngb, ring, budget)
         if r:
             r = _monic(r, next(iter(r)), ring.p)

@@ -170,8 +170,7 @@ class PolyRing:
 
     order is 'grevlex' (default) or 'lex'.  Orders of the form
     'elim-grevlex' / 'elim-lex' make the last variable dominant over a
-    base order on the rest; the elimination steps of the ideal quotient
-    machinery build such rings internally.
+    base order on the rest, for eliminating that variable.
 
     key sorts monomials ascending in the order.
     """

@@ -5,9 +5,9 @@ Every test wraps its assertions in criterion(k, capsys), which prints
 so the gate is readable without decoding pytest output.
 
 Criteria 4 through 7 pass a shared EngineLimits whose on_basis observer
-pools every reduced basis the ideal engine produces (elimination rings
-included); criterion 8 replays an independent confluence check over the
-whole pool.  The pool is module state, so these tests must run in file
+pools every reduced basis the ideal engine produces; criterion 8 replays
+an independent confluence check over the whole pool.  Colon and
+saturation bases are module bases, checked in test_module_confluence.  The pool is module state, so these tests must run in file
 order (pytest's default).
 """
 

@@ -2,10 +2,12 @@
 
 Monomial ideals are the oracle class here: intersection, colon and
 saturation all have closed-form generator recipes (pairwise lcm,
-divide-by-gcd, strip the variable), so the elimination-based routines
-are checked against answers computed without any Groebner machinery.
-The reduced basis of a monomial ideal is its minimal generating set,
-which gives a Buchberger oracle by pure divisibility filtering.
+divide-by-gcd, strip the variable), so the colon routines are checked
+against answers computed without any Groebner machinery.  The reduced
+basis of a monomial ideal is its minimal generating set, which gives a
+Buchberger oracle by pure divisibility filtering.  On other ideals the
+colons, meets and saturations are checked against the classic
+elimination route, kept below as a test-side reference.
 """
 
 import random
@@ -13,7 +15,7 @@ import random
 import pytest
 
 from fplocal import groebner
-from fplocal.config import EngineLimits
+from fplocal.config import Budget, EngineLimits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.groebner import (
     Ideal,
@@ -200,17 +202,17 @@ def test_verify_confluence_rejects_non_basis():
     assert not verify_confluence(R, bad)
 
 
-def test_on_basis_observer_sees_elimination_rings():
+def test_on_basis_observer_sees_base_ring_bases_only():
+    # colons and meets compute module bases, which stay silent: the
+    # observer sees I's basis once, and no elimination ring
     seen = []
     lim = EngineLimits(on_basis=lambda ring, basis: seen.append((ring, basis)))
     R = PolyRing(2, 2)
     I = Ideal(R, ["x1^2", "x1*x2"])
     S = saturation(I, maximal_ideal(R), lim)
     assert S.groebner_basis() == (parse_poly(R, "x1"),)
-    orders = {ring.order for ring, _ in seen}
-    assert "elim-grevlex" in orders and "grevlex" in orders
-    for ring, basis in seen:
-        assert verify_confluence(ring, basis)
+    assert seen == [(R, I.groebner_basis())]
+    assert verify_confluence(R, I.groebner_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +434,48 @@ def test_saturation_round_budget():
 
 
 # ---------------------------------------------------------------------------
-# saturation's early exit, against a loop that colons by every generator
+# the classic elimination route, as a reference for colons, meets and
+# saturation: it shares no kernel with them, only Ideal.groebner_basis on
+# a ring with one more variable
+
+
+def elim_intersect(I, J):
+    """I meet J as (t*I + (1 - t)*J) meet F_p[x]: the reduced basis of
+    the ideal over F_p[x, t], t dominating, keeps the elements free of t,
+    and they are the reduced basis of the meet."""
+    R = I.ring
+    if I.is_zero() or J.is_zero():
+        return Ideal(R, ())
+    E = PolyRing(R.p, R.n + 1, "elim-" + R.order)
+
+    def lift(g, e):
+        return Polynomial(E, {a + (e,): c for a, c in g.terms.items()})
+
+    gens = [lift(g, 1) for g in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
+    kept = [
+        Polynomial(R, {a[:-1]: c for a, c in g.terms.items()})
+        for g in Ideal(E, gens).groebner_basis()
+        if all(a[-1] == 0 for a in g.terms)
+    ]
+    return Ideal(R, kept)
+
+
+def elim_quotient(I, h):
+    """I : h = (I meet (h)) / h, generated by its reduced basis."""
+    Q = Ideal(I.ring, [exact_div(g, h) for g in elim_intersect(I, Ideal(I.ring, [h])).gens])
+    return Ideal(I.ring, Q.groebner_basis())
 
 
 def reference_saturation(I, J, rounds=50):
     """I : J^infinity with no early exit: each round colons by every
-    generator of J through the public ideal_quotient, intersects the
-    colons in order, and stops when the reduced bases agree."""
+    generator of J by elimination, intersects the colons in order, and
+    stops when the reduced bases agree."""
     K = I
     for _ in range(rounds):
         K2 = None
         for h in J.gens:
-            Q = ideal_quotient(K, h)
-            K2 = Q if K2 is None else intersect(K2, Q)
+            Q = elim_quotient(K, h)
+            K2 = Q if K2 is None else elim_intersect(K2, Q)
         if K2.groebner_basis() == K.groebner_basis():
             return K
         K = K2
@@ -463,6 +494,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_steps(monkeypatch):
+    """A one-element list that counts every reduction budget step taken."""
+    steps = [0]
+    step = Budget.step
+
+    def counted(self, k=1):
+        steps[0] += k
+        return step(self, k)
+
+    monkeypatch.setattr(Budget, "step", counted)
+    return steps
+
+
 def torsion_ideal(R, rng, point):
     """g * m_a + (f): R/I has m_a-torsion (the class of g) unless g lies
     in (f)."""
@@ -471,10 +515,12 @@ def torsion_ideal(R, rng, point):
     return Ideal(R, [g * h for h in maximal_ideal(R, point).gens] + [f])
 
 
-def test_saturation_matches_reference_loop():
-    rng = random.Random(SEED + 20)
+def reference_cases(seed, ns):
+    """(I, J): random, torsion-at-the-origin and torsion-at-a-point ideals
+    against m, m_a and a random linear J, over F_2, F_3 and F_5."""
+    rng = random.Random(seed)
     for p in (2, 3, 5):
-        for n in (2, 3, 4):
+        for n in ns:
             R = PolyRing(p, n)
             point = tuple(rng.randrange(p) for _ in range(n))
             ideals = [
@@ -489,9 +535,31 @@ def test_saturation_matches_reference_loop():
             ]
             for I in ideals:
                 for J in Js:
-                    if J.is_zero():
-                        continue
-                    assert saturation(I, J).gens == reference_saturation(I, J).gens
+                    if not J.is_zero():
+                        yield I, J
+
+
+def test_saturation_matches_reference_loop():
+    for I, J in reference_cases(SEED + 20, (2, 3, 4)):
+        assert saturation(I, J).gens == reference_saturation(I, J).gens
+
+
+def test_colons_and_meets_match_elimination():
+    grew = 0
+    for I, J in reference_cases(SEED + 21, (2, 3)):
+        for h in J.gens:
+            Q = ideal_quotient(I, h)
+            assert Q.gens == elim_quotient(I, h).gens
+            grew += Q.groebner_basis() != I.groebner_basis()
+        assert intersect(I, J).gens == elim_intersect(I, J).gens
+        K = ideal_quotient_ideal(I, J)
+        want = None
+        for h in J.gens:
+            Q = elim_quotient(I, h)
+            want = Q if want is None else elim_intersect(want, Q)
+        assert K.groebner_basis() == want.groebner_basis()
+        assert (K is I) == (want.groebner_basis() == I.groebner_basis())
+    assert grew >= 20
 
 
 def test_quotient_ideal_returns_I_when_a_later_generator_passes(monkeypatch):
@@ -499,11 +567,11 @@ def test_quotient_ideal_returns_I_when_a_later_generator_passes(monkeypatch):
     # colons, no intersection of colons, and I itself comes back
     R = PolyRing(3, 3)
     I = Ideal(R, ["x1*x2"])
-    quotients = count_calls(monkeypatch, groebner, "ideal_quotient")
-    intersections = count_calls(monkeypatch, groebner, "intersect")
+    colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
+    meets = count_calls(monkeypatch, groebner, "_meet")
+    steps = count_steps(monkeypatch)
     assert ideal_quotient_ideal(I, maximal_ideal(R)) is I
-    assert len(quotients) == 3
-    assert [J.gens for _, J, _ in intersections] == [(h,) for h in maximal_ideal(R).gens]
+    assert (len(colons), len(meets), steps[0]) == (3, 0, 3)
     assert saturation(I, maximal_ideal(R)) is I
     # x1 + 1 lies in no associated prime of (x1*x2) in two variables
     R2 = PolyRing(5, 2)
@@ -529,10 +597,11 @@ def test_q1_on_a_complete_intersection_makes_one_colon(monkeypatch):
     # gives I back
     R = PolyRing(3, 5)
     f = [parse_poly(R, "x1*x2 + x3^2 + x4*x5"), parse_poly(R, "x1^2 + x2*x4 + 2*x5^2")]
-    quotients = count_calls(monkeypatch, groebner, "ideal_quotient")
+    colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
+    steps = count_steps(monkeypatch)
     report = question_q_check(f)
     assert report.outcome == "pass"
-    assert len(quotients) == 1
+    assert (len(colons), steps[0]) == (1, 52)
 
 
 # ---------------------------------------------------------------------------

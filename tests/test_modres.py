@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from fplocal import modres
+from fplocal import groebner, modres
 from fplocal.config import EngineLimits
 from fplocal.errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
 from fplocal.groebner import Ideal, maximal_ideal
@@ -572,23 +572,6 @@ def test_h0m_zero_rank():
     assert tor.generators == () and tor.length == 0
 
 
-def reference_module_saturation(gens, rank, ring, limits):
-    """Saturation at the origin with no early exit: every round colons by
-    every variable, intersects the colons, and stops when the reduced
-    basis comes back unchanged."""
-    cur = modres._reduced_basis(list(gens), ring, limits)
-    for _ in range(limits.max_rounds):
-        quot = None
-        for k in range(1, ring.n + 1):
-            q = modres._module_colon_poly(cur, Polynomial.variable(ring, k), rank, ring, limits)
-            quot = q if quot is None else modres._module_intersect(quot, q, rank, ring, limits)
-        qgb = modres._reduced_basis(quot, ring, limits)
-        if qgb == cur:
-            return cur
-        cur = qgb
-    raise AssertionError("reference module saturation did not settle")
-
-
 def sparse_vec(R, rng, rank, terms):
     return tuple(random_poly(R, rng, deg=2, terms=terms) for _ in range(rank))
 
@@ -603,6 +586,24 @@ def torsion_presentation(R, rng, rank, point, terms):
     return ModulePresentation(R, rank, PolyMatrix.from_columns(R, rank, cols))
 
 
+def reference_colon_all(N, hs, rank, ring, limits):
+    """N : J with no early exit and no known part: the colon by every
+    generator, as syzygies modulo N's vectors, and the meets of the
+    colons in order, each a self-tagged colon modulo the next one's
+    vectors; N itself when the reduced bases agree, as groebner._colon
+    returns it."""
+    quot = None
+    for h in hs:
+        cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
+        q = groebner._syzygies_raw(cols, rank, ring, limits, N.vecs).vecs
+        if quot is not None:
+            tagged = [{**a, **{(rank + c, m): w for (c, m), w in a.items()}} for a in quot]
+            q = groebner._divisor_basis(tagged + q, ring, limits).above(rank).vecs
+        quot = q
+    K = groebner._divisor_basis(quot, ring, limits)
+    return N if K.vecs == N.vecs else K
+
+
 def test_h0m_matches_reference_loop(monkeypatch):
     rng = random.Random(SEED + 40)
     cases = []
@@ -610,21 +611,36 @@ def test_h0m_matches_reference_loop(monkeypatch):
         for n in (2, 3):
             R = PolyRing(p, n)
             for rank in (1, 2, 3):
-                terms = 1 if rank * n >= 6 else 2  # dense input outgrows a module basis
                 point = tuple(rng.randrange(p) for _ in range(n))
-                cases.append((torsion_presentation(R, rng, rank, None, terms), None))
-                cases.append((torsion_presentation(R, rng, rank, point, terms), point))
-                cols = [sparse_vec(R, rng, rank, terms) for _ in range(rank + 1)]
+                cases.append((torsion_presentation(R, rng, rank, None, 2), None))
+                cases.append((torsion_presentation(R, rng, rank, point, 2), point))
+                cols = [sparse_vec(R, rng, rank, 2) for _ in range(rank + 1)]
                 rel = PolyMatrix.from_columns(R, rank, cols)
                 cases.append((ModulePresentation(R, rank, rel), None))
     got = [module_h0m(pres, point) for pres, point in cases]
-    monkeypatch.setattr(modres, "_module_saturation_origin", reference_module_saturation)
+    monkeypatch.setattr(modres, "_colon", reference_colon_all)
     want = [module_h0m(pres, point) for pres, point in cases]
     assert sum(1 for t in want if t.generators) >= len(cases) // 3
     for g, w in zip(got, want):
         assert g.generators == w.generators
         assert g.presentation == w.presentation
         assert (g.finite, g.length) == (w.finite, w.length)
+
+
+def test_h0m_rank_three_within_a_small_ceiling():
+    # one basis of the saturation loop once took more than 100,000
+    # reductions on this grevlex presentation; it has no torsion
+    R = PolyRing(2, 3)
+    cols = [
+        vec(R, "x1*x2^2*x3^2 + x1^2*x3", "x3 + 1", "x1^2*x3 + x2^2"),
+        vec(R, "x1^2*x2^2*x3", "x3^2", "x1*x2^2*x3^2"),
+        vec(R, "x2*x3^2", "0", "x1^2*x2*x3"),
+        vec(R, "x1^2*x2^2 + x1^2*x2*x3", "x1^2*x2*x3", "x1*x2*x3^2 + x1*x3^2"),
+    ]
+    pres = ModulePresentation(R, 3, PolyMatrix.from_columns(R, 3, cols))
+    tor = module_h0m(pres, None, EngineLimits(max_reductions=100_000))
+    assert tor.generators == ()
+    assert (tor.finite, tor.length) == (True, 0)
 
 
 def test_h0m_torsion_presentation_within_a_small_ceiling():
@@ -708,8 +724,9 @@ def test_module_colon_matches_full_tag_reference():
     for R, rank, terms, rng in kernel_rings():
         zero = tuple(Polynomial.zero(R) for _ in range(rank))
         gens = [sparse_vec(R, rng, rank, terms) for _ in range(rank)] + [zero]
+        N = groebner._divisor_basis(raw(gens), R, lim)
         for f in (Polynomial.variable(R, rng.randint(1, R.n)), random_poly(R, rng, 1, 2)):
-            got = modres._module_colon_poly(raw(gens), f, rank, R, lim)
+            got = groebner._colon(N, [f.terms], rank, R, lim).vecs
             assert [modres._free_from_vec(v, rank, R) for v in got] == reference_colon(R, gens, f, rank)
             assert got == modres._reduced_basis(got, R, lim)
             # span(gens) <= span(gens) : f, checked without the kernel
@@ -747,7 +764,8 @@ def test_module_intersect_matches_full_tag_reference():
         x = Polynomial.variable(R, rng.randint(1, R.n))
         B = [sparse_vec(R, rng, rank, terms), tuple(x * g for g in A[0])]
         for left, right in ((A, B), (B, A), (A, [])):
-            got = modres._module_intersect(raw(left), raw(right), rank, R, lim)
+            right_basis = groebner._divisor_basis(raw(right), R, lim)
+            got = groebner._meet(raw(left), right_basis, rank, R, lim).vecs
             want = modres._reduced_basis(raw(reference_meet(R, left, right, rank)), R, lim)
             assert got == want
             met += bool(got)
@@ -774,17 +792,38 @@ def test_eliminate_matches_unpack_then_filter():
         tagged = [{**col, (rank + j, R.zero_mono()): 1} for j, col in enumerate(cols)]
         for modulo in ((), raw([sparse_vec(R, rng, rank, terms)])):
             vecs = tagged + list(modulo)
-            got = modres._eliminate(vecs, rank, R, lim)
+            got = groebner._divisor_basis(vecs, R, lim).above(rank).vecs
             want = reference_eliminate(vecs, rank, R, lim)
             assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
-            # an unpacked basis filters the same way
-            basis = modres._Divisors(modres._reduced_basis(vecs, R, lim), R)
-            assert basis.vecs_from(rank) == [
-                u for u in modres._reduced_basis(vecs, R, lim) if next(iter(u))[0] >= rank
-            ]
             kept += len(got)
-    assert modres._eliminate([], 1, PolyRing(2, 2), lim) == []
+    assert groebner._divisor_basis([], PolyRing(2, 2), lim).above(1).vecs == []
     assert kept >= 50
+
+
+def test_seeded_bases_equal_unseeded():
+    # a reduced basis N joins the engine call as a known part, in the
+    # shapes the saturation loop gives it (a colon's columns, a meet's
+    # self-tagged vectors) and as plain extra vectors; the basis must be
+    # the one N's vectors give as input, term for term
+    lim = EngineLimits()
+    changed = 0
+    for R, rank, terms, rng in kernel_rings():
+        gens = raw([sparse_vec(R, rng, rank, terms) for _ in range(rank + 1)])
+        N = groebner._divisor_basis(gens, R, lim)
+        f = random_poly(R, rng, 1, 2)
+        colon = [{**{(c, a): w for a, w in f.terms.items()}, (rank + c, R.zero_mono()): 1}
+                 for c in range(rank)]
+        A = raw([sparse_vec(R, rng, rank, terms) for _ in range(2)])
+        meet = [{**a, **{(rank + c, m): w for (c, m), w in a.items()}} for a in A[:1]]
+        for vecs in (colon, meet, A, []):
+            got = groebner._divisor_basis(vecs, R, lim, known=N).vecs
+            want = groebner._divisor_basis(vecs + N.vecs, R, lim).vecs
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+            changed += got != N.vecs
+        # only the engine's own output may be a known part
+        with pytest.raises(ValueError):
+            groebner._divisor_basis(colon, R, lim, known=groebner._Divisors(gens, R))
+    assert changed >= 80
 
 
 # ---------------------------------------------------------------------------

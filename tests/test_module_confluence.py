@@ -241,3 +241,83 @@ def test_syzygy_tags_of_three_quadrics(monkeypatch):
     assert sum(1 for c, formed in log if c >= 1 and not formed) == 22
     assert module_confluent(gb, "lex", 3)
     assert reduced(gb, "lex")
+
+
+# ---------------------------------------------------------------------------
+# bases computed with a known part
+#
+# Colons and meets hand the engine a reduced basis it computed before as a
+# known part, and never pair two of its elements.  Those bases no longer
+# reach the on_basis observer, so they are captured here: a wrapped
+# _packed_basis keeps each basis built with a known part, unpacked, and
+# the verifier replays every S-vector of it.
+
+
+def observe_seeded(monkeypatch):
+    """A log of (p, basis) for the bases built with a known part, as
+    vectors; every ring of the rounds below is grevlex."""
+    from fplocal import groebner
+
+    log = []
+    packed_basis = groebner._packed_basis
+
+    def watch(G, lay, p, limits, ideal, known=0):
+        basis = packed_basis(G, lay, p, limits, ideal, known)
+        if known:
+            log.append((p, [
+                dict([(lay.unpack(lead), 1)] + [(lay.unpack(t), w) for t, w in tail])
+                for lead, tail in basis
+            ]))
+        return basis
+
+    monkeypatch.setattr(groebner, "_packed_basis", watch)
+    return log
+
+
+def small_q1_round(rng):
+    """q1 checks in F_3[x1..x4]: random quadric pairs and g*m + (h), at
+    the origin and at a point."""
+    from fplocal.localcoh import question_q_check
+
+    R = PolyRing(3, 4)
+    x = [Polynomial.variable(R, k) for k in range(1, 5)]
+    for k in range(6):
+        point = None if k % 2 == 0 else tuple(rng.randrange(3) for _ in range(4))
+        f = [random_form(rng, R, 2), random_form(rng, R, 2)]
+        if k >= 4:
+            g = random_form(rng, R, 1)
+            f = [g * v for v in x] + [f[0]]
+        question_q_check(f, point)
+
+
+def small_torsion_round(rng):
+    """propvan and topvan on (g^2, g*h) in F_3[x1, x2], at the origin and
+    at a point, and on a triangular ideal of F_2[x1, x2, x3] whose only
+    zero is the origin."""
+    from fplocal.config import EngineLimits
+    from fplocal.koszul import verify_prop_van
+    from fplocal.localcoh import top_lc_vanishing_certificate
+
+    R = PolyRing(3, 2)
+    for k in range(4):
+        point = None if k % 2 == 0 else tuple(rng.randrange(3) for _ in range(2))
+        g = random_form(rng, R, 1)
+        h = random_form(rng, R, 1 + k % 2)
+        f = [g * g, g * h]
+        verify_prop_van(f, 2, point)
+        top_lc_vanishing_certificate(f, point, 2)
+    S = PolyRing(2, 3)
+    f = [parse_poly(S, s) for s in ("x1", "x2^2 + x1*x3", "x3^2 + x1*x2")]
+    verify_prop_van(f, 3, None, None, EngineLimits(level_cap=1))
+    top_lc_vanishing_certificate(f, None, 1)
+
+
+@pytest.mark.parametrize("round_of", [small_q1_round, small_torsion_round],
+                         ids=["q1", "torsion"])
+def test_bases_with_a_known_part_are_confluent_and_reduced(monkeypatch, round_of):
+    log = observe_seeded(monkeypatch)
+    round_of(random.Random(f"{SEED}:seeded:{round_of.__name__}"))
+    assert len(log) >= 8
+    for p, gb in log:
+        assert module_confluent(gb, "grevlex", p)
+        assert reduced(gb, "grevlex")
