@@ -38,17 +38,16 @@ def resolve_limits(limits: Optional[EngineLimits]) -> EngineLimits:
 class Budget:
     """Counts reduction steps against a ceiling and polls cancellation."""
 
-    __slots__ = ("left", "limit", "kind", "cancel")
+    __slots__ = ("left", "limit", "cancel")
 
-    def __init__(self, limits: EngineLimits, kind: str = "reductions"):
+    def __init__(self, limits: EngineLimits):
         self.limit = limits.max_reductions
         self.left = limits.max_reductions
-        self.kind = kind
         self.cancel = limits.cancel
 
-    def step(self, k: int = 1) -> None:
-        self.left -= k
+    def step(self) -> None:
+        self.left -= 1
         if self.left < 0:
-            raise ResourceLimitError(self.kind, self.limit)
+            raise ResourceLimitError("reductions", self.limit)
         if self.cancel is not None and self.cancel():
             raise CancelledError("computation cancelled")

@@ -44,11 +44,14 @@ _divisor_basis hands a basis over still packed, as divisors for
 _reduce.  The layout is polycore's, shared with the product kernel.
 
 Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
-division using a heap", JSC 2011): normal forms and exact_div keep the
-dividend's packed terms in a max-heap, so a term costs one push and one
-pop, and a cancelled term is skipped when it is popped.  Divisors are
-monic, so each step cancels the lead exactly.  The divisor chosen for a
-lead is the first one in basis order that divides it.
+division using a heap", JSC 2011): _divide, the one division loop, keeps
+the dividend's packed terms in a max-heap, so a term costs one push and
+one pop, and a cancelled term is skipped when it is popped.  Divisors
+are monic, so each step cancels the lead exactly.  The divisor chosen
+for a lead is the first one in basis order that divides it.  exact_div
+is a tagged reduction on the same loop: g*e_0 reduced by h*e_0 - e_1
+leaves the remainder g - q*h in component 0 and the quotient q in
+component 1.
 
 Syzygies modulo a submodule come from one tagged kernel, _syzygies_raw:
 each column gets a unit tag component, the submodule's vectors get none,
@@ -76,7 +79,7 @@ packing or pair bookkeeping.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence
 
@@ -663,18 +666,12 @@ def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
 # ---------------------------------------------------------------------------
 # rank-1 entries on the tagged kernel
 
-def _base_ring_check(ring: PolyRing) -> None:
-    if ring.order.startswith("elim-"):
-        raise ValueError("ideal operations expect a base (non-elimination) ring")
-
-
 def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
     """I intersect J: I's generators, each tagged with its own copy,
     modulo J's reduced basis (_meet)."""
     ring = I.ring
     if ring != J.ring:
         raise RingMismatchError(f"{I.ring} vs {J.ring}")
-    _base_ring_check(ring)
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
     lim = resolve_limits(limits)
@@ -683,53 +680,21 @@ def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Idea
 
 
 def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
-    """Quotient g / h when h divides g exactly; error otherwise.
+    """Quotient g / h when h divides g exactly; ArithmeticError otherwise.
 
-    The remainder's packed terms sit in a heap as in _divide.  Each step
-    cancels the remainder's lead against h's lead by construction, so
-    only h's tail is added.
+    One tagged reduction: g*e_0 reduced by h*e_0 - e_1 leaves
+    (g - q*h)*e_0 + q*e_1, and the division by one divisor leaves no
+    term of g - q*h that h's lead divides, so g - q*h is zero exactly
+    when h divides g.  Counted against the default reduction ceiling.
     """
     if not h:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
-    p = ring.p
-
-    def run(bits: int) -> dict:
-        lay = _layout(ring.n, ring.order, bits)
-        top, guard = lay.top, lay.guard
-        tail = lay.pack_terms(h.terms)
-        hlead = max(tail)
-        hinv = pow(tail.pop(hlead), -1, p)
-        rem = lay.pack_terms(g.terms)
-        heap = [-t for t in rem]
-        heapify(heap)
-        q: dict = {}
-        while heap:
-            t = -heappop(heap)
-            c = rem[t]
-            if not c:
-                continue
-            shift = t - hlead  # lay.divides, inlined
-            if not 0 <= shift < top or shift & guard:
-                raise ArithmeticError(
-                    f"monomial {lay.unpack(hlead)[1]} does not divide {lay.unpack(t)[1]}"
-                )
-            c = c * hinv % p
-            q[shift] = c
-            coeff = p - c
-            for s, w in tail.items():
-                m = s + shift
-                old = rem.get(m)
-                if old is None:
-                    if m & guard:
-                        raise _Overflow
-                    rem[m] = coeff * w % p
-                    heappush(heap, -m)
-                else:
-                    rem[m] = (old + coeff * w) % p
-        return lay.unpack_terms(q, p)
-
-    return Polynomial(ring, _retry(run, _width(chain(g.terms, h.terms))), _raw=True)
+    tagged = {**_rank1(h.terms), (1, ring.zero_mono()): ring.p - 1}
+    r = _reduce(_rank1(g.terms), _Divisors([tagged], ring), ring, Budget(resolve_limits(None)))
+    if any(c == 0 for c, _ in r):
+        raise ArithmeticError(f"{h} does not divide {g}")
+    return Polynomial(ring, _terms(r), _raw=True)
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:

@@ -42,7 +42,6 @@ from itertools import combinations, islice
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .config import EngineLimits, resolve_limits
-from .errors import RingMismatchError
 from .frobenius import (
     FrobeniusLevel,
     _check_level,
@@ -59,7 +58,7 @@ from .modres import (
     module_normal_form,
     subquotient_presentation,
 )
-from .polycore import MINUS_INF, Polynomial, PolyRing, RationalPoint
+from .polycore import Polynomial, PolyRing, _normalize_point, _ring_of, _sum_deg
 
 __all__ = [
     "KoszulComplex",
@@ -93,14 +92,9 @@ class KoszulComplex:
 def build_koszul(f: Sequence[Polynomial], t: int = 1) -> KoszulComplex:
     """The cocomplex on (f_1^t, ..., f_s^t); d compose d = 0 is checked."""
     f = tuple(f)
-    if not f:
-        raise ValueError("need at least one polynomial")
-    ring = f[0].ring
-    for g in f:
-        if g.ring != ring:
-            raise RingMismatchError(f"{g.ring} generator in {ring} complex")
-        if not g:
-            raise ValueError("zero generator in Koszul input")
+    ring = _ring_of(f)
+    if not all(f):
+        raise ValueError("zero generator in Koszul input")
     if t < 1:
         raise ValueError(f"exponent must be >= 1, got {t}")
     s = len(f)
@@ -276,24 +270,12 @@ def verify_prop_van(
     """
     f = tuple(f)
     lim = resolve_limits(limits)
-    if not f:
-        raise ValueError("need at least one polynomial")
+    ring = _ring_of(f)
     if level is not None and level.l > lim.level_cap:
         raise ValueError(f"level {level.l} is above the level cap {lim.level_cap}")
-    ring = f[0].ring
-    n = ring.n
-    s = len(f)
-    degs = []
-    for g in f:
-        d = g.total_degree()
-        degs.append(0 if d is MINUS_INF else d)
-    total = sum(degs)
-    hypothesis_ok = total < n and all(bool(g) for g in f)
-    pt = None
-    if point is not None:
-        pt = point if isinstance(point, RationalPoint) else RationalPoint(ring, point)
-        if pt.is_origin():
-            pt = None
+    total = _sum_deg(f)
+    hypothesis_ok = total < ring.n
+    pt = _normalize_point(ring, point)
     fs = tuple(g.translate(pt) for g in f) if pt is not None else f
     k1 = build_koszul(fs, 1)
     ker, _, pres = _cohomology_data(k1, i, lim)
@@ -314,10 +296,10 @@ def verify_prop_van(
                 conclusion = f"no level up to {lim.level_cap} certified the kill"
         return VanishingCertificate(
             p=ring.p,
-            n=n,
-            s=s,
+            n=ring.n,
+            s=len(f),
             i=i,
-            point=tuple(int(c) for c in pt.coords) if pt is not None else (0,) * n,
+            point=pt.coords if pt is not None else (0,) * ring.n,
             generators=tuple(str(g) for g in f),
             sum_deg=total,
             hypothesis_ok=hypothesis_ok,
@@ -334,23 +316,10 @@ def verify_prop_van(
     if not tors.generators:
         return finish("pass", None, 0, ())
 
-    rank = k1.rank(i)
-    zero = Polynomial.zero(ring)
-    reps = []
-    dmax = 0
-    for v in tors.generators:
-        rep = [zero] * rank
-        for u, coeff in enumerate(v):
-            if coeff:
-                kg = ker[u]
-                rep = [rep[r] + coeff * kg[r] for r in range(rank)]
-        if not any(rep):
-            raise AssertionError("torsion generator lifted to zero representative")
-        reps.append(tuple(rep))
-        for g in rep:
-            d = g.total_degree()
-            if d is not MINUS_INF:
-                dmax = max(dmax, d)
+    reps = PolyMatrix(ring, k1.rank(i), ker)._times(tors.generators)
+    if not all(any(rep) for rep in reps):
+        raise AssertionError("torsion generator lifted to zero representative")
+    dmax = max(g.total_degree() for rep in reps for g in rep if g)
     l0 = level.l if level is not None else level_for_degree(ring.p, dmax).l
     if l0 > lim.level_cap:
         return finish("inconclusive", None, 0, ())

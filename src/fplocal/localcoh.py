@@ -6,13 +6,24 @@ vanishing certificate, and the projective dimension bound.
 Every outcome is decided by exact arithmetic; reports carry enough data
 to reproduce a failure from scratch.  Maximal ideals are restricted to
 F_p-rational points throughout.
+
+The three checks run on one frame, _frame.  It sets up the paper's
+instance: the ring of f_1..f_s, the generators translated so that the
+point a is the origin (m_a becomes m), the ideal I they generate, and
+sum deg f_i with hypothesis_ok = (sum deg f_i < n).  It then runs the
+check's body on that instance and writes the CheckReport.  A ceiling
+(ResourceLimitError) becomes the resource-limit report: the check's
+blank data plus limit_kind and limit.  Nothing else is caught, so a
+cancellation or a usage error reaches the caller.  q1 and topvan share
+stage 0, _torsion: I : m^infinity, compared with I.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from math import prod
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .config import EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
@@ -24,8 +35,16 @@ from .frobenius import (
     psi_map,
 )
 from .groebner import Ideal, ideals_equal, maximal_ideal, saturation
-from .modres import depth, projective_dimension, quotient_presentation
-from .polycore import MINUS_INF, Polynomial, PolyRing, RationalPoint
+from .modres import projective_dimension, quotient_presentation
+from .polycore import (
+    MINUS_INF,
+    Polynomial,
+    PolyRing,
+    RationalPoint,
+    _normalize_point,
+    _ring_of,
+    _sum_deg,
+)
 
 __all__ = [
     "CheckReport",
@@ -73,32 +92,6 @@ class CheckReport:
         return out
 
 
-def _ring_of(f: Sequence[Polynomial]) -> PolyRing:
-    if not f:
-        raise ValueError("need at least one polynomial")
-    ring = f[0].ring
-    for g in f:
-        if g.ring != ring:
-            raise ValueError("generators from different rings")
-    return ring
-
-
-def _sum_deg(f: Sequence[Polynomial]) -> int:
-    total = 0
-    for g in f:
-        d = g.total_degree()
-        if d is not MINUS_INF:
-            total += d
-    return total
-
-
-def _normalize_point(ring: PolyRing, point) -> Optional[RationalPoint]:
-    if point is None:
-        return None
-    pt = point if isinstance(point, RationalPoint) else RationalPoint(ring, point)
-    return None if pt.is_origin() else pt
-
-
 def choose_level(f: Sequence[Polynomial], g: Polynomial) -> FrobeniusLevel:
     """Minimal level with l > deg(g); requires sum deg(f_i) < n.
 
@@ -138,6 +131,61 @@ def degree_criterion(f: Sequence[Polynomial], g: Polynomial, lvl: FrobeniusLevel
     return below
 
 
+class _Instance(NamedTuple):
+    """One check's input: gens and ideal are translated so that the
+    point, None at the origin, is the origin."""
+
+    ring: PolyRing
+    gens: Tuple[Polynomial, ...]
+    ideal: Ideal
+    point: Optional[RationalPoint]
+    sum_deg: int
+    limits: EngineLimits
+
+
+def _frame(
+    check: str,
+    f: Sequence[Polynomial],
+    point,
+    limits: Optional[EngineLimits],
+    blank: dict,
+    body: Callable[[_Instance], tuple],
+    local: bool = True,
+) -> CheckReport:
+    """Set up the instance, run body(instance) -> (outcome, data), and
+    report.  A ceiling gives the resource-limit report with `blank`
+    data; a check that is not `local` takes no point and reports none."""
+    ring = _ring_of(f)
+    lim = resolve_limits(limits)
+    t0 = time.monotonic()
+    pt = _normalize_point(ring, point)
+    gens = tuple(g.translate(pt) for g in f) if pt is not None else tuple(f)
+    total = _sum_deg(f)
+    try:
+        outcome, data = body(_Instance(ring, gens, Ideal(ring, gens), pt, total, lim))
+    except ResourceLimitError as e:
+        outcome, data = "resource-limit", {**blank, "limit_kind": e.kind, "limit": e.limit}
+    return CheckReport(
+        check=check,
+        p=ring.p,
+        n=ring.n,
+        generators=tuple(str(g) for g in f),
+        point=(pt.coords if pt is not None else (0,) * ring.n) if local else None,
+        sum_deg=total,
+        hypothesis_ok=total < ring.n,
+        outcome=outcome,
+        data=data,
+        millis=round((time.monotonic() - t0) * 1000.0, 3),
+    )
+
+
+def _torsion(x: _Instance) -> Optional[Ideal]:
+    """Stage 0: I : m^infinity, or None when it is I, that is when R/I
+    has no m-torsion."""
+    S = saturation(x.ideal, maximal_ideal(x.ring), x.limits)
+    return None if ideals_equal(S, x.ideal, x.limits) else S
+
+
 def question_q_check(
     f: Sequence[Polynomial], point=None, limits: Optional[EngineLimits] = None
 ) -> CheckReport:
@@ -146,46 +194,18 @@ def question_q_check(
     A fail report carries one saturation generator outside I, translated
     back to the original coordinates.
     """
-    ring = _ring_of(f)
-    lim = resolve_limits(limits)
-    t0 = time.monotonic()
-    pt = _normalize_point(ring, point)
-    fs = tuple(g.translate(pt) for g in f) if pt is not None else tuple(f)
-    I = Ideal(ring, fs)
-    total = _sum_deg(f)
-    base = dict(
-        check="question-q",
-        p=ring.p,
-        n=ring.n,
-        generators=tuple(str(g) for g in f),
-        point=tuple(pt.coords) if pt is not None else (0,) * ring.n,
-        sum_deg=total,
-        hypothesis_ok=total < ring.n,
-    )
-    try:
-        S = saturation(I, maximal_ideal(ring), lim)
-        if ideals_equal(S, I, lim):
-            return CheckReport(
-                **base, outcome="pass", data={"witness": None},
-                millis=_ms(t0),
-            )
-        witness = None
+
+    def body(x: _Instance) -> tuple:
+        S = _torsion(x)
+        if S is None:
+            return "pass", {"witness": None}
         for g in S.gens:
-            if I.normal_form(g, lim):
-                witness = g.translate(-pt) if pt is not None else g
-                break
-        if witness is None:
-            raise AssertionError("saturation differs from I but all generators reduce to 0")
-        return CheckReport(
-            **base, outcome="fail", data={"witness": str(witness)},
-            millis=_ms(t0),
-        )
-    except ResourceLimitError as e:
-        return CheckReport(
-            **base, outcome="resource-limit",
-            data={"witness": None, "limit_kind": e.kind, "limit": e.limit},
-            millis=_ms(t0),
-        )
+            if x.ideal.normal_form(g, x.limits):
+                witness = g.translate(-x.point) if x.point is not None else g
+                return "fail", {"witness": str(witness)}
+        raise AssertionError("saturation differs from I but all generators reduce to 0")
+
+    return _frame("question-q", f, point, limits, {"witness": None}, body)
 
 
 def top_lc_vanishing_certificate(
@@ -209,57 +229,24 @@ def top_lc_vanishing_certificate(
     (frobenius_multipliers), and each bracket power's basis is I's,
     scaled (bracket_power): no stage runs Buchberger.
     """
-    ring = _ring_of(f)
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
-    lim = resolve_limits(limits)
-    t0 = time.monotonic()
-    pt = _normalize_point(ring, point)
-    fs = tuple(g.translate(pt) for g in f) if pt is not None else tuple(f)
-    I = Ideal(ring, fs)
-    total = _sum_deg(f)
-    base = dict(
-        check="top-vanishing",
-        p=ring.p,
-        n=ring.n,
-        generators=tuple(str(g) for g in f),
-        point=tuple(pt.coords) if pt is not None else (0,) * ring.n,
-        sum_deg=total,
-        hypothesis_ok=total < ring.n,
-    )
-    try:
-        S = saturation(I, maximal_ideal(ring), lim)
-        if ideals_equal(S, I, lim):
-            return CheckReport(
-                **base, outcome="pass", data={"stage": 0, "memberships": None},
-                millis=_ms(t0),
-            )
-        prod = Polynomial.one(ring)
-        for g in fs:
-            prod = prod * g
-        mults = frobenius_multipliers(prod, ring.p)
+
+    def body(x: _Instance) -> tuple:
+        S = _torsion(x)
+        if S is None:
+            return "pass", {"stage": 0, "memberships": None}
+        p = x.ring.p
+        mults = frobenius_multipliers(prod(x.gens, start=Polynomial.one(x.ring)), p)
         for e in range(1, e_max + 1):
-            lvl = FrobeniusLevel(ring.p, e)
-            Iq = bracket_power(I, lvl)
+            Iq = bracket_power(x.ideal, FrobeniusLevel(p, e))
             mult = next(mults)
-            verdicts = [bool(not Iq.normal_form(mult * h, lim)) for h in S.gens]
+            verdicts = [not Iq.normal_form(mult * h, x.limits) for h in S.gens]
             if all(verdicts):
-                return CheckReport(
-                    **base, outcome="pass",
-                    data={"stage": e, "memberships": verdicts},
-                    millis=_ms(t0),
-                )
-        return CheckReport(
-            **base, outcome="inconclusive",
-            data={"stage": None, "memberships": None, "stages_tried": e_max},
-            millis=_ms(t0),
-        )
-    except ResourceLimitError as e:
-        return CheckReport(
-            **base, outcome="resource-limit",
-            data={"stage": None, "limit_kind": e.kind, "limit": e.limit},
-            millis=_ms(t0),
-        )
+                return "pass", {"stage": e, "memberships": verdicts}
+        return "inconclusive", {"stage": None, "memberships": None, "stages_tried": e_max}
+
+    return _frame("top-vanishing", f, point, limits, {"stage": None}, body)
 
 
 def pd_bound_check(
@@ -270,40 +257,13 @@ def pd_bound_check(
     The report also carries depth(R/I) = n - pd for the companion bound
     depth >= n - sum deg(f_i).
     """
-    ring = _ring_of(f)
-    lim = resolve_limits(limits)
-    t0 = time.monotonic()
     for g in f:
         if g and not g.is_homogeneous():
             raise NonHomogeneousError(f"{g} is not homogeneous")
-    I = Ideal(ring, f)
-    total = _sum_deg(f)
-    base = dict(
-        check="pd-bound",
-        p=ring.p,
-        n=ring.n,
-        generators=tuple(str(g) for g in f),
-        point=None,
-        sum_deg=total,
-        hypothesis_ok=total < ring.n,
-    )
-    try:
-        pres = quotient_presentation(I)
-        pd = projective_dimension(pres, lim)
-        dep = ring.n - pd
-        return CheckReport(
-            **base,
-            outcome="pass" if pd <= total else "fail",
-            data={"pd": pd, "depth": dep, "bound": total},
-            millis=_ms(t0),
-        )
-    except ResourceLimitError as e:
-        return CheckReport(
-            **base, outcome="resource-limit",
-            data={"pd": None, "depth": None, "limit_kind": e.kind, "limit": e.limit},
-            millis=_ms(t0),
-        )
 
+    def body(x: _Instance) -> tuple:
+        pd = projective_dimension(quotient_presentation(x.ideal), x.limits)
+        data = {"pd": pd, "depth": x.ring.n - pd, "bound": x.sum_deg}
+        return "pass" if pd <= x.sum_deg else "fail", data
 
-def _ms(t0: float) -> float:
-    return round((time.monotonic() - t0) * 1000.0, 3)
+    return _frame("pd-bound", f, None, limits, {"pd": None, "depth": None}, body, local=False)

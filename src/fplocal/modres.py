@@ -53,8 +53,8 @@ from .groebner import (
 from .polycore import (
     Polynomial,
     PolyRing,
-    RationalPoint,
     _mul_acc,
+    _normalize_point,
     _product_layout,
     mono_divides,
 )
@@ -285,12 +285,7 @@ def quotient_presentation(I: Ideal) -> ModulePresentation:
 
 def kernel_of_map(mat: PolyMatrix, limits: Optional[EngineLimits] = None) -> tuple:
     """Generators of ker(mat) in R^cols."""
-    if mat.cols == 0:
-        return ()
-    raw = _syzygies_raw(
-        [_vec_from_free(c) for c in mat.columns], mat.rows, mat.ring, resolve_limits(limits)
-    )
-    return tuple(_free_from_vec(v, mat.cols, mat.ring) for v in raw.vecs)
+    return syzygies(mat.ring, mat.columns, limits)
 
 
 def _presentation_raw(
@@ -599,11 +594,7 @@ def module_h0m(
     rank = pres.rank
     if rank == 0:
         return TorsionData(pres, (), True, 0)
-    pt = None
-    if point is not None:
-        pt = point if isinstance(point, RationalPoint) else RationalPoint(ring, point)
-        if pt.is_origin():
-            pt = None
+    pt = _normalize_point(ring, point)
     cols = []
     for col in pres.relations.columns:
         if pt is not None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, RingMismatchError
 
@@ -763,6 +763,36 @@ def _coords(ring: PolyRing, point) -> tuple:
     if len(coords) != ring.n:
         raise ValueError(f"point needs {ring.n} coordinates, got {len(coords)}")
     return coords
+
+
+# ---------------------------------------------------------------------------
+# instances: a generator list f_1..f_s in one ring, asked at a point
+
+
+def _ring_of(f: Sequence[Polynomial]) -> PolyRing:
+    """The one ring of a nonempty generator list."""
+    if not f:
+        raise ValueError("need at least one polynomial")
+    ring = f[0].ring
+    for g in f:
+        if g.ring != ring:
+            raise RingMismatchError(f"{g.ring} generator among {ring} generators")
+    return ring
+
+
+def _sum_deg(f: Sequence[Polynomial]) -> int:
+    """sum deg(f_i), a zero generator counting 0: the paper's bound is
+    n - sum deg(f_i)."""
+    return sum(g.total_degree() for g in f if g)
+
+
+def _normalize_point(ring: PolyRing, point) -> Optional[RationalPoint]:
+    """The point as a RationalPoint of `ring`; None for no point and for
+    the origin, where no translation is needed."""
+    if point is None:
+        return None
+    pt = point if isinstance(point, RationalPoint) else RationalPoint(ring, point)
+    return None if pt.is_origin() else pt
 
 
 # ---------------------------------------------------------------------------

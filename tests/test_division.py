@@ -1,12 +1,14 @@
 """Heap-ordered division against a max-scan reference.
 
-normal_form, module_normal_form and exact_div keep the dividend's
-monomials in a heap.  The reference below finds every leading term by a
-full max() scan under order keys written out here, divides by the
-divisor's lead coefficient instead of assuming monic divisors, and
-shares no code with the engine.  Both must pick the same divisor (the
-first in basis order whose lead divides the current lead) and so return
-the same remainder, term for term.
+normal_form and module_normal_form keep the dividend's monomials in a
+heap, and exact_div is a tagged reduction on the same loop: g*e_0
+reduced by h*e_0 - e_1 leaves the quotient in component 1, and any term
+left in component 0 means h does not divide g.  The reference below
+finds every leading term by a full max() scan under order keys written
+out here, divides by the divisor's lead coefficient instead of assuming
+monic divisors, and shares no code with the engine.  Both must pick the
+same divisor (the first in basis order whose lead divides the current
+lead) and so return the same remainder, term for term.
 
 The reference also counts monomials that cancel while a lower term is
 reduced and are later brought back by another divisor: the case the

@@ -14,9 +14,15 @@ import pytest
 from fplocal import groebner
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
-from fplocal.errors import HypothesisViolatedError, NonHomogeneousError
+from fplocal.errors import (
+    CancelledError,
+    HypothesisViolatedError,
+    NonHomogeneousError,
+    RingMismatchError,
+)
 from fplocal.frobenius import FrobeniusLevel, bracket_power
 from fplocal.groebner import Ideal, maximal_ideal, saturation
+from fplocal.koszul import verify_prop_van
 from fplocal.localcoh import (
     CheckReport,
     choose_level,
@@ -192,7 +198,16 @@ def test_q1_resource_limit():
         [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
     )
     assert rep.outcome == "resource-limit"
-    assert rep.data["limit_kind"] == "reductions"
+    assert rep.data == {"witness": None, "limit_kind": "reductions", "limit": 1}
+
+
+def test_q1_cancel_reaches_the_caller():
+    # the frame turns ceilings into reports, and nothing else
+    R = PolyRing(2, 2)
+    with pytest.raises(CancelledError):
+        question_q_check(
+            [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(cancel=lambda: True)
+        )
 
 
 def test_q1_origin_point_is_default():
@@ -262,6 +277,7 @@ def test_topvan_resource_limit():
         [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
     )
     assert rep.outcome == "resource-limit"
+    assert rep.data == {"stage": None, "limit_kind": "reductions", "limit": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +319,8 @@ def test_pd_bound_resource_limit():
     R = PolyRing(2, 2)
     rep = pd_bound_check([P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=0))
     assert rep.outcome == "resource-limit"
-    assert rep.data["pd"] is None
+    assert rep.data == {"pd": None, "depth": None, "limit_kind": "reductions", "limit": 0}
+    assert rep.point is None
 
 
 def test_q1_fails_exactly_when_pd_is_n():
@@ -390,3 +407,24 @@ def test_topvan_stages_run_no_buchberger(monkeypatch):
     assert counts[3][0] == counts[0][0]
     assert counts[3][1] == counts[0][1] + 3
     assert counts[3][2] == counts[0][2] + [2]
+
+
+# ---------------------------------------------------------------------------
+# instance set-up, shared by every check
+
+
+CHECKS = {
+    "q1": question_q_check,
+    "topvan": top_lc_vanishing_certificate,
+    "pd": pd_bound_check,
+    "propvan": lambda f: verify_prop_van(f, 1),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+def test_checks_reject_empty_and_mixed_input(check):
+    with pytest.raises(ValueError, match="need at least one polynomial"):
+        check([])
+    mixed = [P(PolyRing(2, 2), "x1"), P(PolyRing(3, 2), "x2")]
+    with pytest.raises(RingMismatchError):
+        check(mixed)
