@@ -23,10 +23,10 @@ from functools import partial
 from itertools import product as _iproduct
 from typing import Iterator, Optional, Tuple
 
-from .config import EngineLimits, resolve_limits
+from .config import DEFAULT_LIMITS, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
 from .groebner import Ideal
-from .polycore import Polynomial, PolyRing, _is_prime, add_scaled
+from .polycore import Polynomial, PolyRing, _is_prime, _Layout, _times_mod, add_scaled
 
 __all__ = [
     "FrobeniusLevel",
@@ -148,18 +148,33 @@ def frobenius_power(g: Polynomial, lvl: FrobeniusLevel) -> Polynomial:
     return Polynomial(g.ring, {tuple(e * q for e in a): c for a, c in g.terms.items()}, _raw=True)
 
 
-def frobenius_multipliers(g: Polynomial, p: int) -> Iterator[Polynomial]:
-    """g^(q-1) for q = p, p^2, p^3, ..., one level per step.
+def frobenius_multipliers(g: Polynomial, lay: _Layout) -> Iterator[dict]:
+    """g^(q-1) for q = p, p^2, p^3, ..., one level per step, as packed
+    terms of the product layout `lay` (polycore._product_layout).
 
-    g^(pq-1) = (g^(q-1))^p * g^(p-1), and the p-th power is Frobenius,
-    an exponent scaling: each step after the first costs one product of
-    the large g^(q-1), scaled, with the small g^(p-1).
+    g^(pq-1) = (g^(q-1))^p * g^(p-1), and the p-th power is Frobenius: on
+    a pack it is multiplication by p, since c^p = c in F_p.  So each step
+    after the first costs one product of the large g^(q-1), scaled, with
+    the small g^(p-1), and nothing is unpacked.  The caller sizes `lay`
+    for the largest level it takes, whose degree is (q-1) deg g: no field
+    can then carry (see _horizon).
     """
-    step = FrobeniusLevel(p, 1)
-    base = mult = g ** (p - 1)
+    p = g.ring.p
+    base = mult = lay.pack_terms((g ** (p - 1)).terms)
     while True:
         yield mult
-        mult = frobenius_power(mult, step) * base
+        mult = _times_mod(base, {t * p: c for t, c in mult.items()}, p)
+
+
+def _horizon(level: int, horizon: int, last: int) -> int:
+    """The last level a fresh walk layout is sized for, once `level` is
+    past `horizon`, the last level of the current one: every level up to
+    the default level cap at once, then twice the current horizon, never
+    past `last`.  A walk restarts from level 1 in the wider layout, which
+    costs less than the level that forced it, since each level multiplies
+    the degree by p; and a huge `last` widens no pack before the walk
+    gets there."""
+    return min(last, max(level, 2 * horizon, DEFAULT_LIMITS.level_cap))
 
 
 def bracket_power(I: Ideal, lvl: FrobeniusLevel) -> Ideal:

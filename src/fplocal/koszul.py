@@ -8,9 +8,9 @@ sends the coordinate at a (j+1)-tuple T to
 
     sum over v of (-1)^v f_{T[v]}^t * r_{T minus T[v]}    (v 1-based)
 
-and d compose d = 0 is asserted for every constructed complex.  The sign
-starts at -1 in degree 0; signs cancel in composites and do not affect
-cohomology.
+and d compose d = 0 is checked on packs for every constructed complex.
+The sign starts at -1 in degree 0; signs cancel in composites and do
+not affect cohomology.
 
 Between exponent t=1 and t=q the multiplication maps
 
@@ -23,16 +23,24 @@ phi pushes every torsion generator into the image of the level-q
 differential, which kills its class downstream (Lyubeznik 1997,
 Prop. 2.3 supplies the limit argument).
 
-The level walk reuses the level below.  The multipliers follow the
-recurrence M_T(pq) = F(M_T(q)) * M_T(p), with F the p-th power, an
-exponent scaling: one product of a large and a small polynomial per
-subset T and level, built up from level 1 even when the walk starts
-higher.  The image of the level-q differential is the level-1 image
-under x^a e_c -> x^(qa) e_c, an injective map that fixes F_p and
-preserves the module order and divisibility, so it carries the reduced
-basis of im d_1 to that of im d_q: one Buchberger run, at level 1,
-serves every level.  The d compose d and commutation checks still run
-at every level tried.
+The level walk runs on packs, in one polycore product layout sized for
+every level up to the level cap when the cap is at most the default one
+(frobenius._horizon doubles the horizon past it): each field holds
+p^cap * sum deg f plus the degree of the torsion representatives, so
+neither a product nor a Frobenius step can carry.  The multipliers follow the recurrence M_T(pq) = F(M_T(q)) *
+M_T(p), where F, the p-th power, multiplies a pack by p: one product of a
+large and a small pack per subset T and level, built up from level 1
+even when the walk starts higher.  The level-q differential is F^e(d_1)
+entrywise, and every level tried checks both identities exactly on
+packs: d_q o phi = phi o d_1 entry by entry, and d_q o d_q = 0
+(polycore._vanishes accumulates each sum of products and reduces it mod
+p once).  Only the images phi(rep) of the torsion representatives are
+unpacked, for the normal form.  The image of the level-q differential
+is the level-1 image under x^a e_c -> x^(qa) e_c, an injective map that
+fixes F_p and preserves the module order and divisibility, so it
+carries the reduced basis of im d_1 to that of im d_q: one Buchberger
+run, at level 1, serves every level.  phi_chain_map is the same walk and
+check, unpacked into matrices.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .config import EngineLimits, resolve_limits
 from .frobenius import (
     FrobeniusLevel,
     _check_level,
+    _horizon,
     frobenius_multipliers,
     frobenius_power,
     level_for_degree,
@@ -58,7 +67,17 @@ from .modres import (
     module_normal_form,
     subquotient_presentation,
 )
-from .polycore import Polynomial, PolyRing, _normalize_point, _ring_of, _sum_deg
+from .polycore import (
+    Polynomial,
+    PolyRing,
+    _Layout,
+    _normalize_point,
+    _product_layout,
+    _ring_of,
+    _sum_deg,
+    _times_mod,
+    _vanishes,
+)
 
 __all__ = [
     "KoszulComplex",
@@ -89,8 +108,41 @@ class KoszulComplex:
         return len(self.index_maps[j])
 
 
+def _koszul_entries(ft: Sequence[Polynomial], index_maps: tuple) -> dict:
+    """{(T, S): (-1)^v g_a}, the nonzero entries of the differential on
+    (g_1, ..., g_s) = ft, where T is S with the index a added at 1-based
+    position v."""
+    s = len(ft)
+    out = {}
+    for tuples in index_maps[:-1]:
+        for S in tuples:
+            for a in range(1, s + 1):
+                if a in S:
+                    continue
+                T = tuple(sorted(S + (a,)))
+                v = T.index(a) + 1
+                out[T, S] = -ft[a - 1] if v % 2 else ft[a - 1]
+    return out
+
+
+def _check_complex(d: dict, index_maps: tuple, p: int) -> None:
+    """d compose d = 0 on the packed entries d[T, S]: from each S to each
+    U = S + {a, b} the paths through S + {a} and S + {b} must cancel.
+    Raises ValueError at the first degree where they do not."""
+    s = len(index_maps) - 1
+    for j, tuples in enumerate(index_maps[:-2]):
+        for S in tuples:
+            rest = [a for a in range(1, s + 1) if a not in S]
+            for a, b in combinations(rest, 2):
+                U = tuple(sorted(S + (a, b)))
+                Ta, Tb = tuple(sorted(S + (a,))), tuple(sorted(S + (b,)))
+                if not _vanishes(((d[U, Ta], d[Ta, S]), (d[U, Tb], d[Tb, S])), p):
+                    raise ValueError(f"differential composite nonzero at degree {j}")
+
+
 def build_koszul(f: Sequence[Polynomial], t: int = 1) -> KoszulComplex:
-    """The cocomplex on (f_1^t, ..., f_s^t); d compose d = 0 is checked."""
+    """The cocomplex on (f_1^t, ..., f_s^t); d compose d = 0 is checked
+    on packs."""
     f = tuple(f)
     ring = _ring_of(f)
     if not all(f):
@@ -100,76 +152,104 @@ def build_koszul(f: Sequence[Polynomial], t: int = 1) -> KoszulComplex:
     s = len(f)
     ft = [g ** t for g in f]
     index_maps = tuple(tuple(combinations(range(1, s + 1), j)) for j in range(s + 1))
+    entries = _koszul_entries(ft, index_maps)
     zero = Polynomial.zero(ring)
-    diffs = []
-    for j in range(s):
-        targets = index_maps[j + 1]
-        pos = {T: r for r, T in enumerate(targets)}
-        cols = []
-        for S in index_maps[j]:
-            col = [zero] * len(targets)
-            for alpha in range(1, s + 1):
-                if alpha in S:
-                    continue
-                T = tuple(sorted(S + (alpha,)))
-                v = T.index(alpha) + 1
-                sign = -1 if v % 2 else 1
-                col[pos[T]] = ft[alpha - 1] * sign
-            cols.append(tuple(col))
-        diffs.append(PolyMatrix(ring, len(targets), tuple(cols)))
-    for j in range(s - 1):
-        if not diffs[j + 1].compose(diffs[j]).is_zero():
-            raise ValueError(f"differential composite nonzero at degree {j}")
-    return KoszulComplex(ring, f, t, tuple(diffs), index_maps)
+    diffs = tuple(
+        PolyMatrix(ring, len(index_maps[j + 1]), tuple(
+            tuple(entries.get((T, S), zero) for T in index_maps[j + 1]) for S in index_maps[j]
+        ))
+        for j in range(s)
+    )
+    lay = _product_layout(ring.n, 2 * max(g.total_degree() for g in ft))
+    _check_complex(_packed(entries, lay), index_maps, ring.p)
+    return KoszulComplex(ring, f, t, diffs, index_maps)
 
 
-def _multiplier_levels(f: Sequence[Polynomial], p: int) -> Iterator[dict]:
-    """{T: M_T(q)} for q = p, p^2, ..., one dict per level, T over every
-    increasing tuple of generator indices, the empty one included.
+def _packed(entries: dict, lay: _Layout) -> dict:
+    return {k: lay.pack_terms(g.terms) for k, g in entries.items()}
+
+
+def _multiplier_levels(f: Sequence[Polynomial], lay: _Layout) -> Iterator[dict]:
+    """{T: M_T(q)} packed in `lay`, for q = p, p^2, ..., one dict per
+    level, T over every increasing tuple of generator indices, the empty
+    one included.
 
     M_T(q) is (prod over a in T of f_a)^(q-1), and each walks by
     frobenius_multipliers' recurrence: a level after the first costs one
-    product per subset.
+    product per subset.  `lay` must hold the degree of every level taken.
     """
     s = len(f)
     prods = {(): Polynomial.one(f[0].ring)}
     for j in range(1, s + 1):
         for T in combinations(range(1, s + 1), j):
             prods[T] = prods[T[:-1]] * f[T[-1] - 1]
-    walks = {T: frobenius_multipliers(g, p) for T, g in prods.items()}
+    walks = {T: frobenius_multipliers(g, lay) for T, g in prods.items()}
     while True:
         yield {T: next(w) for T, w in walks.items()}
 
 
-def _phi_with_complexes(k1: KoszulComplex, lvl: FrobeniusLevel, mults: dict):
-    """phi from the level-1 complex k1, which the caller built, to the
-    level-q complex, built here for the commutation check that runs at
-    every call.  mults[T] is M_T(q), from the caller's _multiplier_levels
-    walk."""
-    kq = build_koszul(k1.f, lvl.q)
+def _level_entries(d1: dict, q: int) -> dict:
+    """The level-q differential's packed entries: F^e(d_1) entrywise,
+    x^a -> x^(qa) on every pack.  The signs carry over: q is odd for odd
+    p, and -1 = 1 in F_2."""
+    return {k: {t * q: c for t, c in e.items()} for k, e in d1.items()}
+
+
+def _check_chain_map(d1: dict, mults: dict, q: int, index_maps: tuple, p: int) -> None:
+    """Both exact identities of the level-q chain map, on packs:
+    d_q o phi = phi o d_1 entry by entry, F^e(d_1[T, S]) * M_S ==
+    M_T * d_1[T, S] (phi is diagonal, so these are all the entries), and
+    d_q o d_q = 0.  d1 holds the packed level-1 entries and mults[T] is
+    M_T(q), both in one layout that holds degree q * sum deg f."""
+    dq = _level_entries(d1, q)
+    for (T, S), e in d1.items():
+        minus = {t: p - c for t, c in e.items()}
+        if not _vanishes(((dq[T, S], mults[S]), (minus, mults[T])), p):
+            raise ValueError(f"chain map fails to commute at degree {len(S)}")
+    _check_complex(dq, index_maps, p)
+
+
+def _chain_maps(k1: KoszulComplex, first: int, last: int, extra: int) -> Iterator[tuple]:
+    """(l, lay, {T: M_T(q)}) for the levels l = first..last, q = p^l, the
+    multipliers packed in the product layout `lay`.  It holds degree
+    p^h * sum deg f + extra up to a horizon h (frobenius._horizon): the
+    default level cap at once, doubling after, each time with a fresh
+    walk from level 1.  The walk starts at level 1 whatever `first` is,
+    and each level yielded has passed both identities of
+    _check_chain_map."""
+    p, n = k1.ring.p, k1.ring.n
+    total = _sum_deg(k1.f)
+    horizon = 0
+    for l in range(first, last + 1):
+        if l > horizon:
+            horizon = _horizon(l, horizon, last)
+            lay = _product_layout(n, p ** horizon * total + extra)
+            d1 = _packed(_koszul_entries(k1.f, k1.index_maps), lay)
+            walk = islice(_multiplier_levels(k1.f, lay), l - 1, None)
+        mults = next(walk)
+        _check_chain_map(d1, mults, p ** l, k1.index_maps, p)
+        yield l, lay, mults
+
+
+def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
+    """Per-degree diagonal multipliers prod f_a^{q-1}.  They come from
+    verify_prop_van's packed walk, built up from level 1, with both
+    identities checked exactly on packs (d_q o phi = phi o d_1 and
+    d_q o d_q = 0), and are unpacked into matrices at the end."""
+    k1 = build_koszul(f, 1)
     ring = k1.ring
+    _check_level(ring, lvl)
+    [(_, lay, mults)] = _chain_maps(k1, lvl.l, lvl.l, 0)
     zero = Polynomial.zero(ring)
     phis = []
     for tuples in k1.index_maps:
         cols = []
         for r, T in enumerate(tuples):
             col = [zero] * len(tuples)
-            col[r] = mults[T]
+            col[r] = Polynomial(ring, lay.unpack_terms(mults[T], ring.p), _raw=True)
             cols.append(tuple(col))
         phis.append(PolyMatrix(ring, len(tuples), tuple(cols)))
-    for j in range(k1.s):
-        if kq.diffs[j].compose(phis[j]) != phis[j + 1].compose(k1.diffs[j]):
-            raise ValueError(f"chain map fails to commute at degree {j}")
     return tuple(phis)
-
-
-def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
-    """Per-degree diagonal multipliers prod f_a^{q-1}; commutation with
-    both differentials is checked exactly."""
-    k1 = build_koszul(f, 1)
-    _check_level(k1.ring, lvl)
-    mults = next(islice(_multiplier_levels(k1.f, lvl.p), lvl.l - 1, None))
-    return _phi_with_complexes(k1, lvl, mults)
 
 
 def _cohomology_data(
@@ -265,6 +345,9 @@ def verify_prop_van(
     and checks phi(g) lies in the image of the level-q differential,
     retrying at higher levels up to the cap.  Membership of each
     generator suffices: phi is R-linear and the image is a submodule.
+    The walk stays on packs from level 1 to the cap (see the module
+    docstring): each level tried checks d_q o phi = phi o d_1 and
+    d_q o d_q = 0 exactly, and only the images phi(rep) are unpacked.
     An explicit `level` above `limits.level_cap` raises ValueError: no
     level could be tried.
     """
@@ -325,19 +408,20 @@ def verify_prop_van(
         return finish("inconclusive", None, 0, ())
     im_1 = k1.diffs[i - 1].columns if i > 0 else ()
     imgb_1 = module_gb(ring, im_1, lim) if im_1 else ()
+    p = ring.p
+    targets = k1.index_maps[i]
     retries = 0
     verdicts: list = []
-    walk = _multiplier_levels(fs, ring.p)
-    for l in range(1, lim.level_cap + 1):
-        mults = next(walk)
-        if l < l0:
-            continue
-        lvl = FrobeniusLevel(ring.p, l)
-        phis = _phi_with_complexes(k1, lvl, mults)
+    for l, lay, mults in _chain_maps(k1, l0, lim.level_cap, dmax):
+        lvl = FrobeniusLevel(p, l)
         imgb = tuple(tuple(frobenius_power(g, lvl) for g in v) for v in imgb_1)
         verdicts = []
+        pack, unpack = lay.pack_terms, lay.unpack_terms
         for rep in reps:
-            image = phis[i].apply(rep)
+            image = tuple(
+                Polynomial(ring, unpack(_times_mod(pack(g.terms), mults[T], p), p), _raw=True)
+                for T, g in zip(targets, rep)
+            )
             nf = module_normal_form(ring, image, imgb, lim) if imgb else image
             verdicts.append(not any(nf))
         if all(verdicts):

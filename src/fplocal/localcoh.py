@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ from .config import EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
 from .frobenius import (
     FrobeniusLevel,
+    _horizon,
     bracket_power,
     frobenius_multipliers,
     level_for_degree,
@@ -42,6 +44,7 @@ from .polycore import (
     PolyRing,
     RationalPoint,
     _normalize_point,
+    _product_layout,
     _ring_of,
     _sum_deg,
 )
@@ -225,8 +228,9 @@ def top_lc_vanishing_certificate(
     inconclusive, not fail.  e_max = 0 tries stage 0 only; a negative
     e_max raises ValueError.
 
-    Each stage's multiplier comes from the one before
-    (frobenius_multipliers), and each bracket power's basis is I's,
+    Each stage's multiplier comes from the one before, on packs
+    (frobenius_multipliers, in a layout sized by frobenius._horizon), and
+    is unpacked once for its stage; each bracket power's basis is I's,
     scaled (bracket_power): no stage runs Buchberger.
     """
     if e_max < 0:
@@ -236,11 +240,16 @@ def top_lc_vanishing_certificate(
         S = _torsion(x)
         if S is None:
             return "pass", {"stage": 0, "memberships": None}
-        p = x.ring.p
-        mults = frobenius_multipliers(prod(x.gens, start=Polynomial.one(x.ring)), p)
+        ring, p = x.ring, x.ring.p
+        g = prod(x.gens, start=Polynomial.one(ring))
+        horizon = 0
         for e in range(1, e_max + 1):
+            if e > horizon:
+                horizon = _horizon(e, horizon, e_max)
+                lay = _product_layout(ring.n, p ** horizon * max(map(sum, g.terms), default=0))
+                mults = islice(frobenius_multipliers(g, lay), e - 1, None)
             Iq = bracket_power(x.ideal, FrobeniusLevel(p, e))
-            mult = next(mults)
+            mult = Polynomial(ring, lay.unpack_terms(next(mults), p), _raw=True)
             verdicts = [not Iq.normal_form(mult * h, x.limits) for h in S.gens]
             if all(verdicts):
                 return "pass", {"stage": e, "memberships": verdicts}

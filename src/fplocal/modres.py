@@ -56,6 +56,7 @@ from .polycore import (
     _mul_acc,
     _normalize_point,
     _product_layout,
+    _vanishes,
     mono_divides,
 )
 
@@ -203,11 +204,7 @@ class PolyMatrix:
         call, each output entry accumulates in one packed dict, and it is
         unpacked once."""
         ring = self.ring
-
-        def degree(cols) -> int:
-            return max((max(map(sum, g.terms)) for col in cols for g in col if g), default=0)
-
-        lay = _product_layout(ring.n, degree(self.columns) + degree(vecs))
+        lay = _product_layout(ring.n, _max_degree(self.columns) + _max_degree(vecs))
         pack = lay.pack_terms
         mat = [[(i, pack(g.terms)) for i, g in enumerate(col) if g] for col in self.columns]
         out = []
@@ -223,6 +220,30 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(not g for col in self.columns for g in col)
+
+    def _kills(self, other: "PolyMatrix") -> bool:
+        """Whether self o other is zero, decided on packs: the products of
+        each composite entry go to polycore._vanishes, and nothing is
+        unpacked.  The ranks must chain."""
+        if other.ring != self.ring:
+            raise RingMismatchError(f"{other.ring} matrix composed with a {self.ring} matrix")
+        lay = _product_layout(self.ring.n, _max_degree(self.columns) + _max_degree(other.columns))
+        pack = lay.pack_terms
+        rows: list = [[] for _ in range(self.rows)]
+        for k, col in enumerate(self.columns):
+            for i, g in enumerate(col):
+                if g:
+                    rows[i].append((k, pack(g.terms)))
+        p = self.ring.p
+        for v in other.columns:
+            pv = [pack(g.terms) for g in v]
+            if not all(_vanishes(((e, pv[k]) for k, e in row), p) for row in rows):
+                return False
+        return True
+
+
+def _max_degree(cols: Sequence[FreeElem]) -> int:
+    return max((max(map(sum, g.terms)) for col in cols for g in col if g), default=0)
 
 
 def _column_degrees(columns: Sequence[FreeElem], shifts: Sequence[int]) -> tuple:
@@ -333,7 +354,8 @@ def subquotient_presentation(
 
 @dataclass(frozen=True)
 class Resolution:
-    """F_0 <- F_1 <- ... with maps[k]: F_{k+1} -> F_k; composites vanish."""
+    """F_0 <- F_1 <- ... with maps[k]: F_{k+1} -> F_k; composites vanish,
+    which is checked on packs (PolyMatrix._kills)."""
 
     ring: PolyRing
     base_rank: int
@@ -347,7 +369,7 @@ class Resolution:
                 raise ValueError("resolution ranks do not chain")
             rows = m.cols
         for k in range(len(self.maps) - 1):
-            if not self.maps[k].compose(self.maps[k + 1]).is_zero():
+            if not self.maps[k]._kills(self.maps[k + 1]):
                 raise ValueError(f"composite of maps {k} and {k + 1} is nonzero")
 
     @property

@@ -25,7 +25,12 @@ factors, and so do PolyMatrix.apply and compose in modres, with every
 matrix entry packed once per call and each output entry accumulated in
 one packed dict.  Polynomial.__pow__ packs its base once, in a layout
 sized for the final degree, so its Frobenius steps scale packs by p and
-its squarings stay packed until the one unpack at the end.  add_scaled
+its squarings stay packed until the one unpack at the end.  The
+Frobenius walks of frobenius and koszul keep their packs in one layout
+from the first level to the last, and exact identities, sums of
+products that must vanish, are decided on packs by _vanishes: the
+Koszul d compose d and chain-map checks and the composite check of a
+resolution use it, and nothing is unpacked for them.  add_scaled
 stays on exponent tuples: it serves sums and the confluence verifier,
 which shares no code with the engine.
 """
@@ -409,12 +414,30 @@ def _product_layout(n: int, d: int) -> _Layout:
 
 
 def _mul_acc(acc: dict, A: Mapping, B: Mapping) -> None:
-    """acc += A * B on packed terms, coefficients left unreduced."""
+    """acc += A * B on packed terms, coefficients left unreduced.  The
+    outer loop should run over the smaller operand."""
     get = acc.get
     for a, ca in A.items():
         for b, cb in B.items():
             m = a + b
             acc[m] = get(m, 0) + ca * cb
+
+
+def _times_mod(A: Mapping, B: Mapping, p: int) -> dict:
+    """A * B on packed terms, reduced mod p with zeros dropped."""
+    acc: dict = {}
+    _mul_acc(acc, A, B)
+    return {t: r for t, c in acc.items() if (r := c % p)}
+
+
+def _vanishes(products: Iterable, p: int) -> bool:
+    """Whether the sum of A * B over the packed pairs (A, B) is zero: the
+    products accumulate unreduced in one dict, which is reduced mod p
+    once.  Exact, and nothing is unpacked."""
+    acc: dict = {}
+    for A, B in products:
+        _mul_acc(acc, A, B)
+    return not any(c % p for c in acc.values())
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +636,6 @@ class Polynomial:
             return self
         p = ring.p
         lay = _product_layout(ring.n, e * max(map(sum, self.terms)))
-
-        def times(A: dict, B: dict) -> dict:
-            acc: dict = {}
-            _mul_acc(acc, A, B)
-            return {t: r for t, c in acc.items() if (r := c % p)}
-
         base = lay.pack_terms(self.terms)
         result = None
         while e:
@@ -626,10 +643,10 @@ class Polynomial:
             square = base
             while d:
                 if d & 1:
-                    result = square if result is None else times(result, square)
+                    result = square if result is None else _times_mod(result, square, p)
                 d >>= 1
                 if d:
-                    square = times(square, square)
+                    square = _times_mod(square, square, p)
             if e:
                 base = {t * p: c for t, c in base.items()}
         return Polynomial(ring, lay.unpack_terms(result, p), _raw=True)

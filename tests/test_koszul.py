@@ -8,6 +8,7 @@ exploratory run on a hypothesis-violating input.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -24,7 +25,7 @@ from fplocal.koszul import (
     verify_prop_van,
 )
 from fplocal.modres import finite_length_data, module_gb
-from fplocal.polycore import Polynomial, PolyRing, parse_poly
+from fplocal.polycore import Polynomial, PolyRing, _product_layout, _sum_deg, parse_poly
 
 SEED = 16180
 
@@ -363,17 +364,96 @@ def direct_multipliers(f, index_maps, q):
     return out
 
 
+def unpacked(ring, lay, packs):
+    return {T: Polynomial(ring, lay.unpack_terms(m, ring.p), _raw=True) for T, m in packs.items()}
+
+
 def test_recurrence_multipliers_match_direct_products():
     families = [([P(PolyRing(p, n), g) for g in gens], 4) for p, n, gens in CRITERION_5]
     # criterion 3 tries levels 1 and 2 at p = 2, level 1 otherwise; the
     # recurrence is checked at level 2 for p = 3 as well
     families += [(f, max(l, 2 if f[0].ring.p < 5 else 1)) for f, l in criterion_3_families(200)]
     for f, top in families:
-        p = f[0].ring.p
+        R = f[0].ring
+        lay = _product_layout(R.n, R.p ** top * _sum_deg(f))
         index_maps = build_koszul(f).index_maps
-        walk = koszul._multiplier_levels(f, p)
+        walk = koszul._multiplier_levels(f, lay)
         for l in range(1, top + 1):
-            assert next(walk) == direct_multipliers(f, index_maps, p ** l)
+            assert unpacked(R, lay, next(walk)) == direct_multipliers(f, index_maps, R.p ** l)
+
+
+def test_phi_chain_map_matches_direct_products():
+    rng = random.Random(SEED + 21)
+    for p in (2, 3, 5):
+        R = PolyRing(p, 2)
+        for s in (1, 2, 3):
+            f = []
+            while len(f) < s:
+                g = random_poly(R, rng, deg=1, terms=2)
+                if g:
+                    f.append(g)
+            index_maps = build_koszul(f).index_maps
+            for l in (1, 2, 3):
+                direct = direct_multipliers(f, index_maps, p ** l)
+                phis = phi_chain_map(f, FrobeniusLevel(p, l))
+                for tuples, phi in zip(index_maps, phis):
+                    for c, T in enumerate(tuples):
+                        assert phi.columns[c] == tuple(
+                            direct[T] if r == c else Polynomial.zero(R) for r in range(len(tuples))
+                        )
+
+
+def test_walk_layout_is_sized_for_the_cap(monkeypatch):
+    # M_(1,2)(3^4) = (x1^5*x2)^80 has x1-degree 400, past the 8-bit field
+    # that level 1 needs: the walk's layout is sized for the cap, so no
+    # field carries.
+    R = PolyRing(3, 2)
+    f = [P(R, "x1^4"), P(R, "x1*x2")]
+    cap = EngineLimits().level_cap
+    lay_1 = _product_layout(R.n, R.p * _sum_deg(f))
+    lay = _product_layout(R.n, R.p ** cap * _sum_deg(f))
+    assert lay.bits > lay_1.bits
+    index_maps = build_koszul(f).index_maps
+    walk, short = koszul._multiplier_levels(f, lay), koszul._multiplier_levels(f, lay_1)
+    for l in range(1, cap + 1):
+        direct = direct_multipliers(f, index_maps, R.p ** l)
+        assert unpacked(R, lay, next(walk)) == direct
+        # the level-1 layout's 8-bit fields hold M_T(27), of x1-degree at
+        # most 5 * 26 = 130, but not M_T(81), of x1-degree up to 400
+        assert (unpacked(R, lay_1, next(short)) == direct) == (l < 4)
+    widths = []
+    real = koszul._product_layout
+    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    cert = verify_prop_van(f, 2, level=FrobeniusLevel(3, cap))
+    # (x1^4, x1*x2) has radical (x1), so H^2_I(R) = 0 and the torsion dies
+    assert (cert.num_torsion_generators, cert.level_used, cert.verdicts) == (1, cap, (True,))
+    assert real(R.n, max(widths)).bits == lay.bits
+
+
+def test_walk_past_the_default_cap_doubles_its_layout(monkeypatch):
+    # I = m never certifies, so a cap of 9 tries levels 1 to 9: the walk
+    # is laid out for levels up to 4, then 8, then 9, restarting from
+    # level 1 each time, and every level still passes both checks
+    widths = []
+    real = koszul._product_layout
+    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    R = PolyRing(2, 2)
+    f = [P(R, "x1"), P(R, "x2")]
+    cert = verify_prop_van(f, 2, limits=EngineLimits(level_cap=9))
+    assert cert.retries == 9
+    assert widths[1:] == [2 ** 4 * 2, 2 ** 8 * 2, 2 ** 9 * 2]  # widths[0] is build_koszul's
+
+
+def test_huge_level_cap_widens_no_pack_before_the_walk_needs_it(monkeypatch):
+    widths = []
+    real = koszul._product_layout
+    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    R = PolyRing(3, 2)
+    f = [P(R, "x1^2"), P(R, "x1*x2")]
+    lim = EngineLimits(level_cap=10 ** 6)
+    cert = verify_prop_van(f, 2, level=FrobeniusLevel(3, 1), limits=lim)
+    assert (cert.level_used, cert.verdicts) == (1, (True,))
+    assert max(widths) <= 3 ** 4 * _sum_deg(f) + 1
 
 
 def test_level_q_image_bases_match_buchberger(monkeypatch):
@@ -409,61 +489,71 @@ def test_level_q_image_bases_match_buchberger(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Patch in counters: Buchberger runs, levels entered, recurrence
-    steps (the p-th powers of frobenius_multipliers), products of two
-    polynomials, and the exponents of the powers taken."""
-    log = {"gb": 0, "steps": 0, "mul": 0, "pows": [], "levels": []}
+    """Patch in counters: Buchberger runs, levels tried, recurrence
+    products (the steps of frobenius_multipliers), identity products (the
+    pairs that the chain-map and d compose d checks hand to _vanishes),
+    and the exponents of the powers taken."""
+    log = {"gb": 0, "steps": 0, "ident": 0, "pows": [], "levels": []}
     packed_basis = groebner._packed_basis
-    frob = frobenius.frobenius_power
-    phi = koszul._phi_with_complexes
-    mul, pow_ = Polynomial.__mul__, Polynomial.__pow__
+    times = frobenius._times_mod
+    vanishes = koszul._vanishes
+    check = koszul._check_chain_map
+    pow_ = Polynomial.__pow__
 
     def gb(*args):
         log["gb"] += 1
         return packed_basis(*args)
 
-    def step(g, lvl):
-        log["steps"] += lvl.l == 1
-        return frob(g, lvl)
+    def step(A, B, p):
+        log["steps"] += 1
+        return times(A, B, p)
 
-    def level(k1, lvl, mults):
-        log["levels"].append(dict(l=lvl.l, gb=log["gb"], steps=log["steps"], mul=log["mul"],
-                                  pows=len(log["pows"])))
-        return phi(k1, lvl, mults)
+    def identity(products, p):
+        products = list(products)
+        log["ident"] += len(products)
+        return vanishes(products, p)
 
-    def product(a, b):
-        log["mul"] += isinstance(b, Polynomial)
-        return mul(a, b)
+    def mark():
+        return dict(gb=log["gb"], steps=log["steps"], ident=log["ident"], pows=len(log["pows"]))
+
+    def level(d1, mults, q, index_maps, p):
+        log["levels"].append(dict(q=q, **mark()))
+        return check(d1, mults, q, index_maps, p)
 
     def power(g, e):
         log["pows"].append(e)
         return pow_(g, e)
 
     monkeypatch.setattr(groebner, "_packed_basis", gb)
-    monkeypatch.setattr(frobenius, "frobenius_power", step)
-    monkeypatch.setattr(koszul, "_phi_with_complexes", level)
-    monkeypatch.setattr(Polynomial, "__mul__", product)
+    monkeypatch.setattr(frobenius, "_times_mod", step)
+    monkeypatch.setattr(koszul, "_vanishes", identity)
+    monkeypatch.setattr(koszul, "_check_chain_map", level)
     monkeypatch.setattr(Polynomial, "__pow__", power)
+    log["mark"] = mark
     return log
 
 
 def test_propvan_work_per_level_is_pinned(monkeypatch):
     # I = m never certifies, so every level up to the cap is tried.  After
-    # the first level no Buchberger run happens, and each level costs
-    # 2^s = 4 recurrence steps and products, one per subset.  The only
-    # powers are build_koszul's f^q, with no f^(q-1) among them.
+    # the first level no Buchberger run happens and no power is taken, so
+    # none with e = q.  Each level costs 2^s = 4 recurrence products, one
+    # per subset, and 10 identity products: two per entry of d_1 for
+    # d_q o phi = phi o d_1 (s * 2^(s-1) = 4 entries) and two for the one
+    # entry of d_q o d_q.
     log = count_work(monkeypatch)
     R = PolyRing(2, 2)
     cert = verify_prop_van([P(R, "x1"), P(R, "x2")], 2, limits=EngineLimits(level_cap=4))
     assert cert.retries == 4
     levels = log["levels"]
-    assert [v["l"] for v in levels] == [1, 2, 3, 4]
-    end = dict(gb=log["gb"], steps=log["steps"], mul=log["mul"], pows=len(log["pows"]))
-    marks = levels + [end]
+    assert [v["q"] for v in levels] == [2, 4, 8, 16]
+    marks = levels + [log["mark"]()]
     assert all(v["gb"] == levels[0]["gb"] for v in marks)
-    for k, (a, b) in enumerate(zip(levels, levels[1:]), 2):
-        assert (b["steps"] - a["steps"], b["mul"] - a["mul"]) == (4, 4)
-        assert log["pows"][a["pows"]:b["pows"]] == [2 ** (k - 1)] * 2
+    assert all(v["pows"] == levels[0]["pows"] for v in marks)
+    assert not {2, 4, 8, 16} & set(log["pows"])
+    for a, b in zip(levels, levels[1:]):
+        assert b["steps"] - a["steps"] == 4
+    for a, b in zip(marks, marks[1:]):
+        assert b["ident"] - a["ident"] == 10
 
 
 def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
@@ -472,5 +562,90 @@ def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
     f = [P(R, "x1^2"), P(R, "x1*x2")]
     cert = verify_prop_van(f, 2, level=FrobeniusLevel(2, 3))
     assert cert.level_used == 3
-    assert [v["l"] for v in log["levels"]] == [3]
+    assert [v["q"] for v in log["levels"]] == [8]
     assert log["levels"][0]["steps"] == 8  # levels 2 and 3, four subsets each
+    assert 8 not in log["pows"]
+
+
+# ---------------------------------------------------------------------------
+# mutations: a broken identity fails the check
+
+
+def test_walk_rejects_a_perturbed_multiplier(monkeypatch):
+    # one term of one M_T at level 2 changes; every subset T, p = 2 and 3
+    real = koszul.frobenius_multipliers
+    for p in (2, 3):
+        R = PolyRing(p, 2)
+        f = [P(R, "x1 + x2"), P(R, "x2")]
+        for target in range(4):
+            made = []
+
+            def perturbed(g, lay):
+                made.append(g)
+                mine = len(made) - 1 == target
+                for l, m in enumerate(real(g, lay), 1):
+                    if mine and l == 2:
+                        t = max(m)
+                        m = {**m, t: m[t] + 1}
+                    yield m
+
+            monkeypatch.setattr(koszul, "frobenius_multipliers", perturbed)
+            with pytest.raises(ValueError, match="chain map fails to commute"):
+                phi_chain_map(f, FrobeniusLevel(p, 2))
+            made.clear()
+            with pytest.raises(ValueError, match="chain map fails to commute"):
+                verify_prop_van(f, 2, limits=EngineLimits(level_cap=2))
+
+
+def test_walk_rejects_a_flipped_sign_of_d_q(monkeypatch):
+    real = koszul._level_entries
+    R = PolyRing(3, 3)
+    f = [P(R, "x1"), P(R, "x2 + x3"), P(R, "x3")]
+    keys = list(koszul._koszul_entries(f, build_koszul(f).index_maps))
+    for key in keys:
+
+        def flipped(d1, q):
+            dq = real(d1, q)
+            dq[key] = {t: R.p - c for t, c in dq[key].items()}
+            return dq
+
+        monkeypatch.setattr(koszul, "_level_entries", flipped)
+        with pytest.raises(ValueError, match="chain map fails to commute"):
+            phi_chain_map(f, FrobeniusLevel(3, 2))
+        with pytest.raises(ValueError, match="chain map fails to commute"):
+            verify_prop_van(f, 3, limits=EngineLimits(level_cap=1))
+
+
+def test_level_check_rejects_a_complex_that_fails_d_compose_d():
+    # flipping one sign of d_1 keeps d_q o phi = phi o d_1, since d_q is
+    # F^e(d_1), but breaks d_q o d_q = 0 at the flipped entry's degrees
+    R = PolyRing(3, 2)
+    f = [P(R, "x1"), P(R, "x2"), P(R, "x1 + x2")]
+    k1 = build_koszul(f)
+    lay = _product_layout(R.n, 9 * _sum_deg(f))
+    mults = next(islice(koszul._multiplier_levels(f, lay), 1, None))
+    d1 = {k: lay.pack_terms(g.terms) for k, g in koszul._koszul_entries(f, k1.index_maps).items()}
+    koszul._check_chain_map(d1, mults, 9, k1.index_maps, R.p)
+    for key in d1:
+        bad = {**d1, key: {t: R.p - c for t, c in d1[key].items()}}
+        with pytest.raises(ValueError, match="differential composite nonzero"):
+            koszul._check_chain_map(bad, mults, 9, k1.index_maps, R.p)
+
+
+def test_build_koszul_rejects_a_flipped_entry(monkeypatch):
+    real = koszul._koszul_entries
+    R = PolyRing(5, 2)
+    f = [P(R, "x1"), P(R, "x2^2"), P(R, "x1 + x2")]
+    keys = list(real(f, build_koszul(f).index_maps))
+    for key in keys:
+
+        def flipped(ft, index_maps):
+            out = real(ft, index_maps)
+            out[key] = -out[key]
+            return out
+
+        monkeypatch.setattr(koszul, "_koszul_entries", flipped)
+        with pytest.raises(ValueError, match="differential composite nonzero"):
+            build_koszul(f)
+        with pytest.raises(ValueError, match="differential composite nonzero"):
+            build_koszul(f, 5)

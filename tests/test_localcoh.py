@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from fplocal import groebner
+from fplocal import groebner, localcoh
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import (
@@ -407,6 +407,39 @@ def test_topvan_stages_run_no_buchberger(monkeypatch):
     assert counts[3][0] == counts[0][0]
     assert counts[3][1] == counts[0][1] + 3
     assert counts[3][2] == counts[0][2] + [2]
+
+
+def test_topvan_walk_past_the_default_cap_restarts_exactly(monkeypatch):
+    # six stages: the multipliers are laid out for stages up to 4, then 6,
+    # and the second walk starts again from stage 1; every value it
+    # yields is the direct power
+    walks = []
+    real = localcoh.frobenius_multipliers
+
+    def spy(g, lay):
+        walks.append([])
+        for m in real(g, lay):
+            walks[-1].append((g, Polynomial(g.ring, lay.unpack_terms(m, g.ring.p), _raw=True)))
+            yield m
+
+    monkeypatch.setattr(localcoh, "frobenius_multipliers", spy)
+    R = PolyRing(2, 2)
+    rep = top_lc_vanishing_certificate([P(R, "x1"), P(R, "x2")], e_max=6)
+    assert rep.outcome == "inconclusive" and rep.data["stages_tried"] == 6
+    assert [len(w) for w in walks] == [4, 6]
+    for w in walks:
+        for e, (g, mult) in enumerate(w, 1):
+            assert mult == g ** (2 ** e - 1)
+
+
+def test_topvan_huge_e_max_widens_no_pack_before_the_walk_needs_it(monkeypatch):
+    widths = []
+    real = localcoh._product_layout
+    monkeypatch.setattr(localcoh, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    R = PolyRing(2, 2)
+    rep = top_lc_vanishing_certificate([P(R, "x1^2"), P(R, "x1*x2")], e_max=10 ** 6)
+    assert rep.outcome == "pass" and rep.data["stage"] == 1
+    assert widths == [2 ** 4 * 4]  # (x1^2)(x1*x2) has degree 4
 
 
 # ---------------------------------------------------------------------------
