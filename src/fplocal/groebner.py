@@ -65,10 +65,16 @@ a meet), and no S-pair between two of its elements is formed: each
 reduces to zero by Buchberger's criterion.  N : J is the meet of the
 N : h over the generators h of J, and each N : h is tested as soon as it
 is computed: if it is N, then N : J = N, since N <= N : J <= N : h.
+Before any engine call, _colon reads what it can off the leads of N's
+basis.  A one-term generator u that shares a variable with no lead gives
+N : J = N at once, at any rank and in any order.  For an ideal with a
+homogeneous basis in grevlex, N : x_n is that basis with x_n divided out
+of each element whose lead it divides (Bayer and Stillman), interreduced.
 Saturation, of ideals and modules alike, iterates the colon until it
 gives N back, the one round where that test can pass, so the early exit
-changes no saturation's generators; when x1 is a nonzerodivisor modulo
-N, a saturated N costs one colon.
+changes no saturation's generators.  A saturated N whose leads miss some
+variable costs no engine colon; one modulo which x1 is a nonzerodivisor
+costs at most one.
 
 verify_confluence is an independent second route used as an oracle: it
 re-derives every S-polynomial on exponent tuples and reduces it with its
@@ -454,18 +460,58 @@ def _meet(
     return _divisor_basis(tagged, ring, limits, known=B).above(rank)
 
 
+def _graded_revlex(N: _Divisors, ring: PolyRing) -> bool:
+    """Whether N's reduced basis is homogeneous in grevlex: _colon_by_last
+    holds there and nowhere else."""
+    return ring.order == "grevlex" and all(len({sum(a) for _, a in v}) == 1 for v in N.vecs)
+
+
+def _colon_by_last(N: _Divisors, lay: _Layout, ring: PolyRing, limits: EngineLimits) -> _Divisors:
+    """N : x_n for an ideal N with a homogeneous reduced basis in grevlex.
+    There x_n divides every g whose lead it divides, and
+    in(N : x_n) = in(N) : x_n (Bayer and Stillman, Invent. Math. 1987), so
+    dividing x_n out of those g, by subtracting its pack, gives a basis of
+    N : x_n; _interreduce makes it the reduced one.  Reduction keeps
+    degrees, so no field can overflow."""
+    off, unit = lay.offsets[-1], lay.units[-1]
+    G = [
+        (lead - unit, [(t - unit, w) for t, w in tail]) if lead >> off & lay.mask else (lead, tail)
+        for lead, tail in N.at(lay)
+    ]
+    return _Divisors._of_packed(_interreduce(G, lay, ring.p, Budget(limits)), lay, ring)
+
+
 def _colon(
     N: _Divisors, hs: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> _Divisors:
     """N : J as a reduced basis, N <= R^rank given by its reduced basis and
     J by the generators `hs` ({monomial: coeff}); N itself when N : J = N.
-    Each N : h contains N, so it lies in N exactly when it has N's basis.
-    The colons are met in order only once none has, each meet taking the
-    later colon's basis as its known part."""
+
+    N's leads are read first.  If J has a one-term generator u and no
+    lead shares a variable with u, then N : J = N: a reduced a outside N
+    with u*a in N has u*lead(a) in in(N), and a lead coprime to u that
+    divides it divides lead(a).  This also covers u = x_n dividing no
+    lead.  An ideal in grevlex with a homogeneous basis and c*x_n in J has
+    N : x_n read off its basis (_colon_by_last).  The other N : h are
+    engine colons.  Each N : h contains N, so it lies in N exactly when
+    it has N's basis.  The colons are met in order only once none has,
+    each meet taking the later colon's basis as its known part."""
+    lay = _layout(ring.n, ring.order, N.bits)
+    used = {k for lead, _ in N.at(lay) for k, e in enumerate(lay.unpack(lead)[1]) if e}
+    for h in hs:
+        if len(h) == 1 and not any(e and k in used for k, e in enumerate(next(iter(h)))):
+            return N
+    last = ring.zero_mono()[:-1] + (1,)
+    by_last = None
+    if rank == 1 and any(h.keys() == {last} for h in hs) and _graded_revlex(N, ring):
+        by_last = _colon_by_last(N, lay, ring, limits)
     quots = []
     for h in hs:
-        cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
-        q = _syzygies_raw(cols, rank, ring, limits, N)
+        if by_last is not None and h.keys() == {last}:
+            q = by_last
+        else:
+            cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
+            q = _syzygies_raw(cols, rank, ring, limits, N)
         if q.vecs == N.vecs:
             return N
         quots.append(q)

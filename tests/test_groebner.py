@@ -15,7 +15,7 @@ import random
 import pytest
 
 from fplocal import groebner
-from fplocal.config import Budget, EngineLimits
+from fplocal.config import Budget, EngineLimits, resolve_limits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.groebner import (
     Ideal,
@@ -30,7 +30,14 @@ from fplocal.groebner import (
     verify_confluence,
 )
 from fplocal.localcoh import question_q_check
-from fplocal.polycore import Polynomial, PolyRing, mono_div, mono_lcm, parse_poly
+from fplocal.polycore import (
+    Polynomial,
+    PolyRing,
+    mono_div,
+    mono_lcm,
+    monomials_of_degree,
+    parse_poly,
+)
 
 SEED = 20260819
 
@@ -563,16 +570,26 @@ def test_colons_and_meets_match_elimination():
 
 
 def test_quotient_ideal_returns_I_when_a_later_generator_passes(monkeypatch):
-    # x1 and x2 are zerodivisors on R/(x1*x2), x3 is not: one round of three
-    # colons, no intersection of colons, and I itself comes back
+    # x3 divides no lead of (x1*x2): I : m = I is read off the leads, with
+    # no colon, no intersection of colons and no reduction step
     R = PolyRing(3, 3)
     I = Ideal(R, ["x1*x2"])
     colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
     meets = count_calls(monkeypatch, groebner, "_meet")
     steps = count_steps(monkeypatch)
     assert ideal_quotient_ideal(I, maximal_ideal(R)) is I
-    assert (len(colons), len(meets), steps[0]) == (3, 0, 3)
+    assert (len(colons), len(meets), steps[0]) == (0, 0, 0)
     assert saturation(I, maximal_ideal(R)) is I
+    # no generator of J is one term: x1*(x1 + x3) and x2*(x2 + x3) are
+    # zerodivisors on R/(x1*x2), x1 + x3 is not, so one round of three
+    # engine colons, no intersection of colons, and I itself comes back
+    J = Ideal(R, ["x1^2 + x1*x3", "x2^2 + x2*x3", "x1 + x3"])
+    colons.clear()
+    steps[0] = 0
+    assert ideal_quotient_ideal(I, J) is I
+    assert (len(colons), len(meets), steps[0]) == (3, 0, 7)
+    assert saturation(I, J) is I
+    assert saturation(I, J).gens == reference_saturation(I, J).gens
     # x1 + 1 lies in no associated prime of (x1*x2) in two variables
     R2 = PolyRing(5, 2)
     I2 = Ideal(R2, ["x1*x2"])
@@ -592,16 +609,147 @@ def test_quotient_ideal_intersects_when_no_generator_passes():
     assert S.gens == (parse_poly(R, "x1"),)
 
 
-def test_q1_on_a_complete_intersection_makes_one_colon(monkeypatch):
-    # x1 is a nonzerodivisor on R/I: the first colon of the one round
-    # gives I back
+def test_q1_on_a_complete_intersection_makes_no_colon(monkeypatch):
+    # x4 and x5 divide no lead of I's reduced basis (x3^4, x1*x3^2, x1^2,
+    # x1*x2): the one round reads I : m = I off the leads, and the steps
+    # are those of I's basis
     R = PolyRing(3, 5)
     f = [parse_poly(R, "x1*x2 + x3^2 + x4*x5"), parse_poly(R, "x1^2 + x2*x4 + 2*x5^2")]
     colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
     steps = count_steps(monkeypatch)
     report = question_q_check(f)
     assert report.outcome == "pass"
-    assert (len(colons), steps[0]) == (1, 52)
+    assert (len(colons), steps[0]) == (0, 13)
+
+
+# ---------------------------------------------------------------------------
+# colons by a variable read off the basis leads, against engine colons
+
+
+def random_form(ring, rng, deg, terms=3):
+    monos = list(monomials_of_degree(ring.n, deg))
+    return Polynomial(ring, {rng.choice(monos): rng.randrange(1, ring.p) for _ in range(terms)})
+
+
+def lead_colon_ideals(seed, order):
+    """Homogeneous ideals over F_2, F_3 and F_5 in 2 to 5 variables: two
+    random quadrics, where x_n is mostly a nonzerodivisor, and families
+    where it is a zerodivisor: (x_n*g, h), (g^2, g*l) and g*m + (f)."""
+    rng = random.Random(seed)
+    for p in (2, 3, 5):
+        for n in range(2, 6):
+            R = PolyRing(p, n, order)
+            xn = Polynomial.variable(R, n)
+            g, l = random_form(R, rng, 1, 2), random_form(R, rng, 1, 2)
+            f, h = random_form(R, rng, 2), random_form(R, rng, 2)
+            yield Ideal(R, [f, h])
+            yield Ideal(R, [xn * g, h])
+            yield Ideal(R, [g * g, g * l])
+            yield Ideal(R, [g * x for x in maximal_ideal(R).gens] + [f])
+
+
+def lead_colon_Js(R):
+    """(x_n), m, and (x1 + x_n, c*x_n)."""
+    xs = maximal_ideal(R).gens
+    return [Ideal(R, [xs[-1]]), Ideal(R, xs), Ideal(R, [xs[0] + xs[-1], (R.p - 1) * xs[-1]])]
+
+
+def engine_colon(I, J):
+    """I : J with an engine colon for every generator, _syzygies_raw modulo
+    I's reduced basis, met in order: _colon with nothing read off the
+    leads.  The reduced basis as vectors."""
+    R, lim = I.ring, resolve_limits(None)
+    N = I._divisors(lim)
+    quots = [groebner._syzygies_raw([{(0, a): w for a, w in h.terms.items()}], 1, R, lim, N)
+             for h in J.gens]
+    K = quots[0]
+    for q in quots[1:]:
+        K = groebner._meet(K.vecs, q, 1, R, lim)
+    return K.vecs
+
+
+def lead_colon(I, J):
+    lim = resolve_limits(None)
+    return groebner._colon(I._divisors(lim), [h.terms for h in J.gens], 1, I.ring, lim).vecs
+
+
+NEGATIVE_CONTROLS = [
+    # x3 divides the lead x1*x3 but not x2^2, in lex and with x3 eliminated
+    ("lex", 3, "x1*x3 + x2^2"),
+    ("elim-grevlex", 3, "x1*x3 + x2^2"),
+    # the grevlex lead x1*x2 of x1*(x2 + 1) is divisible by x2, x1 is not
+    ("grevlex", 2, "x1*x2 + x1"),
+]
+
+
+def negative_control(order, n, text):
+    R = PolyRing(3, n, order)
+    return Ideal(R, [text]), Ideal(R, [Polynomial.variable(R, n)])
+
+
+def test_lead_colons_match_engine_colons(monkeypatch):
+    by_last = count_calls(monkeypatch, groebner, "_colon_by_last")
+    for I in lead_colon_ideals(SEED + 30, "grevlex"):
+        m = maximal_ideal(I.ring)
+        for J in lead_colon_Js(I.ring):
+            assert lead_colon(I, J) == engine_colon(I, J)
+        assert saturation(I, m).gens == reference_saturation(I, m).gens
+    # x_n divided a lead of the basis, and N : x_n was read off it, often
+    assert len(by_last) >= 40
+
+
+def test_lead_colons_leave_other_orders_and_inhomogeneous_bases_to_the_engine(monkeypatch):
+    by_last = count_calls(monkeypatch, groebner, "_colon_by_last")
+    cases = [I for order in ("lex", "elim-grevlex") for I in lead_colon_ideals(SEED + 31, order)]
+    for I in cases:
+        for J in lead_colon_Js(I.ring):
+            assert lead_colon(I, J) == engine_colon(I, J)
+    for order, n, text in NEGATIVE_CONTROLS:
+        I, J = negative_control(order, n, text)
+        assert lead_colon(I, J) == engine_colon(I, J) == I._divisors(resolve_limits(None)).vecs
+        assert ideal_quotient_ideal(I, J) is I
+        if not order.startswith("elim-"):  # the reference eliminates a variable of its own
+            assert saturation(I, J).gens == reference_saturation(I, J).gens
+    assert by_last == []
+
+
+def homogeneous_basis(N, ring):
+    return all(len({sum(a) for _, a in v}) == 1 for v in N.vecs)
+
+
+@pytest.mark.parametrize("mutant,caught", [
+    (lambda N, ring: ring.order == "grevlex", [False, False, True]),
+    (homogeneous_basis, [True, True, False]),
+], ids=["no-homogeneity-gate", "no-grevlex-gate"])
+def test_agreement_catches_a_lead_colon_without_its_gate(monkeypatch, mutant, caught):
+    # with a gate of _graded_revlex removed, the negative controls that
+    # gate protects disagree with the engine colon
+    monkeypatch.setattr(groebner, "_graded_revlex", mutant)
+    assert [
+        lead_colon(*negative_control(*c)) != engine_colon(*negative_control(*c))
+        for c in NEGATIVE_CONTROLS
+    ] == caught
+
+
+def test_lead_read_needs_one_term_that_no_lead_shares_a_variable_with(monkeypatch):
+    R = PolyRing(3, 3)
+    x1 = parse_poly(R, "x1")
+    colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
+    # x3, a term of x1 + x3, divides no lead of x1*(x1 + x3), yet x1 + x3
+    # is a zerodivisor: a generator of two terms goes to the engine
+    assert ideal_quotient_ideal(Ideal(R, ["x1^2 + x1*x3"]), Ideal(R, ["x1 + x3"])).gens == (x1,)
+    assert len(colons) == 1
+    # even where no term shares a variable with the lead and I : h = I
+    I = Ideal(R, ["x1*x2"])
+    assert ideal_quotient_ideal(I, Ideal(R, ["x3^2 + x3"])) is I
+    assert len(colons) == 2
+    # x1 shares a variable with the lead x1*x2 of a prime: the engine
+    # finds I : x1 = I
+    I = Ideal(R, ["x1*x2 + x3^2"])
+    assert ideal_quotient_ideal(I, Ideal(R, ["x1"])) is I
+    assert len(colons) == 3
+    assert ideal_quotient_ideal(Ideal(R, ["x1^2"]), Ideal(R, ["x1"])).gens == (x1,)
+    assert len(colons) == 4
 
 
 # ---------------------------------------------------------------------------

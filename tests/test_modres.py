@@ -627,6 +627,45 @@ def test_h0m_matches_reference_loop(monkeypatch):
         assert (g.finite, g.length) == (w.finite, w.length)
 
 
+def test_h0m_reads_a_free_variable_off_the_leads(monkeypatch):
+    # entries free of x3: M is M' (x) F_p[x3], so x3 is a nonzerodivisor
+    # on M and divides no lead of the relations' basis; N : m = N is read
+    # off the leads, and no syzygy runs
+    rng = random.Random(SEED + 41)
+    free = []
+    for p in (2, 3, 5):
+        R2, R = PolyRing(p, 2), PolyRing(p, 3)
+        for _ in range(3):
+            cols = [
+                tuple(Polynomial(R, {a + (0,): c for a, c in g.terms.items()}) for g in col)
+                for col in (sparse_vec(R2, rng, 2, 2) for _ in range(3))
+            ]
+            free.append(ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, cols)))
+    # graded, every variable in a lead, and x2 divides the lead x1*x2 of
+    # (x1*x2, x1^2) but not its vector: N : x2 is the engine's at rank 2
+    R = PolyRing(3, 2)
+    cols = [vec(R, "x1*x2", "x1^2"), vec(R, "x2^2", "x1*x2"), vec(R, "0", "x2^2")]
+    graded = ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, cols))
+    syz = []
+    for module in (groebner, modres):
+        real = module._syzygies_raw
+        monkeypatch.setattr(module, "_syzygies_raw", lambda *a, real=real: syz.append(1) or real(*a))
+    got = [module_h0m(pres) for pres in free]
+    assert all(t.generators == () for t in got) and syz == []
+    got.append(module_h0m(graded))
+    assert got[-1].generators and syz
+    lim = EngineLimits()
+    N = groebner._divisor_basis([modres._vec_from_free(c) for c in cols], R, lim)
+    x2 = [Polynomial.variable(R, 2).terms]
+    assert groebner._colon(N, x2, 2, R, lim).vecs == reference_colon_all(N, x2, 2, R, lim).vecs
+    monkeypatch.setattr(modres, "_colon", reference_colon_all)
+    want = [module_h0m(pres) for pres in free + [graded]]
+    for g, w in zip(got, want):
+        assert g.generators == w.generators
+        assert g.presentation == w.presentation
+        assert (g.finite, g.length) == (w.finite, w.length)
+
+
 def test_h0m_rank_three_within_a_small_ceiling():
     # one basis of the saturation loop once took more than 100,000
     # reductions on this grevlex presentation; it has no torsion
