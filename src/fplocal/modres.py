@@ -33,7 +33,7 @@ resolution's length; depth follows by the Auslander-Buchsbaum formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product as _iproduct
+from itertools import groupby
 from typing import Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
@@ -392,7 +392,9 @@ def free_resolution(
     max_len: Optional[int] = None,
 ) -> Resolution:
     """The resolution of coker(pres.relations) by iterated syzygies,
-    until a kernel vanishes; exact by construction.
+    until a kernel vanishes; exact by construction.  A level of one
+    nonzero column ends it with no syzygy computation: R is a domain, so
+    the column's kernel is 0.
 
     Constant relation entries are cancelled first (see
     _cancel_constant_entries).  At every level, generators lying in the
@@ -426,6 +428,8 @@ def free_resolution(
             raise AssertionError(f"map {len(maps)} of the resolution holds a constant entry")
         maps.append(m)
         shifts.append(degs)
+        if len(cols) == 1:
+            break  # a -> a*v is injective for v != 0: R^r is torsion-free
         syz = _syzygies_raw(cols, cur_rank, ring, lim).vecs
         cur_rank = len(cols)
         cols, degs = _prune(_dedupe_nonzero(syz), degs, ring, lim)
@@ -626,7 +630,7 @@ def module_h0m(
             cols.append(v)
     ngb = _divisor_basis(cols, ring, lim)
     m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]
-    sat = _saturate(ngb, lambda N: _colon(N, m, rank, ring, lim), lim)
+    sat = _saturate(ngb, m, rank, lambda N: _colon(N, m, rank, ring, lim), lim)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []
@@ -650,7 +654,14 @@ def finite_length_data(
     pres: ModulePresentation, limits: Optional[EngineLimits] = None
 ) -> tuple:
     """(finite, length): whether coker(relations) has a finite staircase,
-    and the count of standard monomials across components when it does."""
+    and the count of standard monomials across components when it does.
+
+    A component's staircase is finite when its leads hold a pure power of
+    every variable.  The count walks the staircase itself, not the box
+    below those powers: the standard monomials are an order ideal, so a
+    depth-first walk from 1 that reaches each b only from b - x_k, k the
+    last variable of b, visits each of them once.  max_length bounds the
+    count, and is reached only by a module that long."""
     ring = pres.ring
     lim = resolve_limits(limits)
     rank = pres.rank
@@ -664,21 +675,20 @@ def finite_length_data(
         c, a = next(iter(v))  # engine output: lead first
         leads.setdefault(c, []).append(a)
     n = ring.n
+    stairs = [leads.get(c, []) for c in range(rank)]
+    if not all(any(not any(a[:k] + a[k + 1:]) for a in L) for L in stairs for k in range(n)):
+        return False, None  # some component has no pure power of some x_k
+    zero = ring.zero_mono()
     total = 0
-    for c in range(rank):
-        L = leads.get(c, [])
-        bounds = []
-        for k in range(n):
-            pure = [a[k] for a in L if all(e == 0 for i2, e in enumerate(a) if i2 != k)]
-            if not pure:
-                return False, None
-            bounds.append(min(pure))
-        box = 1
-        for b in bounds:
-            box *= b
-        if total + box > lim.max_length:
-            raise ResourceLimitError("length count", lim.max_length)
-        for mono in _iproduct(*(range(b) for b in bounds)):
-            if not any(mono_divides(a, mono) for a in L):
-                total += 1
+    for L in stairs:
+        stack = [] if zero in L else [(zero, 0)]  # (b, the last variable of b)
+        while stack:
+            b, last = stack.pop()
+            total += 1
+            if total > lim.max_length:
+                raise ResourceLimitError("length count", lim.max_length)
+            for k in range(last, n):
+                nxt = b[:k] + (b[k] + 1,) + b[k + 1:]
+                if not any(mono_divides(a, nxt) for a in L):
+                    stack.append((nxt, k))
     return True, total

@@ -11,10 +11,11 @@ elimination route, kept below as a test-side reference.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
-from fplocal import groebner
+from fplocal import groebner, modres
 from fplocal.config import Budget, EngineLimits, resolve_limits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.groebner import (
@@ -432,12 +433,21 @@ def test_saturation_membership_certificate():
 
 
 def test_saturation_round_budget():
-    R = PolyRing(2, 1)
-    I = Ideal(R, ["x1^3"])
+    # x2 has no pure power among the leads of (x1^3*x2): no finite
+    # staircase, and the loop takes four rounds to reach (x2)
+    R = PolyRing(2, 2)
+    I = Ideal(R, ["x1^3*x2"])
     J = Ideal(R, ["x1"])
     with pytest.raises(ResourceLimitError):
         saturation(I, J, EngineLimits(max_rounds=2))
-    assert ideals_equal(saturation(I, J), Ideal(R, ["1"]))
+    assert ideals_equal(saturation(I, J), Ideal(R, ["x2"]))
+    assert ideals_equal(saturation(I, J, EngineLimits(max_rounds=4)), Ideal(R, ["x2"]))
+    with pytest.raises(ResourceLimitError):
+        saturation(I, J, EngineLimits(max_rounds=3))
+    # x1^3 kills R/(x1^3): (1) is read off the staircase, with no round
+    R1 = PolyRing(2, 1)
+    assert saturation(Ideal(R1, ["x1^3"]), Ideal(R1, ["x1"]), EngineLimits(max_rounds=2)).gens == (
+        parse_poly(R1, "1"),)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +760,146 @@ def test_lead_read_needs_one_term_that_no_lead_shares_a_variable_with(monkeypatc
     assert len(colons) == 3
     assert ideal_quotient_ideal(Ideal(R, ["x1^2"]), Ideal(R, ["x1"])).gens == (x1,)
     assert len(colons) == 4
+
+
+# ---------------------------------------------------------------------------
+# saturation read off a finite staircase: N : J^infinity is R once a power
+# of every variable lies in N and J lies in m
+
+
+def origin_primary(R, rng):
+    """A homogeneous ideal whose only zero is the origin: x_k^d_k plus
+    x_j times a form for j < k, triangular in x1, ..., xn, and one random
+    quadric."""
+    xs = maximal_ideal(R).gens
+    gens = []
+    for k, x in enumerate(xs):
+        d = rng.choice((1, 2, 2))
+        g = x ** d
+        for y in xs[:k]:
+            g = g + y * random_form(R, rng, d - 1, 2)
+        gens.append(g)
+    return Ideal(R, gens + [random_form(R, rng, 2)])
+
+
+def second_point(R, rng):
+    """(x1^2 - x1, x2 - c2*x1, ..., xn - cn*x1): zeros at the origin and
+    at (1, c2, ..., cn), so no power of x1 lies in it."""
+    xs = maximal_ideal(R).gens
+    rest = [x - Polynomial.constant(R, rng.randrange(R.p)) * xs[0] for x in xs[1:]]
+    return Ideal(R, [xs[0] ** 2 - xs[0]] + rest)
+
+
+def count_shortcuts(monkeypatch):
+    """[saturations, taken]: calls of _saturate, and those that returned
+    with no colon: the ones the staircase answered."""
+    tally = [0, 0]
+    real = groebner._saturate
+
+    def counted(N, hs, rank, colon, limits):
+        colons = []
+        out = real(N, hs, rank, lambda K: colons.append(1) or colon(K), limits)
+        tally[0] += 1
+        tally[1] += not colons
+        return out
+
+    for module in (groebner, modres):
+        monkeypatch.setattr(module, "_saturate", counted)
+    return tally
+
+
+def test_finite_staircases_saturate_to_the_unit_ideal(monkeypatch):
+    rng = random.Random(SEED + 40)
+    tally = count_shortcuts(monkeypatch)
+    cases = 0
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            for n in (1, 2, 3):
+                R = PolyRing(p, n, order)
+                I = origin_primary(R, rng)
+                m = maximal_ideal(R)
+                S = saturation(I, m)
+                assert S.gens == (Polynomial.constant(R, 1),)
+                assert S.gens == reference_saturation(I, m).gens
+                # any J inside m, not only m
+                J = Ideal(R, [random_form(R, rng, 2)])
+                assert saturation(I, J).gens == (Polynomial.constant(R, 1),)
+                cases += 2
+    assert tally == [cases, cases]
+
+
+def test_other_saturations_fall_back_to_the_loop(monkeypatch):
+    rng = random.Random(SEED + 41)
+    tally = count_shortcuts(monkeypatch)
+    cases = 0
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            for n in (1, 2, 3):
+                R = PolyRing(p, n, order)
+                m = maximal_ideal(R)
+                # a second point: x1^D is never in I, whatever D
+                I = second_point(R, rng)
+                S = saturation(I, m)
+                assert S.gens == reference_saturation(I, m).gens
+                assert S.gens != (Polynomial.constant(R, 1),)
+                # J holds a unit: x1 + 1 is a unit modulo an m-primary I
+                I = origin_primary(R, rng)
+                J = Ideal(R, [m.gens[0] + Polynomial.constant(R, 1)] + list(m.gens[1:]))
+                assert saturation(I, J) is I
+                assert saturation(I, J).gens == reference_saturation(I, J).gens
+                cases += 3
+    assert tally == [cases, 0]
+
+
+def test_the_whole_ring_saturates_to_itself():
+    for order in ("grevlex", "lex"):
+        R = PolyRing(3, 2, order)
+        I = Ideal(R, ["1"])
+        assert saturation(I, maximal_ideal(R)) is I
+        assert saturation(I, Ideal(R, ["x1 + 1"])) is I
+    # at rank 2, with a colon that must not run
+    lim = resolve_limits(None)
+    zero = R.zero_mono()
+    N = groebner._divisor_basis([{(0, zero): 1}, {(1, zero): 1}], R, lim)
+    m = [x.terms for x in maximal_ideal(R).gens]
+
+    def colon(K):
+        raise AssertionError("N = R^2 needs no colon")
+
+    assert groebner._saturate(N, m, 2, colon, lim) is N
+
+
+def test_colon_by_the_zero_ideal_raises_before_the_staircase(monkeypatch):
+    R = PolyRing(2, 2)
+    corners = count_calls(monkeypatch, groebner, "_staircase_corners")
+    with pytest.raises(ValueError, match="zero ideal"):
+        saturation(Ideal(R, ["x1^2", "x2^2"]), Ideal(R, []))
+    assert corners == []
+
+
+def test_thin_staircase_saturates_in_no_round():
+    # R/(x1^60, x2^60, x3^60, x1*x2, x1*x3, x2*x3) has length 178; the loop
+    # takes about 60 rounds, past the default ceiling of 50
+    R = PolyRing(2, 3)
+    I = Ideal(R, ["x1^60", "x2^60", "x3^60", "x1*x2", "x1*x3", "x2*x3"])
+    S = saturation(I, maximal_ideal(R), EngineLimits(max_rounds=1))
+    assert S.gens == (Polynomial.constant(R, 1),)
+    report = question_q_check(list(I.gens))
+    assert (report.outcome, report.data["witness"]) == ("fail", "1")
+
+
+def test_staircase_hits_in_one_bench_round(monkeypatch):
+    # seed 1: the finite family of torsion-certificates saturates to R^r
+    # in all 48 of its saturations (24 module_h0m in propvan, 24 _torsion
+    # in topvan); no q1 saturation has a finite staircase
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    for workload, want in (("torsion-certificates", [144, 48]), ("q1-saturation", [72, 0])):
+        tally = count_shortcuts(monkeypatch)
+        for op in workloads.build(workload, 1):
+            assert op.check(op.call(op.limits)) is None, op.label
+        assert tally == want, workload
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ of variable sequences) are its frozen targets.
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -359,6 +360,22 @@ def test_resolution_of_principal_ideal():
     assert res.ranks == (1, 1)
     assert res.length == 1
     assert_exact(res)
+
+
+def test_one_column_ends_the_resolution_with_no_syzygies(monkeypatch):
+    # R -> R^r, a -> a*v, is injective for v != 0: the Koszul resolution of
+    # R/(x1, x2, x3), ranks (1, 3, 3, 1), computes the kernels of its
+    # two 3-column maps only, and no kernel at all for a principal ideal
+    calls = []
+    real = modres._syzygies_raw
+    monkeypatch.setattr(modres, "_syzygies_raw", lambda *a: calls.append(len(a[0])) or real(*a))
+    R = PolyRing(2, 3)
+    res = free_resolution(quotient_presentation(maximal_ideal(R)))
+    assert res.ranks == (1, 3, 3, 1) and calls == [3, 3]
+    assert_exact(res)
+    calls.clear()
+    assert free_resolution(quotient_presentation(Ideal(R, ["x1^2 + x2"]))).ranks == (1, 1)
+    assert calls == []
 
 
 def test_resolution_exactness_random():
@@ -974,9 +991,102 @@ def test_graded_pruning_computes_fewer_bases(monkeypatch):
     del calls[:]
     monkeypatch.setattr(modres, "_prune_graded", reference_prune)
     assert pd_bound_check(f).data == rep.data == {"pd": 3, "depth": 1, "bound": 6}
-    # one syzygy basis per level, plus one pruning basis per degree above
-    # the lowest, against one per candidate
-    assert (by_degree, len(calls)) == (4, 10)
+    # one syzygy basis per level of more than one column (the last level,
+    # ranks (1, 3, 3, 1), has none), plus one pruning basis per degree
+    # above the lowest, against one per candidate
+    assert (by_degree, len(calls)) == (3, 9)
+
+
+# ---------------------------------------------------------------------------
+# module saturation read off a finite staircase
+
+
+def random_linear_form(R, rng):
+    return sum((Polynomial.variable(R, k) * rng.randrange(R.p) for k in range(1, R.n + 1)),
+               Polynomial.zero(R))
+
+
+def finite_presentation(R, rng, rank, d=2):
+    """x_k^d * e_c plus a form of degree d at a later component, for every
+    c and k: triangular, so R^rank/N has finite length, and graded."""
+    cols = []
+    for c in range(rank):
+        for x in maximal_ideal(R).gens:
+            col = [Polynomial.zero(R)] * rank
+            col[c] = x ** d
+            if c + 1 < rank:
+                col[rng.randrange(c + 1, rank)] = random_linear_form(R, rng) * x
+            cols.append(tuple(col))
+    rng.shuffle(cols)
+    return ModulePresentation(R, rank, PolyMatrix.from_columns(R, rank, cols))
+
+
+def two_point_presentation(R, rng, rank):
+    """(x1^2 - x1) * e_c and (x_k - a_k*x1) * e_c: zeros at the origin and
+    at (1, a_2, ..., a_n), so no power of x1 kills R^rank/N."""
+    xs = maximal_ideal(R).gens
+    gens = [xs[0] ** 2 - xs[0]] + [x - Polynomial.constant(R, rng.randrange(R.p)) * xs[0]
+                                   for x in xs[1:]]
+    cols = []
+    for c in range(rank):
+        for g in gens:
+            col = [Polynomial.zero(R)] * rank
+            col[c] = g
+            cols.append(tuple(col))
+    return ModulePresentation(R, rank, PolyMatrix.from_columns(R, rank, cols))
+
+
+def h0m_without_the_staircase(monkeypatch, cases):
+    """module_h0m by the reference colon loop, with the staircase read off."""
+    with monkeypatch.context() as m:
+        m.setattr(modres, "_colon", reference_colon_all)
+        m.setattr(groebner, "_staircase_corners", lambda N, rank: None)
+        return [module_h0m(pres, point) for pres, point in cases]
+
+
+def test_h0m_of_finite_staircases_matches_reference_loop(monkeypatch):
+    rng = random.Random(SEED + 42)
+    short, loop = [], []
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            R = PolyRing(p, 2, order)
+            for rank in (1, 2, 3):
+                short.append((finite_presentation(R, rng, rank), None))
+                loop.append((two_point_presentation(R, rng, rank), None))
+    # staircases of unequal depth, x*e0 and x^3*e1: x*e0 reduces to -x*e1,
+    # which only x^3*e0 would take to zero
+    R = PolyRing(3, 1)
+    rel = PolyMatrix.from_columns(R, 2, [vec(R, "x1", "x1"), vec(R, "0", "x1^3")])
+    short.append((ModulePresentation(R, 2, rel), None))
+    colons = []
+    real = modres._colon
+    monkeypatch.setattr(modres, "_colon", lambda *a: colons.append(1) or real(*a))
+    got = [module_h0m(pres, point) for pres, point in short]
+    assert colons == []  # every one read off the staircase
+    got_loop = [module_h0m(pres, point) for pres, point in loop]
+    assert len(colons) >= len(loop)
+    want = h0m_without_the_staircase(monkeypatch, short + loop)
+    for (pres, _), g, w in zip(short + loop, got + got_loop, want):
+        assert g.generators == w.generators
+        assert g.presentation == w.presentation
+        assert (g.finite, g.length) == (w.finite, w.length)
+    # the whole module is torsion: one generator per component, none in N
+    for (pres, _), g in zip(short, got):
+        assert g.finite and len(g.generators) == pres.rank
+        assert g.length == finite_length_data(pres)[1]
+    # a second point leaves some of R^rank/N without m-torsion
+    for (pres, _), g in zip(loop, got_loop):
+        assert g.length < finite_length_data(pres)[1]
+
+
+def test_h0m_of_the_thin_staircase():
+    # the saturation loop took 60 rounds here, and the box below
+    # (x1^60, x2^60, x3^60) holds 216,000 monomials
+    R = PolyRing(2, 3)
+    I = Ideal(R, ["x1^60", "x2^60", "x3^60", "x1*x2", "x1*x3", "x2*x3"])
+    tor = module_h0m(quotient_presentation(I), None, EngineLimits(max_rounds=1))
+    assert tor.generators == (vec(R, "1"),)
+    assert (tor.finite, tor.length) == (True, 178)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1127,68 @@ def test_finite_length_ceiling():
     with pytest.raises(ResourceLimitError):
         finite_length_data(pres, EngineLimits(max_length=50))
     assert finite_length_data(pres) == (True, 100)
+    # the ceiling bounds the length, not the box below the pure powers
+    assert finite_length_data(pres, EngineLimits(max_length=100)) == (True, 100)
+    R3 = PolyRing(2, 3)
+    thin = quotient_presentation(Ideal(R3, ["x1^60", "x2^60", "x3^60", "x1*x2", "x1*x3", "x2*x3"]))
+    assert finite_length_data(thin) == (True, 178)
+    with pytest.raises(ResourceLimitError):
+        finite_length_data(thin, EngineLimits(max_length=177))
+
+
+def box_length(pres):
+    """The count finite_length_data made before it walked the staircase:
+    every monomial of the box below each component's least pure powers
+    that no lead divides."""
+    R = pres.ring
+    rel = [modres._vec_from_free(c) for c in pres.relations.columns if any(c)]
+    leads = {}
+    for v in modres._reduced_basis(rel, R, EngineLimits()):
+        c, a = next(iter(v))
+        leads.setdefault(c, []).append(a)
+    total = 0
+    for c in range(pres.rank):
+        L = leads.get(c, [])
+        bounds = []
+        for k in range(R.n):
+            pure = [a[k] for a in L if all(e == 0 for j, e in enumerate(a) if j != k)]
+            if not pure:
+                return False, None
+            bounds.append(min(pure))
+        total += sum(1 for b in product(*(range(e) for e in bounds))
+                     if not any(all(x <= y for x, y in zip(a, b)) for a in L))
+    return True, total
+
+
+def test_finite_length_walk_matches_box_count():
+    rng = random.Random(SEED + 43)
+    cases = []
+    for _ in range(300):  # random monomial staircases, finite or not
+        R = PolyRing(2, rng.randint(1, 3))
+        rank = rng.randint(1, 3)
+        cols = []
+        for c in range(rank):
+            for k in range(R.n):
+                if rng.random() < 0.9:
+                    col = [Polynomial.zero(R)] * rank
+                    col[c] = Polynomial.variable(R, k + 1) ** rng.randint(1, 6)
+                    cols.append(col)
+            for _ in range(rng.randint(0, 3)):
+                col = [Polynomial.zero(R)] * rank
+                col[c] = Polynomial.monomial(R, tuple(rng.randint(0, 4) for _ in range(R.n)))
+                cols.append(col)
+        cases.append(ModulePresentation(R, rank, PolyMatrix.from_columns(R, rank, cols)))
+    for p in (2, 3, 5):
+        for rank in (1, 2, 3):
+            R = PolyRing(p, 3)
+            cases.append(finite_presentation(R, rng, rank))
+            cases.append(two_point_presentation(R, rng, rank))
+    finite = 0
+    for pres in cases:
+        got = finite_length_data(pres)
+        assert got == box_length(pres)
+        finite += got[0]
+    assert finite >= 150
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,11 @@ def small_q1_round(rng):
 
 def small_torsion_round(rng):
     """propvan and topvan on (g^2, g*h) in F_3[x1, x2], at the origin and
-    at a point, and on a triangular ideal of F_2[x1, x2, x3] whose only
-    zero is the origin."""
+    at a point, on a triangular ideal of F_2[x1, x2, x3] whose only zero
+    is the origin, and on (x1*x2, x1*x3) in F_2[x1, x2, x3] at the origin
+    and at (1, 1, 1).  The first two have finite staircases, so most of
+    their saturations are read off the leads and build no seeded basis;
+    the plane and line of the last one make its saturations run colons."""
     from fplocal.config import EngineLimits
     from fplocal.koszul import verify_prop_van
     from fplocal.localcoh import top_lc_vanishing_certificate
@@ -310,6 +313,10 @@ def small_torsion_round(rng):
     f = [parse_poly(S, s) for s in ("x1", "x2^2 + x1*x3", "x3^2 + x1*x2")]
     verify_prop_van(f, 3, None, None, EngineLimits(level_cap=1))
     top_lc_vanishing_certificate(f, None, 1)
+    f = [parse_poly(S, s) for s in ("x1*x2", "x1*x3")]
+    for point in (None, (1, 1, 1)):
+        verify_prop_van(f, 2, point)
+        top_lc_vanishing_certificate(f, point, 2)
 
 
 @pytest.mark.parametrize("round_of", [small_q1_round, small_torsion_round],
