@@ -50,7 +50,9 @@ def _common_flags(sp) -> None:
     sp.add_argument("--max-rounds", type=int,
                     default=os.environ.get("FPLOCAL_MAX_ROUNDS") or DEFAULT_LIMITS.max_rounds)
     sp.add_argument("--max-length", type=int,
-                    default=os.environ.get("FPLOCAL_MAX_LENGTH") or DEFAULT_LIMITS.max_length)
+                    default=os.environ.get("FPLOCAL_MAX_LENGTH") or DEFAULT_LIMITS.max_length,
+                    help="ceiling on the count of standard monomials of a finite-length "
+                         "module, and on td-check's component box size q^n")
     sp.add_argument("--level-cap", type=int,
                     default=os.environ.get("FPLOCAL_LEVEL_CAP") or DEFAULT_LIMITS.level_cap)
     sp.add_argument("--out", help="write the JSON report to this file instead of stdout")

@@ -18,7 +18,8 @@ class EngineLimits:
     max_reductions: int = 2_000_000  # reduction steps per basis computation
     max_basis: int = 600             # basis elements per computation
     max_rounds: int = 50             # colon iterations in a saturation loop
-    max_length: int = 200_000        # standard-monomial count ceiling
+    max_length: int = 200_000        # standard monomials counted in a length; also
+                                     # td_roundtrip_check's component box size q^n
     level_cap: int = 4               # largest Frobenius level tried by retries
     # Cooperative cancellation: checked inside reduction loops.
     cancel: Optional[Callable[[], bool]] = None

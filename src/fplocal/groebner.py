@@ -543,10 +543,14 @@ def _staircase_corners(N: _Divisors, rank: int) -> Optional[list]:
     D_c = sum_k (e_{c,k} - 1) + 1 lies outside the box below the e_{c,k}.
     D is the largest D_c, so a graded N with a finite quotient of equal
     shifts passes at every component.  A component with the lead e_c has
-    none.  None when some component lacks a pure power of some variable."""
+    none.  None when some component lacks a pure power of some variable,
+    at once when there are fewer than n leads and N is not R^rank."""
     n = N.ring.n
+    leads = N.leads()
+    if len(leads) < n:
+        return [] if sum(not any(a) for _, a in leads) == rank else None
     pure = {c: [0] * n for c in range(rank)}  # e_{c,k}; a reduced basis has one
-    for c, a in N.leads():
+    for c, a in leads:
         zeros = a.count(0)
         if zeros == n:
             del pure[c]  # e_c lies in N
@@ -557,6 +561,31 @@ def _staircase_corners(N: _Divisors, rank: int) -> Optional[list]:
         return None
     D = max((sum(e) - n + 1 for e in pure.values()), default=0)
     return [{(c, (0,) * k + (D,) + (0,) * (n - k - 1)): 1} for c in pure for k in range(n)]
+
+
+def _lead_dim(monos: Sequence[tuple], n: int) -> int:
+    """dim R/(monos) for monomials in n variables: the size of the largest
+    set of variables that holds no monomial's support; -1 when some
+    monomial is 1, the ideal R.  A set that holds a support must drop one
+    of its variables, so the search branches on those variables, and a
+    branch no larger than the best set found is cut."""
+    supports = {sum(1 << k for k, e in enumerate(a) if e) for a in monos}
+    best = -1
+
+    def walk(free: int, size: int) -> None:
+        nonlocal best
+        if size <= best:
+            return
+        inside = next((s for s in supports if not s & ~free), None)
+        if inside is None:
+            best = size
+        while inside:
+            bit = inside & -inside
+            walk(free & ~bit, size - 1)
+            inside ^= bit
+
+    walk((1 << n) - 1, n)
+    return best
 
 
 def _saturate(N, hs: Sequence[dict], rank: int, colon: Callable, limits: EngineLimits):

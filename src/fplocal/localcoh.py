@@ -36,7 +36,7 @@ from .frobenius import (
     level_for_degree,
     psi_map,
 )
-from .groebner import Ideal, ideals_equal, maximal_ideal, saturation
+from .groebner import Ideal, _lead_dim, ideals_equal, maximal_ideal, saturation
 from .modres import projective_dimension, quotient_presentation
 from .polycore import (
     MINUS_INF,
@@ -258,6 +258,19 @@ def top_lc_vanishing_certificate(
     return _frame("top-vanishing", f, point, limits, {"stage": None}, body)
 
 
+def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Optional[int]:
+    """pd(R/I) = n - a when the a variables that no lead of I's reduced
+    basis holds number dim R/in(I); None otherwise, for I = R (dimension
+    -1) and when a ceiling stops the basis (see pd_bound_check)."""
+    try:
+        leads = [a for _, a in I._divisors(limits).leads()]
+    except ResourceLimitError:
+        return None
+    n = I.ring.n
+    missing = n - len({k for a in leads for k, e in enumerate(a) if e})
+    return n - missing if _lead_dim(leads, n) == missing else None
+
+
 def pd_bound_check(
     f: Sequence[Polynomial], limits: Optional[EngineLimits] = None
 ) -> CheckReport:
@@ -265,13 +278,25 @@ def pd_bound_check(
 
     The report also carries depth(R/I) = n - pd for the companion bound
     depth >= n - sum deg(f_i).
+
+    pd is read off the leads of I's reduced basis when they decide it
+    (_pd_off_leads).  Let a be the number of variables in no lead and
+    D = dim R/in(I) = dim R/I.  Proof that D = a gives pd(R/I) = n - a:
+    R/in(I) is the quotient by the leads in the other variables, tensored
+    with a polynomial ring in these a, so depth R/in(I) >= a; Betti
+    numbers only grow under Groebner degeneration, in any term order, so
+    pd(R/I) <= pd(R/in(I)) <= n - a; and pd(R/I) = n - depth R/I
+    >= n - D.  Otherwise, or when a ceiling stops the basis, pd is the
+    length of the minimal resolution of R/I, whose ceilings are reported.
     """
     for g in f:
         if g and not g.is_homogeneous():
             raise NonHomogeneousError(f"{g} is not homogeneous")
 
     def body(x: _Instance) -> tuple:
-        pd = projective_dimension(quotient_presentation(x.ideal), x.limits)
+        pd = _pd_off_leads(x.ideal, x.limits)
+        if pd is None:
+            pd = projective_dimension(quotient_presentation(x.ideal), x.limits)
         data = {"pd": pd, "depth": x.ring.n - pd, "bound": x.sum_deg}
         return "pass" if pd <= x.sum_deg else "fail", data
 

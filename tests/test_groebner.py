@@ -869,6 +869,24 @@ def test_the_whole_ring_saturates_to_itself():
     assert groebner._saturate(N, m, 2, colon, lim) is N
 
 
+def test_fewer_leads_than_variables_decide_the_staircase_at_once():
+    # a finite staircase needs n pure powers in every component without a
+    # unit lead; with fewer than n leads only R^rank passes, with no corner
+    R = PolyRing(3, 4)
+    lim = resolve_limits(None)
+    zero = R.zero_mono()
+    whole = groebner._divisor_basis([{(c, zero): 1} for c in range(3)], R, lim)
+    assert groebner._staircase_corners(whole, 3) == []
+    half = groebner._divisor_basis([{(0, zero): 1}, {(1, (2, 0, 0, 0)): 1}], R, lim)
+    assert groebner._staircase_corners(half, 2) is None
+    pure = [{(0, (0,) * k + (2,) + (0,) * (3 - k)): 1} for k in range(4)]
+    short = groebner._divisor_basis(pure[:3], R, lim)
+    assert groebner._staircase_corners(short, 1) is None
+    assert groebner._staircase_corners(groebner._divisor_basis(pure, R, lim), 1) == [
+        {(0, (0,) * k + (5,) + (0,) * (3 - k)): 1} for k in range(4)
+    ]
+
+
 def test_colon_by_the_zero_ideal_raises_before_the_staircase(monkeypatch):
     R = PolyRing(2, 2)
     corners = count_calls(monkeypatch, groebner, "_staircase_corners")

@@ -8,6 +8,7 @@ stages must also certify at the next stage (the memberships are nested).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from fplocal.errors import (
     CancelledError,
     HypothesisViolatedError,
     NonHomogeneousError,
+    ResourceLimitError,
     RingMismatchError,
 )
 from fplocal.frobenius import FrobeniusLevel, bracket_power
@@ -31,7 +33,8 @@ from fplocal.localcoh import (
     question_q_check,
     top_lc_vanishing_certificate,
 )
-from fplocal.polycore import Polynomial, PolyRing, RationalPoint, parse_poly
+from fplocal.modres import projective_dimension, quotient_presentation
+from fplocal.polycore import Polynomial, PolyRing, RationalPoint, monomials_of_degree, parse_poly
 
 SEED = 14142
 
@@ -351,6 +354,134 @@ def test_q1_fails_exactly_when_pd_is_n():
                         assert fails == (pd == n), [str(x) for x in gens]
                         seen.append(fails)
     assert 20 <= seen.count(True) <= len(seen) - 20  # both answers occur often
+
+
+# ---------------------------------------------------------------------------
+# pd read off the leads of one ideal basis
+
+
+def lead_read(gens):
+    """pd_bound_check's read on the ideal of `gens`: pd, or None."""
+    return localcoh._pd_off_leads(Ideal(gens[0].ring, gens), EngineLimits())
+
+
+def resolved_pd(gens):
+    return projective_dimension(quotient_presentation(Ideal(gens[0].ring, gens)))
+
+
+def read_families(R, rng):
+    """Graded generator lists of R: dense and sparse forms, monomial
+    ideals, linear forms, and l*J, which is almost never Cohen-Macaulay."""
+    n = R.n
+    top = 3 if n <= 3 else 2
+    dense = [
+        random_polynomial(R, rng.randint(1, top), rng, density=0.8) for _ in range(rng.randint(1, n))
+    ]
+    sparse = [
+        random_polynomial(R, rng.randint(2, 3), rng, density=0.15)
+        for _ in range(rng.randint(1, n + 1))
+    ]
+    monomial = [
+        Polynomial(R, {rng.choice(list(monomials_of_degree(n, rng.randint(1, 3)))): 1})
+        for _ in range(rng.randint(1, n + 1))
+    ]
+    linear = [random_polynomial(R, 1, rng) for _ in range(rng.randint(1, n))]
+    ell = random_polynomial(R, 1, rng)
+    times_linear = [
+        ell * random_polynomial(R, 2, rng, density=0.3) for _ in range(rng.randint(2, n))
+    ]
+    return dense, sparse, monomial, linear, times_linear
+
+
+def test_pd_read_off_the_leads_agrees_with_the_resolution():
+    """Where the leads decide pd, it equals the length of the minimal
+    resolution, in grevlex, lex and elimination orders; the read both
+    answers and declines often."""
+    rng = random.Random(SEED + 17)
+    answered, declined = Counter(), Counter()
+    for p in (2, 3, 5):
+        for n in (2, 3, 4, 5):
+            # resolutions in lex orders grow fast past four variables
+            for order in ("grevlex", "lex", "elim-grevlex", "elim-lex")[: 4 if n <= 4 else 1]:
+                R = PolyRing(p, n, order)
+                for _ in range(8 if order == "grevlex" else 3):
+                    for gens in read_families(R, rng):
+                        pd = lead_read(gens)
+                        if pd is None:
+                            declined[order[:4]] += 1
+                        else:
+                            assert pd == resolved_pd(gens), (order, [str(g) for g in gens])
+                            answered[order[:4]] += 1
+    # both occur often in every kind of order (counts at this seed: 253/227
+    # grevlex, 67/68 lex, 157/113 elim-*)
+    for kind in ("grev", "lex", "elim"):
+        assert answered[kind] >= 40 and declined[kind] >= 40, (answered, declined)
+
+
+# over F_3[x1..x4]: the leads x1^2, x2^2, x3^2 are coprime, so they are
+# in(I), and x4 is in none; pd 3
+SQUARES_PLUS_LOWER = ("x1^2 + x2*x4", "x2^2 + x3*x4", "x3^2 + 2*x1*x4")
+
+
+def test_pd_read_hand_cases():
+    R = PolyRing(3, 4)
+    f = [P(R, s) for s in SQUARES_PLUS_LOWER]
+    assert lead_read(f) == 3 == resolved_pd(f)
+    assert pd_bound_check(f).data == {"pd": 3, "depth": 1, "bound": 6}
+    # dim R/(x1^2, x1*x2) = 1 but every variable is in a lead: declined
+    R = PolyRing(2, 2)
+    f = [P(R, "x1^2"), P(R, "x1*x2")]
+    assert lead_read(f) is None
+    assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
+    # m-primary: a = D = 0
+    R = PolyRing(5, 3)
+    f = [P(R, "x1^2 + x2*x3"), P(R, "x2^2 + x1*x3"), P(R, "x3^3"), P(R, "x1*x2*x3")]
+    assert lead_read(f) == 3 == resolved_pd(f)
+    # the unit ideal has dimension -1 and is left to the resolution
+    assert lead_read([Polynomial.one(R)]) is None
+    # the zero ideal: every variable is free
+    assert lead_read([Polynomial.zero(R)]) == 0
+
+
+def test_pd_read_answers_where_the_resolution_hits_a_ceiling():
+    """An m-primary ideal of F_5[x1..x4] whose resolution passes the module
+    basis ceiling of 600: its leads hold a pure power of every variable,
+    so pd = 4, depth 0, and m is associated to R/I, so q1 fails."""
+    R = PolyRing(5, 4)
+    f = [P(R, s) for s in (
+        "3*x1^2 + 2*x1*x2 + 3*x2^2 + 3*x1*x3 + 3*x2*x3 + 2*x3^2 + 2*x1*x4 + x2*x4 + x3*x4 + 2*x4^2",
+        "x1^3 + 2*x1^2*x2 + 2*x1*x2^2 + x2^3 + 2*x1^2*x3 + 3*x1*x2*x3 + x2^2*x3 + 2*x1*x3^2"
+        " + 2*x2*x3^2 + 4*x3^3 + 3*x1^2*x4 + 4*x1*x2*x4 + 4*x2^2*x4 + 4*x1*x3*x4 + 2*x2*x3*x4"
+        " + x3^2*x4 + x1*x4^2 + 3*x2*x4^2 + 4*x3*x4^2 + x4^3",
+        "2*x1^3 + x1^2*x2 + 2*x1*x2^2 + 4*x2^3 + 3*x1^2*x3 + 3*x1*x2*x3 + 2*x2^2*x3 + 4*x1*x3^2"
+        " + 4*x2*x3^2 + 4*x3^3 + 2*x1^2*x4 + 3*x1*x2*x4 + x2^2*x4 + 4*x1*x3*x4 + 4*x2*x3*x4"
+        " + 3*x3^2*x4 + 2*x1*x4^2 + 2*x2*x4^2 + x3*x4^2 + 2*x4^3",
+        "4*x1^3 + 4*x1^2*x2 + 3*x1*x2^2 + 3*x2^3 + 3*x1^2*x3 + 4*x1*x2*x3 + 2*x2^2*x3 + 2*x1*x3^2"
+        " + 4*x2*x3^2 + x3^3 + 4*x1^2*x4 + x1*x2*x4 + x2^2*x4 + x1*x3*x4 + 3*x2*x3*x4 + 4*x3^2*x4"
+        " + 4*x1*x4^2 + 3*x2*x4^2 + 3*x3*x4^2 + x4^3",
+        "3*x1^3 + 2*x1^2*x2 + x1*x2^2 + 4*x2^3 + 3*x1^2*x3 + 3*x1*x2*x3 + 4*x2^2*x3 + 3*x1*x3^2"
+        " + 4*x2*x3^2 + x3^3 + x1^2*x4 + 2*x1*x2*x4 + 3*x2^2*x4 + x1*x3*x4 + x2*x3*x4 + 2*x3^2*x4"
+        " + 4*x1*x4^2 + x2*x4^2 + 4*x3*x4^2 + 4*x4^3",
+    )]
+    rep = pd_bound_check(f)
+    assert (rep.outcome, rep.data) == ("pass", {"pd": 4, "depth": 0, "bound": 14})
+    with pytest.raises(ResourceLimitError, match="module basis size"):
+        resolved_pd(f)
+    assert question_q_check(f).outcome == "fail"
+
+
+def test_pd_read_ceiling_falls_through_to_the_resolution(monkeypatch):
+    """A ceiling inside the read decides nothing: the resolution answers,
+    or reports its own ceiling (test_pd_bound_resource_limit)."""
+    R = PolyRing(3, 4)
+    f = [P(R, s) for s in SQUARES_PLUS_LOWER]
+
+    def capped(self, limits):
+        raise ResourceLimitError("basis size", 1)
+
+    monkeypatch.setattr(Ideal, "_divisors", capped)
+    rep = pd_bound_check(f)
+    assert rep.data == {"pd": 3, "depth": 1, "bound": 6}
 
 
 # ---------------------------------------------------------------------------
