@@ -259,16 +259,22 @@ def top_lc_vanishing_certificate(
 
 
 def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Optional[int]:
-    """pd(R/I) = n - a when the a variables that no lead of I's reduced
-    basis holds number dim R/in(I); None otherwise, for I = R (dimension
-    -1) and when a ceiling stops the basis (see pd_bound_check)."""
+    """pd(R/I) when the leads of I's reduced basis pin it: n - a when the
+    a variables that no lead holds number dim R/in(I), and c when I's c
+    generators have height c; None otherwise, for I = R (dimension -1)
+    and when a ceiling stops the basis (see pd_bound_check)."""
     try:
         leads = [a for _, a in I._divisors(limits).leads()]
     except ResourceLimitError:
         return None
     n = I.ring.n
+    dim = _lead_dim(leads, n)
     missing = n - len({k for a in leads for k, e in enumerate(a) if e})
-    return n - missing if _lead_dim(leads, n) == missing else None
+    if dim == missing:
+        return n - missing
+    if dim >= 0 and n - dim == len(I.gens):
+        return len(I.gens)
+    return None
 
 
 def pd_bound_check(
@@ -286,8 +292,12 @@ def pd_bound_check(
     with a polynomial ring in these a, so depth R/in(I) >= a; Betti
     numbers only grow under Groebner degeneration, in any term order, so
     pd(R/I) <= pd(R/in(I)) <= n - a; and pd(R/I) = n - depth R/I
-    >= n - D.  Otherwise, or when a ceiling stops the basis, pd is the
-    length of the minimal resolution of R/I, whose ceilings are reported.
+    >= n - D.  The same D also decides complete intersections: when the
+    c nonzero generators have height n - D = c, they are a regular
+    sequence (R is Cohen-Macaulay and they are homogeneous), so the
+    Koszul complex resolves R/I and pd(R/I) <= c = n - D, hence pd = c.
+    Otherwise, or when a ceiling stops the basis, pd is the length of the
+    minimal resolution of R/I, whose ceilings are reported.
     """
     for g in f:
         if g and not g.is_homogeneous():

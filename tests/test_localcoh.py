@@ -369,6 +369,13 @@ def resolved_pd(gens):
     return projective_dimension(quotient_presentation(Ideal(gens[0].ring, gens)))
 
 
+def free_of_leads(gens):
+    """The number of variables in no lead of the reduced basis."""
+    I = Ideal(gens[0].ring, gens)
+    used = {k for g in I.groebner_basis() for k, e in enumerate(g.leading_monomial()) if e}
+    return I.ring.n - len(used)
+
+
 def read_families(R, rng):
     """Graded generator lists of R: dense and sparse forms, monomial
     ideals, linear forms, and l*J, which is almost never Cohen-Macaulay."""
@@ -396,9 +403,10 @@ def read_families(R, rng):
 def test_pd_read_off_the_leads_agrees_with_the_resolution():
     """Where the leads decide pd, it equals the length of the minimal
     resolution, in grevlex, lex and elimination orders; the read both
-    answers and declines often."""
+    answers and declines often, and complete intersections whose leads
+    leave fewer than dim R/I variables free are answered often too."""
     rng = random.Random(SEED + 17)
-    answered, declined = Counter(), Counter()
+    answered, declined, regular = Counter(), Counter(), Counter()
     for p in (2, 3, 5):
         for n in (2, 3, 4, 5):
             # resolutions in lex orders grow fast past four variables
@@ -412,10 +420,13 @@ def test_pd_read_off_the_leads_agrees_with_the_resolution():
                         else:
                             assert pd == resolved_pd(gens), (order, [str(g) for g in gens])
                             answered[order[:4]] += 1
-    # both occur often in every kind of order (counts at this seed: 253/227
-    # grevlex, 67/68 lex, 157/113 elim-*)
+                            regular[order[:4]] += pd != n - free_of_leads(gens)
+    # both occur often in every kind of order (counts at this seed: 309/171
+    # grevlex, 85/50 lex, 188/82 elim-*; answered as regular sequences the
+    # free variables do not decide: 56 grevlex, 18 lex, 31 elim-*)
     for kind in ("grev", "lex", "elim"):
         assert answered[kind] >= 40 and declined[kind] >= 40, (answered, declined)
+        assert regular[kind] >= 12, regular
 
 
 # over F_3[x1..x4]: the leads x1^2, x2^2, x3^2 are coprime, so they are
@@ -428,17 +439,28 @@ def test_pd_read_hand_cases():
     f = [P(R, s) for s in SQUARES_PLUS_LOWER]
     assert lead_read(f) == 3 == resolved_pd(f)
     assert pd_bound_check(f).data == {"pd": 3, "depth": 1, "bound": 6}
-    # dim R/(x1^2, x1*x2) = 1 but every variable is in a lead: declined
+    # dim R/(x1^2, x1*x2) = 1 but every variable is in a lead, and two
+    # generators of height 1 are no regular sequence: declined
     R = PolyRing(2, 2)
     f = [P(R, "x1^2"), P(R, "x1*x2")]
     assert lead_read(f) is None
     assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
+    # regular sequences whose leads hold more than n - dim variables: the
+    # hypersurface x1*x2 + x3^2 (lead x1*x2, x3 free, dim 2) has pd 1, and
+    # (x1*x2, x3^2) (no variable free, dim 1) has pd 2
+    R = PolyRing(3, 3)
+    for gens, pd in ((["x1*x2 + x3^2"], 1), (["x1*x2", "x3^2"], 2)):
+        f = [P(R, s) for s in gens]
+        assert free_of_leads(f) < R.n - pd
+        assert lead_read(f) == pd == resolved_pd(f) == pd_bound_check(f).data["pd"]
     # m-primary: a = D = 0
     R = PolyRing(5, 3)
     f = [P(R, "x1^2 + x2*x3"), P(R, "x2^2 + x1*x3"), P(R, "x3^3"), P(R, "x1*x2*x3")]
     assert lead_read(f) == 3 == resolved_pd(f)
-    # the unit ideal has dimension -1 and is left to the resolution
+    # the unit ideal has dimension -1 and is left to the resolution, also
+    # with n + 1 generators, one more than its "height" n - (-1)
     assert lead_read([Polynomial.one(R)]) is None
+    assert lead_read([Polynomial.one(R)] + [Polynomial.variable(R, k) for k in (1, 2, 3)]) is None
     # the zero ideal: every variable is free
     assert lead_read([Polynomial.zero(R)]) == 0
 
