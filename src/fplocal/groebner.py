@@ -51,7 +51,9 @@ are monic, so each step cancels the lead exactly.  The divisor chosen
 for a lead is the first one in basis order that divides it.  exact_div
 is a tagged reduction on the same loop: g*e_0 reduced by h*e_0 - e_1
 leaves the remainder g - q*h in component 0 and the quotient q in
-component 1.
+component 1.  With the rank-1 colon below it gives gcds, in _gcd:
+(a) : b = (a / gcd(a, b)), so a divided by the one element of that
+colon's reduced basis is gcd(a, b).
 
 Syzygies modulo a submodule come from one tagged kernel, _syzygies_raw:
 each column gets a unit tag component, the submodule's vectors get none,
@@ -813,22 +815,44 @@ def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Idea
     return Ideal._of_basis(ring, _meet(A, J._divisors(lim), 1, ring, lim))
 
 
-def exact_div(g: Polynomial, h: Polynomial) -> Polynomial:
+def exact_div(g: Polynomial, h: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
     """Quotient g / h when h divides g exactly; ArithmeticError otherwise.
 
     One tagged reduction: g*e_0 reduced by h*e_0 - e_1 leaves
     (g - q*h)*e_0 + q*e_1, and the division by one divisor leaves no
     term of g - q*h that h's lead divides, so g - q*h is zero exactly
-    when h divides g.  Counted against the default reduction ceiling.
+    when h divides g.  Counted against the reduction ceiling of `limits`,
+    the default one when None.
     """
     if not h:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
     tagged = {**_rank1(h.terms), (1, ring.zero_mono()): ring.p - 1}
-    r = _reduce(_rank1(g.terms), _Divisors([tagged], ring), ring, Budget(resolve_limits(None)))
+    r = _reduce(_rank1(g.terms), _Divisors([tagged], ring), ring, Budget(resolve_limits(limits)))
     if any(c == 0 for c, _ in r):
         raise ArithmeticError(f"{h} does not divide {g}")
     return Polynomial(ring, _terms(r), _raw=True)
+
+
+def _gcd(fs: Sequence[Polynomial], limits: EngineLimits) -> Polynomial:
+    """A gcd of the nonzero polynomials fs, up to a unit, by colons.
+
+    (a) : b = (a / gcd(a, b)), a principal ideal whose reduced basis is
+    one element q, so gcd(a, b) = a / q: one rank-1 colon (_syzygies_raw
+    of b modulo a) and one exact_div take the running gcd a to
+    gcd(a, b).  A running gcd that divides the next b needs no colon."""
+    ring = fs[0].ring
+    g = fs[0]
+    for b in fs[1:]:
+        if mono_divides(g.leading_monomial(), b.leading_monomial()):
+            try:
+                exact_div(b, g, limits)
+                continue
+            except ArithmeticError:
+                pass
+        q = _syzygies_raw([_rank1(b.terms)], 1, ring, limits, [_rank1(g.terms)]).vecs[0]
+        g = exact_div(g, Polynomial(ring, _terms(q), _raw=True), limits)
+    return g
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:

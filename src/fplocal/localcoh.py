@@ -36,7 +36,15 @@ from .frobenius import (
     level_for_degree,
     psi_map,
 )
-from .groebner import Ideal, _lead_dim, ideals_equal, maximal_ideal, saturation
+from .groebner import (
+    Ideal,
+    _gcd,
+    _lead_dim,
+    exact_div,
+    ideals_equal,
+    maximal_ideal,
+    saturation,
+)
 from .modres import projective_dimension, quotient_presentation
 from .polycore import (
     MINUS_INF,
@@ -47,6 +55,7 @@ from .polycore import (
     _product_layout,
     _ring_of,
     _sum_deg,
+    mono_div,
 )
 
 __all__ = [
@@ -258,23 +267,56 @@ def top_lc_vanishing_certificate(
     return _frame("top-vanishing", f, point, limits, {"stage": None}, body)
 
 
-def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Optional[int]:
-    """pd(R/I) when the leads of I's reduced basis pin it: n - a when the
-    a variables that no lead holds number dim R/in(I), and c when I's c
-    generators have height c; None otherwise, for I = R (dimension -1)
-    and when a ceiling stops the basis (see pd_bound_check)."""
-    try:
-        leads = [a for _, a in I._divisors(limits).leads()]
-    except ResourceLimitError:
-        return None
-    n = I.ring.n
-    dim = _lead_dim(leads, n)
+def _pd_of_leads(leads: list, dim: int, n: int, c: int) -> Optional[int]:
+    """pd(R/K) when the leads of K's Groebner basis pin it, with
+    dim = dim R/in(K) and c the number of K's nonzero generators: n - a
+    when the a variables that no lead holds number dim, and c when the c
+    generators have height n - dim = c; None otherwise."""
     missing = n - len({k for a in leads for k, e in enumerate(a) if e})
     if dim == missing:
         return n - missing
-    if dim >= 0 and n - dim == len(I.gens):
-        return len(I.gens)
+    if dim >= 0 and n - dim == c:
+        return c
     return None
+
+
+def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Tuple[Optional[int], Optional[Ideal]]:
+    """(pd(R/I), None) when the leads of I's reduced basis decide it, and
+    otherwise (None, K), K the ideal to resolve, with pd(R/K) = pd(R/I).
+
+    The leads are read first (_pd_of_leads).  Where they decline and
+    dim R/in(I) = n - 1, I = g*J for its content g (groebner._gcd on the
+    basis), and J's leads, I's divided by lead(g), are read in turn: pd is
+    1 when J = R, else J's read, else K = J, given by the generators
+    divided by g.  K = I when the read declines at dim R/in(I) < n - 1,
+    and when a ceiling stops the basis or the content step (see
+    pd_bound_check)."""
+    n, c = I.ring.n, len(I.gens)
+    try:
+        leads = [a for _, a in I._divisors(limits).leads()]
+    except ResourceLimitError:
+        return None, I
+    dim = _lead_dim(leads, n)
+    pd = _pd_of_leads(leads, dim, n, c)
+    if pd is not None:
+        return pd, None
+    if dim != n - 1:
+        return None, I
+    try:
+        g = _gcd(I.groebner_basis(limits), limits)
+    except ResourceLimitError:
+        return None, I
+    u = g.leading_monomial()
+    if u in leads:
+        return 1, None  # J = R
+    leads = [mono_div(a, u) for a in leads]
+    pd = _pd_of_leads(leads, _lead_dim(leads, n), n, c)
+    if pd is not None:
+        return pd, None
+    try:
+        return None, Ideal(I.ring, [exact_div(f, g, limits) for f in I.gens])
+    except ResourceLimitError:
+        return None, I
 
 
 def pd_bound_check(
@@ -296,17 +338,29 @@ def pd_bound_check(
     c nonzero generators have height n - D = c, they are a regular
     sequence (R is Cohen-Macaulay and they are homogeneous), so the
     Koszul complex resolves R/I and pd(R/I) <= c = n - D, hence pd = c.
-    Otherwise, or when a ceiling stops the basis, pd is the length of the
-    minimal resolution of R/I, whose ceilings are reported.
+
+    Where both decline and D = n - 1, pd is read through the content.
+    I has height 1 and R is a UFD, so I lies in a principal prime and its
+    generators have a nonunit gcd g, which is also the gcd of its reduced
+    basis; then I = g*J.  Since lead(g*h) = lead(g)*lead(h) in every
+    monomial order, the basis divided by g is a Groebner basis of J, and
+    in(J) = in(I) / lead(g).  As g*J is isomorphic to J(-deg g),
+    pd(R/I) = pd(R/J) when J != R, read off J's leads by the two rules
+    above with the same c generators f_i / g, and pd(R/I) = 1 when J = R,
+    I = (g), that is when some lead of I is lead(g).  g comes from
+    rank-1 colons on the basis: (a) : b = (a / gcd(a, b)).  Otherwise pd
+    is the length of the minimal resolution of R/J, or of R/I when
+    D < n - 1, or when a ceiling stops the basis or the content step; its
+    ceilings are reported.
     """
     for g in f:
         if g and not g.is_homogeneous():
             raise NonHomogeneousError(f"{g} is not homogeneous")
 
     def body(x: _Instance) -> tuple:
-        pd = _pd_off_leads(x.ideal, x.limits)
+        pd, K = _pd_off_leads(x.ideal, x.limits)
         if pd is None:
-            pd = projective_dimension(quotient_presentation(x.ideal), x.limits)
+            pd = projective_dimension(quotient_presentation(K), x.limits)
         data = {"pd": pd, "depth": x.ring.n - pd, "bound": x.sum_deg}
         return "pass" if pd <= x.sum_deg else "fail", data
 

@@ -9,10 +9,11 @@ stages must also certify at the next stage (the memberships are nested).
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from fplocal import groebner, localcoh
+from fplocal import groebner, localcoh, modres
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import (
@@ -362,7 +363,7 @@ def test_q1_fails_exactly_when_pd_is_n():
 
 def lead_read(gens):
     """pd_bound_check's read on the ideal of `gens`: pd, or None."""
-    return localcoh._pd_off_leads(Ideal(gens[0].ring, gens), EngineLimits())
+    return localcoh._pd_off_leads(Ideal(gens[0].ring, gens), EngineLimits())[0]
 
 
 def resolved_pd(gens):
@@ -400,12 +401,27 @@ def read_families(R, rng):
     return dense, sparse, monomial, linear, times_linear
 
 
+def crossed_products(R, rng):
+    """(l1, l2)*(l3, l4) for random linear forms: for n >= 4 and forms in
+    general position, the meet of two planes of codimension 2 that meet in
+    codimension 4, so of height 2 and depth n - 3, not Cohen-Macaulay: the
+    leads mostly decline.  Two draws."""
+    out = []
+    for _ in range(2):
+        ls = [random_polynomial(R, 1, rng) for _ in range(4)]
+        out.append([a * b for a in ls[:2] for b in ls[2:]])
+    return out
+
+
 def test_pd_read_off_the_leads_agrees_with_the_resolution():
     """Where the leads decide pd, it equals the length of the minimal
     resolution, in grevlex, lex and elimination orders; the read both
     answers and declines often, and complete intersections whose leads
-    leave fewer than dim R/I variables free are answered often too."""
+    leave fewer than dim R/I variables free are answered often too.  The
+    crossed products draw from their own stream, so the other families'
+    draws do not depend on them."""
     rng = random.Random(SEED + 17)
+    crossed = random.Random(SEED + 18)
     answered, declined, regular = Counter(), Counter(), Counter()
     for p in (2, 3, 5):
         for n in (2, 3, 4, 5):
@@ -413,7 +429,7 @@ def test_pd_read_off_the_leads_agrees_with_the_resolution():
             for order in ("grevlex", "lex", "elim-grevlex", "elim-lex")[: 4 if n <= 4 else 1]:
                 R = PolyRing(p, n, order)
                 for _ in range(8 if order == "grevlex" else 3):
-                    for gens in read_families(R, rng):
+                    for gens in (*read_families(R, rng), *crossed_products(R, crossed)):
                         pd = lead_read(gens)
                         if pd is None:
                             declined[order[:4]] += 1
@@ -421,9 +437,11 @@ def test_pd_read_off_the_leads_agrees_with_the_resolution():
                             assert pd == resolved_pd(gens), (order, [str(g) for g in gens])
                             answered[order[:4]] += 1
                             regular[order[:4]] += pd != n - free_of_leads(gens)
-    # both occur often in every kind of order (counts at this seed: 309/171
-    # grevlex, 85/50 lex, 188/82 elim-*; answered as regular sequences the
-    # free variables do not decide: 56 grevlex, 18 lex, 31 elim-*)
+    # both occur often in every kind of order (answered/declined at this
+    # seed: 470/202 grevlex, 137/52 lex, 284/94 elim-*, of which the read
+    # families give 399/81, 116/19 and 238/32, the crossed products 71/121,
+    # 21/33 and 46/62; answered where the free variables do not decide:
+    # 112 grevlex, 32 lex, 56 elim-*)
     for kind in ("grev", "lex", "elim"):
         assert answered[kind] >= 40 and declined[kind] >= 40, (answered, declined)
         assert regular[kind] >= 12, regular
@@ -440,11 +458,21 @@ def test_pd_read_hand_cases():
     assert lead_read(f) == 3 == resolved_pd(f)
     assert pd_bound_check(f).data == {"pd": 3, "depth": 1, "bound": 6}
     # dim R/(x1^2, x1*x2) = 1 but every variable is in a lead, and two
-    # generators of height 1 are no regular sequence: declined
+    # generators of height 1 are no regular sequence; read through the
+    # content x1: J = (x1, x2), whose leads leave no variable free, pd 2
     R = PolyRing(2, 2)
     f = [P(R, "x1^2"), P(R, "x1*x2")]
-    assert lead_read(f) is None
-    assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
+    assert groebner._gcd(Ideal(R, f).groebner_basis(), EngineLimits()).monic() == P(R, "x1")
+    assert lead_read(f) == 2 == resolved_pd(f) == resolved_pd([P(R, "x1"), P(R, "x2")])
+    assert pd_bound_check(f).data["pd"] == 2
+    # dim 1 = n - 2, not CI and no variable free: declined, also through
+    # the content, which is not read below height 1; the resolution gives 2
+    R = PolyRing(2, 3)
+    for gens in (["x1^2", "x1*x2", "x2*x3"], ["x1*x2", "x1*x3", "x2*x3"]):
+        f = [P(R, s) for s in gens]
+        I = Ideal(R, f)
+        assert localcoh._pd_off_leads(I, EngineLimits()) == (None, I)
+        assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
     # regular sequences whose leads hold more than n - dim variables: the
     # hypersurface x1*x2 + x3^2 (lead x1*x2, x3 free, dim 2) has pd 1, and
     # (x1*x2, x3^2) (no variable free, dim 1) has pd 2
@@ -504,6 +532,150 @@ def test_pd_read_ceiling_falls_through_to_the_resolution(monkeypatch):
     monkeypatch.setattr(Ideal, "_divisors", capped)
     rep = pd_bound_check(f)
     assert rep.data == {"pd": 3, "depth": 1, "bound": 6}
+
+
+# ---------------------------------------------------------------------------
+# pd read through the content: I = g*J of height 1
+
+
+def content_route(gens):
+    """How _pd_off_leads treats the ideal of `gens` through its content:
+    "plain" when the leads of I decide, "below" when they decline at
+    dim R/in(I) < n - 1, and otherwise "unit" (J = R, pd 1), "read" (J's
+    leads decide) or "resolve" (R/J is resolved); with the pd it gives,
+    resolving where it returns an ideal."""
+    I = Ideal(gens[0].ring, gens)
+    n = I.ring.n
+    leads = [g.leading_monomial() for g in I.groebner_basis()]
+    dim = groebner._lead_dim(leads, n)
+    pd, K = localcoh._pd_off_leads(I, EngineLimits())
+    if localcoh._pd_of_leads(leads, dim, n, len(I.gens)) is not None:
+        route = "plain"
+    elif dim < n - 1:
+        route = "below"
+    elif K is not None:
+        assert K != I
+        route = "resolve"
+    else:
+        route = "unit" if len(leads) == 1 else "read"
+    if pd is None:
+        pd = projective_dimension(quotient_presentation(K))
+    return route, pd
+
+
+def test_pd_read_through_the_content_agrees_with_the_resolution():
+    """g*J for g of degree 1 and 2 and J from the read families, plus
+    J = (1, h): every pd _pd_off_leads gives, read or resolved from J,
+    equals the length of R/I's own minimal resolution, in grevlex, lex
+    and elimination orders."""
+    rng = random.Random(SEED + 23)
+    routes = Counter()
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            # resolutions of g*J in lex orders grow fast at four variables
+            for order in ("grevlex", "lex", "elim-grevlex", "elim-lex")[: 4 if n <= 3 else 1]:
+                R = PolyRing(p, n, order)
+                for _ in range(3 if order == "grevlex" else 2):
+                    fams = (*read_families(R, rng), [Polynomial.one(R), random_polynomial(R, 1, rng)])
+                    for J in fams:
+                        g = random_polynomial(R, rng.randint(1, 2), rng)
+                        gens = [g * h for h in J]
+                        route, pd = content_route(gens)
+                        assert pd == resolved_pd(gens), (order, route, [str(x) for x in gens])
+                        routes[route] += 1
+    # at this seed: 166 plain, 144 read, 33 resolve, 35 unit
+    assert routes["below"] == 0  # g*J has height 1
+    assert routes["read"] >= 40 and routes["resolve"] >= 15 and routes["unit"] >= 15, routes
+
+
+def test_content_is_a_nonunit_exactly_at_height_one():
+    """For I != 0, the gcd g of I's reduced basis is a nonunit iff
+    dim R/in(I) = n - 1: a height-1 ideal lies in a principal prime, and
+    a nonunit gcd puts I inside a principal ideal, of height 1.  Then
+    lead(g) is the monomial gcd of I's leads: J = I/g has gcd 1, so J = R
+    or J has height >= 2, and then J's leads share no variable."""
+    rng = random.Random(SEED + 29)
+    seen = Counter()
+    lim = EngineLimits()
+    for p in (2, 3):
+        for n in (2, 3, 4):
+            for order in ("grevlex", "lex", "elim-grevlex"):
+                R = PolyRing(p, n, order)
+                for _ in range(3):
+                    for gens in (*read_families(R, rng), *crossed_products(R, rng)):
+                        I = Ideal(R, gens)
+                        if I.is_zero():
+                            continue
+                        basis = I.groebner_basis()
+                        dim = groebner._lead_dim([g.leading_monomial() for g in basis], n)
+                        g = groebner._gcd(basis, lim)
+                        assert g.is_constant() == (dim != n - 1), (order, [str(g) for g in gens])
+                        if dim == n - 1:
+                            leads = [b.leading_monomial() for b in basis]
+                            assert g.leading_monomial() == tuple(map(min, *leads, leads[0]))
+                        seen[g.is_constant()] += 1
+    assert seen[True] >= 40 and seen[False] >= 40, seen
+
+
+def test_pd_read_through_the_content_hand_cases():
+    R = PolyRing(3, 3)
+    g = P(R, "x1*x2 + x3^2")  # its lead x1*x2 is no pure power
+    # (g, x1*g): the plain read declines (no variable free at dim 2, two
+    # generators of height 1); J = R, so I = (g) and pd 1
+    f = [g, g * P(R, "x1")]
+    assert localcoh._pd_of_leads([(1, 1, 0)], 2, 3, 2) is None
+    assert localcoh._pd_off_leads(Ideal(R, f), EngineLimits()) == (1, None)
+    assert resolved_pd(f) == 1
+    assert pd_bound_check(f).data == {"pd": 1, "depth": 2, "bound": 5}
+    # g*(x1, x2, x3): the leads x1^2*x2, x1*x2^2, x1*x2*x3 leave no variable
+    # free at dim 2; divided by lead(g) = x1*x2, both of its variables, they
+    # are x1, x2, x3, which J = m's read decides: pd 3, with no resolution
+    f = [g * Polynomial.variable(R, k) for k in (1, 2, 3)]
+    assert localcoh._pd_off_leads(Ideal(R, f), EngineLimits()) == (3, None)
+    assert resolved_pd(f) == 3
+    # l*(x1*x2, x1*x3, x2*x3): J's leads decline too, so R/J is resolved,
+    # J given by the generators divided by the content
+    ell = P(R, "x1 + 2*x2 + x3")
+    J = [P(R, s) for s in ("x1*x2", "x1*x3", "x2*x3")]
+    f = [ell * h for h in J]
+    pd, K = localcoh._pd_off_leads(Ideal(R, f), EngineLimits())
+    assert pd is None
+    assert [h.monic() for h in K.gens] == J
+    assert resolved_pd(list(K.gens)) == 2 == resolved_pd(f) == pd_bound_check(f).data["pd"]
+
+
+@pytest.mark.parametrize("where", ["_gcd", "exact_div"])
+def test_pd_read_content_ceiling_falls_through_to_the_resolution_of_I(monkeypatch, where):
+    """A ceiling in the content step, in the gcd or in dividing the
+    generators by it, leaves I to the resolution, so a ceiling report
+    names R/I's own ceiling."""
+    R = PolyRing(3, 3)
+    ell = P(R, "x1 + 2*x2 + x3")
+    f = [ell * P(R, s) for s in ("x1*x2", "x1*x3", "x2*x3")]
+
+    def capped(*args):
+        raise ResourceLimitError("reductions", 1)
+
+    monkeypatch.setattr(localcoh, where, capped)
+    I = Ideal(R, f)
+    assert localcoh._pd_off_leads(I, EngineLimits()) == (None, I)
+    assert pd_bound_check(f).data == {"pd": 2, "depth": 1, "bound": 9}
+
+
+def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeypatch):
+    # seed 1: 8 random-3-5, 2 random-2-6, 12 regular and 12 times-linear
+    # instances; the times-linear ones, l*J, are read through the content
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    resolutions = []
+    real = modres.free_resolution
+    monkeypatch.setattr(modres, "free_resolution", lambda *a: resolutions.append(a) or real(*a))
+    ops = workloads.build("pd-resolution", 1)
+    assert len(ops) == 34
+    for op in ops:
+        assert op.check(op.call(op.limits)) is None, op.label
+    assert resolutions == []
 
 
 # ---------------------------------------------------------------------------
