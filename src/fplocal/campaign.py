@@ -61,6 +61,9 @@ class CampaignConfig:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if not self.checks or any(c not in KNOWN_CHECKS for c in self.checks):
             raise ValueError(f"checks must be a nonempty subset of {KNOWN_CHECKS}")
+        if not self.homogeneous and "pd" in self.checks:
+            raise ValueError("the pd check takes homogeneous generators only: "
+                             "drop --inhomogeneous or pass --checks q1")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {self.workers}")

@@ -51,9 +51,7 @@ are monic, so each step cancels the lead exactly.  The divisor chosen
 for a lead is the first one in basis order that divides it.  exact_div
 is a tagged reduction on the same loop: g*e_0 reduced by h*e_0 - e_1
 leaves the remainder g - q*h in component 0 and the quotient q in
-component 1.  With the rank-1 colon below it gives gcds, in _gcd:
-(a) : b = (a / gcd(a, b)), so a divided by the one element of that
-colon's reduced basis is gcd(a, b).
+component 1.
 
 Syzygies modulo a submodule come from one tagged kernel, _syzygies_raw:
 each column gets a unit tag component, the submodule's vectors get none,
@@ -832,27 +830,6 @@ def exact_div(g: Polynomial, h: Polynomial, limits: Optional[EngineLimits] = Non
     if any(c == 0 for c, _ in r):
         raise ArithmeticError(f"{h} does not divide {g}")
     return Polynomial(ring, _terms(r), _raw=True)
-
-
-def _gcd(fs: Sequence[Polynomial], limits: EngineLimits) -> Polynomial:
-    """A gcd of the nonzero polynomials fs, up to a unit, by colons.
-
-    (a) : b = (a / gcd(a, b)), a principal ideal whose reduced basis is
-    one element q, so gcd(a, b) = a / q: one rank-1 colon (_syzygies_raw
-    of b modulo a) and one exact_div take the running gcd a to
-    gcd(a, b).  A running gcd that divides the next b needs no colon."""
-    ring = fs[0].ring
-    g = fs[0]
-    for b in fs[1:]:
-        if mono_divides(g.leading_monomial(), b.leading_monomial()):
-            try:
-                exact_div(b, g, limits)
-                continue
-            except ArithmeticError:
-                pass
-        q = _syzygies_raw([_rank1(b.terms)], 1, ring, limits, [_rank1(g.terms)]).vecs[0]
-        g = exact_div(g, Polynomial(ring, _terms(q), _raw=True), limits)
-    return g
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:

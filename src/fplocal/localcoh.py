@@ -38,9 +38,7 @@ from .frobenius import (
 )
 from .groebner import (
     Ideal,
-    _gcd,
     _lead_dim,
-    exact_div,
     ideals_equal,
     maximal_ideal,
     saturation,
@@ -267,56 +265,30 @@ def top_lc_vanishing_certificate(
     return _frame("top-vanishing", f, point, limits, {"stage": None}, body)
 
 
-def _pd_of_leads(leads: list, dim: int, n: int, c: int) -> Optional[int]:
-    """pd(R/K) when the leads of K's Groebner basis pin it, with
-    dim = dim R/in(K) and c the number of K's nonzero generators: n - a
-    when the a variables that no lead holds number dim, and c when the c
-    generators have height n - dim = c; None otherwise."""
+def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Optional[int]:
+    """pd(R/I) when the leads of I's reduced basis decide it, else None.
+
+    One non-constant element gives 1.  Otherwise the leads are divided by
+    their monomial gcd u, and with D = dim R/(quotients) and c the number
+    of I's nonzero generators the read is n - a when the a variables that
+    no quotient holds number D, c when n - D = c, and None otherwise.  A
+    ceiling in the basis declines too (see pd_bound_check)."""
+    n, c = I.ring.n, len(I.gens)
+    try:
+        leads = [a for _, a in I._divisors(limits).leads()]
+    except ResourceLimitError:
+        return None
+    if len(leads) == 1 and any(leads[0]):
+        return 1
+    u = tuple(map(min, zip(*leads)))
+    leads = [mono_div(a, u) for a in leads]
+    dim = _lead_dim(leads, n)
     missing = n - len({k for a in leads for k, e in enumerate(a) if e})
     if dim == missing:
         return n - missing
     if dim >= 0 and n - dim == c:
         return c
     return None
-
-
-def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Tuple[Optional[int], Optional[Ideal]]:
-    """(pd(R/I), None) when the leads of I's reduced basis decide it, and
-    otherwise (None, K), K the ideal to resolve, with pd(R/K) = pd(R/I).
-
-    The leads are read first (_pd_of_leads).  Where they decline and
-    dim R/in(I) = n - 1, I = g*J for its content g (groebner._gcd on the
-    basis), and J's leads, I's divided by lead(g), are read in turn: pd is
-    1 when J = R, else J's read, else K = J, given by the generators
-    divided by g.  K = I when the read declines at dim R/in(I) < n - 1,
-    and when a ceiling stops the basis or the content step (see
-    pd_bound_check)."""
-    n, c = I.ring.n, len(I.gens)
-    try:
-        leads = [a for _, a in I._divisors(limits).leads()]
-    except ResourceLimitError:
-        return None, I
-    dim = _lead_dim(leads, n)
-    pd = _pd_of_leads(leads, dim, n, c)
-    if pd is not None:
-        return pd, None
-    if dim != n - 1:
-        return None, I
-    try:
-        g = _gcd(I.groebner_basis(limits), limits)
-    except ResourceLimitError:
-        return None, I
-    u = g.leading_monomial()
-    if u in leads:
-        return 1, None  # J = R
-    leads = [mono_div(a, u) for a in leads]
-    pd = _pd_of_leads(leads, _lead_dim(leads, n), n, c)
-    if pd is not None:
-        return pd, None
-    try:
-        return None, Ideal(I.ring, [exact_div(f, g, limits) for f in I.gens])
-    except ResourceLimitError:
-        return None, I
 
 
 def pd_bound_check(
@@ -328,39 +300,42 @@ def pd_bound_check(
     depth >= n - sum deg(f_i).
 
     pd is read off the leads of I's reduced basis when they decide it
-    (_pd_off_leads).  Let a be the number of variables in no lead and
-    D = dim R/in(I) = dim R/I.  Proof that D = a gives pd(R/I) = n - a:
-    R/in(I) is the quotient by the leads in the other variables, tensored
-    with a polynomial ring in these a, so depth R/in(I) >= a; Betti
-    numbers only grow under Groebner degeneration, in any term order, so
-    pd(R/I) <= pd(R/in(I)) <= n - a; and pd(R/I) = n - depth R/I
-    >= n - D.  The same D also decides complete intersections: when the
-    c nonzero generators have height n - D = c, they are a regular
-    sequence (R is Cohen-Macaulay and they are homogeneous), so the
-    Koszul complex resolves R/I and pd(R/I) <= c = n - D, hence pd = c.
+    (_pd_off_leads), and is otherwise the length of the minimal
+    resolution of R/I, whose ceilings are reported.  The read:
 
-    Where both decline and D = n - 1, pd is read through the content.
-    I has height 1 and R is a UFD, so I lies in a principal prime and its
-    generators have a nonunit gcd g, which is also the gcd of its reduced
-    basis; then I = g*J.  Since lead(g*h) = lead(g)*lead(h) in every
-    monomial order, the basis divided by g is a Groebner basis of J, and
-    in(J) = in(I) / lead(g).  As g*J is isomorphic to J(-deg g),
-    pd(R/I) = pd(R/J) when J != R, read off J's leads by the two rules
-    above with the same c generators f_i / g, and pd(R/I) = 1 when J = R,
-    I = (g), that is when some lead of I is lead(g).  g comes from
-    rank-1 colons on the basis: (a) : b = (a / gcd(a, b)).  Otherwise pd
-    is the length of the minimal resolution of R/J, or of R/I when
-    D < n - 1, or when a ceiling stops the basis or the content step; its
-    ceilings are reported.
+    - A reduced basis of one non-constant element means I = (g), and
+      pd(R/I) = 1.
+    - Otherwise the leads are divided by their monomial gcd u.  I is
+      homogeneous, so D = dim R/in(I) = dim R/I in every order.  If the
+      leads share a variable x_k, then in(I) lies in (x_k) and D >= n - 1;
+      so u = 1 when D < n - 1, and the division changes nothing.  At
+      D = n - 1, I has height 1 and R is a UFD, so I = g*J for a nonunit
+      g with gcd(J) = 1: J = R, or J has height >= 2 and in(J) lies in no
+      (x_k).  Since lead(g*h) = lead(g)*lead(h) in every monomial order,
+      in(I) = lead(g)*in(J), so u = lead(g) and the quotients are the
+      leads of J's reduced basis.  J = R only when I = (g), the case
+      above; otherwise g*J is isomorphic to J(-deg g), so
+      pd(R/I) = pd(R/J), and J has the c generators f_i / g.
+    - On the quotients, those of an ideal K with pd(R/K) = pd(R/I), let a
+      be the number of variables in none and D = dim R/in(K) = dim R/K.
+      Proof that D = a gives pd(R/K) = n - a: R/in(K) is the quotient by
+      the leads in the other variables, tensored with a polynomial ring
+      in these a, so depth R/in(K) >= a; Betti numbers only grow under
+      Groebner degeneration, in any term order, so
+      pd(R/K) <= pd(R/in(K)) <= n - a; and pd(R/K) = n - depth R/K
+      >= n - D.  The same D also decides complete intersections: when the
+      c nonzero generators of K have height n - D = c, they are a regular
+      sequence (R is Cohen-Macaulay and they are homogeneous), so the
+      Koszul complex resolves R/K and pd(R/K) <= c = n - D, hence pd = c.
     """
     for g in f:
         if g and not g.is_homogeneous():
             raise NonHomogeneousError(f"{g} is not homogeneous")
 
     def body(x: _Instance) -> tuple:
-        pd, K = _pd_off_leads(x.ideal, x.limits)
+        pd = _pd_off_leads(x.ideal, x.limits)
         if pd is None:
-            pd = projective_dimension(quotient_presentation(K), x.limits)
+            pd = projective_dimension(quotient_presentation(x.ideal), x.limits)
         data = {"pd": pd, "depth": x.ring.n - pd, "bound": x.sum_deg}
         return "pass" if pd <= x.sum_deg else "fail", data
 

@@ -326,6 +326,21 @@ def test_campaign_workers_capped_at_cpu_count(monkeypatch, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+def test_campaign_inhomogeneous_pd_is_a_usage_error(capsys):
+    # pd_bound_check takes homogeneous generators only: the config is
+    # refused before any trial runs, and q1 alone still runs
+    with pytest.raises(ValueError, match="homogeneous"):
+        CampaignConfig(p=2, n=3, degrees=(1, 2), trials=1, seed="s", homogeneous=False)
+    argv = ["campaign", "--p", "2", "--n", "3", "--degrees", "1,2",
+            "--trials", "3", "--seed", "s", "--inhomogeneous"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--inhomogeneous" in err
+    code, doc = run_json(capsys, *argv, "--checks", "q1")
+    assert code in (0, 1) and len(doc["trials"]) == 3
+    assert doc["config"]["homogeneous"] is False
+
+
 # ---------------------------------------------------------------------------
 # plumbing: --out, env defaults, error paths
 

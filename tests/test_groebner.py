@@ -289,28 +289,6 @@ def test_exact_div_counts_against_the_given_ceiling():
     assert exact_div(h ** 4, h) == h ** 3  # the default ceiling
 
 
-def test_gcd_by_colons_matches_a_known_factor():
-    """_gcd(g*a_1, ..., g*a_k) is g times the gcd of the a_i, up to a
-    unit: with a_i sharing no factor it is g, and it is a_1's own factor
-    where they share one."""
-    rng = random.Random(SEED + 19)
-    lim = EngineLimits()
-    for p in (2, 3, 5):
-        for order in ("grevlex", "lex", "elim-grevlex"):
-            R = PolyRing(p, 3, order)
-            for _ in range(4):
-                g = random_poly(R, rng, deg=2)
-                if not g:
-                    continue
-                coprime = [g * parse_poly(R, s) for s in ("x1^2 + x2*x3", "x2^2", "x1*x3 + x3^2")]
-                assert groebner._gcd(coprime, lim).monic() == g.monic(), (order, str(g))
-                shared = [g * parse_poly(R, s) for s in ("x1", "x1*x2")]
-                assert groebner._gcd(shared, lim).monic() == shared[0].monic(), (order, str(g))
-    R = PolyRing(3, 2)
-    coprime = [parse_poly(R, "x1^2 + x2^2"), parse_poly(R, "x1*x2")]
-    assert groebner._gcd(coprime, lim).is_constant()
-
-
 # ---------------------------------------------------------------------------
 # intersection
 

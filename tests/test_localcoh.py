@@ -24,7 +24,7 @@ from fplocal.errors import (
     RingMismatchError,
 )
 from fplocal.frobenius import FrobeniusLevel, bracket_power
-from fplocal.groebner import Ideal, maximal_ideal, saturation
+from fplocal.groebner import Ideal, exact_div, intersect, maximal_ideal, saturation
 from fplocal.koszul import verify_prop_van
 from fplocal.localcoh import (
     CheckReport,
@@ -363,7 +363,7 @@ def test_q1_fails_exactly_when_pd_is_n():
 
 def lead_read(gens):
     """pd_bound_check's read on the ideal of `gens`: pd, or None."""
-    return localcoh._pd_off_leads(Ideal(gens[0].ring, gens), EngineLimits())[0]
+    return localcoh._pd_off_leads(Ideal(gens[0].ring, gens), EngineLimits())
 
 
 def resolved_pd(gens):
@@ -458,20 +458,18 @@ def test_pd_read_hand_cases():
     assert lead_read(f) == 3 == resolved_pd(f)
     assert pd_bound_check(f).data == {"pd": 3, "depth": 1, "bound": 6}
     # dim R/(x1^2, x1*x2) = 1 but every variable is in a lead, and two
-    # generators of height 1 are no regular sequence; read through the
-    # content x1: J = (x1, x2), whose leads leave no variable free, pd 2
+    # generators of height 1 are no regular sequence; divided by the leads'
+    # gcd x1 they are J = (x1, x2)'s, which leave no variable free, pd 2
     R = PolyRing(2, 2)
     f = [P(R, "x1^2"), P(R, "x1*x2")]
-    assert groebner._gcd(Ideal(R, f).groebner_basis(), EngineLimits()).monic() == P(R, "x1")
     assert lead_read(f) == 2 == resolved_pd(f) == resolved_pd([P(R, "x1"), P(R, "x2")])
     assert pd_bound_check(f).data["pd"] == 2
-    # dim 1 = n - 2, not CI and no variable free: declined, also through
-    # the content, which is not read below height 1; the resolution gives 2
+    # dim 1 = n - 2, not CI and no variable free, and the leads share no
+    # variable: declined; the resolution gives 2
     R = PolyRing(2, 3)
     for gens in (["x1^2", "x1*x2", "x2*x3"], ["x1*x2", "x1*x3", "x2*x3"]):
         f = [P(R, s) for s in gens]
-        I = Ideal(R, f)
-        assert localcoh._pd_off_leads(I, EngineLimits()) == (None, I)
+        assert lead_read(f) is None
         assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
     # regular sequences whose leads hold more than n - dim variables: the
     # hypersurface x1*x2 + x3^2 (lead x1*x2, x3 free, dim 2) has pd 1, and
@@ -539,35 +537,29 @@ def test_pd_read_ceiling_falls_through_to_the_resolution(monkeypatch):
 
 
 def content_route(gens):
-    """How _pd_off_leads treats the ideal of `gens` through its content:
-    "plain" when the leads of I decide, "below" when they decline at
-    dim R/in(I) < n - 1, and otherwise "unit" (J = R, pd 1), "read" (J's
-    leads decide) or "resolve" (R/J is resolved); with the pd it gives,
-    resolving where it returns an ideal."""
+    """How _pd_off_leads treats the ideal of `gens` through the leads' gcd:
+    "below" when dim R/in(I) < n - 1, and otherwise "unit" (one basis
+    element, pd 1), "read" (the leads divided by their gcd decide) or
+    "resolve" (declined, so pd_bound_check resolves R/I); with the read's
+    pd or None."""
     I = Ideal(gens[0].ring, gens)
     n = I.ring.n
     leads = [g.leading_monomial() for g in I.groebner_basis()]
-    dim = groebner._lead_dim(leads, n)
-    pd, K = localcoh._pd_off_leads(I, EngineLimits())
-    if localcoh._pd_of_leads(leads, dim, n, len(I.gens)) is not None:
-        route = "plain"
-    elif dim < n - 1:
+    pd = localcoh._pd_off_leads(I, EngineLimits())
+    if groebner._lead_dim(leads, n) < n - 1:
         route = "below"
-    elif K is not None:
-        assert K != I
-        route = "resolve"
+    elif len(leads) == 1:
+        route = "unit"
     else:
-        route = "unit" if len(leads) == 1 else "read"
-    if pd is None:
-        pd = projective_dimension(quotient_presentation(K))
+        route = "read" if pd is not None else "resolve"
     return route, pd
 
 
 def test_pd_read_through_the_content_agrees_with_the_resolution():
     """g*J for g of degree 1 and 2 and J from the read families, plus
-    J = (1, h): every pd _pd_off_leads gives, read or resolved from J,
-    equals the length of R/I's own minimal resolution, in grevlex, lex
-    and elimination orders."""
+    J = (1, h): every pd _pd_off_leads reads, off the leads divided by
+    their gcd, equals the length of R/I's own minimal resolution, in
+    grevlex, lex and elimination orders."""
     rng = random.Random(SEED + 23)
     routes = Counter()
     for p in (2, 3, 5):
@@ -581,11 +573,24 @@ def test_pd_read_through_the_content_agrees_with_the_resolution():
                         g = random_polynomial(R, rng.randint(1, 2), rng)
                         gens = [g * h for h in J]
                         route, pd = content_route(gens)
-                        assert pd == resolved_pd(gens), (order, route, [str(x) for x in gens])
+                        if pd is not None:
+                            assert pd == resolved_pd(gens), (order, route, [str(x) for x in gens])
                         routes[route] += 1
-    # at this seed: 166 plain, 144 read, 33 resolve, 35 unit
+    # at this seed: 201 unit, 144 read, 33 resolve
     assert routes["below"] == 0  # g*J has height 1
     assert routes["read"] >= 40 and routes["resolve"] >= 15 and routes["unit"] >= 15, routes
+
+
+def gcd_of(fs):
+    """A gcd of the nonzero polynomials fs, up to a unit: gcd(a, b) is
+    a*b / lcm(a, b), and the lcm is the one element of the reduced basis
+    of (a) meet (b)."""
+    ring = fs[0].ring
+    g = fs[0]
+    for b in fs[1:]:
+        (lcm,) = intersect(Ideal(ring, [g]), Ideal(ring, [b])).groebner_basis()
+        g = exact_div(g * b, lcm)
+    return g
 
 
 def test_content_is_a_nonunit_exactly_at_height_one():
@@ -593,10 +598,10 @@ def test_content_is_a_nonunit_exactly_at_height_one():
     dim R/in(I) = n - 1: a height-1 ideal lies in a principal prime, and
     a nonunit gcd puts I inside a principal ideal, of height 1.  Then
     lead(g) is the monomial gcd of I's leads: J = I/g has gcd 1, so J = R
-    or J has height >= 2, and then J's leads share no variable."""
+    or J has height >= 2, and then J's leads share no variable.  The pd
+    read divides the leads by that monomial gcd on this identity."""
     rng = random.Random(SEED + 29)
     seen = Counter()
-    lim = EngineLimits()
     for p in (2, 3):
         for n in (2, 3, 4):
             for order in ("grevlex", "lex", "elim-grevlex"):
@@ -608,7 +613,7 @@ def test_content_is_a_nonunit_exactly_at_height_one():
                             continue
                         basis = I.groebner_basis()
                         dim = groebner._lead_dim([g.leading_monomial() for g in basis], n)
-                        g = groebner._gcd(basis, lim)
+                        g = gcd_of(basis)
                         assert g.is_constant() == (dim != n - 1), (order, [str(g) for g in gens])
                         if dim == n - 1:
                             leads = [b.leading_monomial() for b in basis]
@@ -620,62 +625,57 @@ def test_content_is_a_nonunit_exactly_at_height_one():
 def test_pd_read_through_the_content_hand_cases():
     R = PolyRing(3, 3)
     g = P(R, "x1*x2 + x3^2")  # its lead x1*x2 is no pure power
-    # (g, x1*g): the plain read declines (no variable free at dim 2, two
-    # generators of height 1); J = R, so I = (g) and pd 1
+    # (g, x1*g): two generators of height 1 whose lead x1*x2 leaves no
+    # variable free at dim 2; the basis is the one element g, so pd 1
     f = [g, g * P(R, "x1")]
-    assert localcoh._pd_of_leads([(1, 1, 0)], 2, 3, 2) is None
-    assert localcoh._pd_off_leads(Ideal(R, f), EngineLimits()) == (1, None)
+    assert lead_read(f) == 1
     assert resolved_pd(f) == 1
     assert pd_bound_check(f).data == {"pd": 1, "depth": 2, "bound": 5}
     # g*(x1, x2, x3): the leads x1^2*x2, x1*x2^2, x1*x2*x3 leave no variable
     # free at dim 2; divided by lead(g) = x1*x2, both of its variables, they
     # are x1, x2, x3, which J = m's read decides: pd 3, with no resolution
     f = [g * Polynomial.variable(R, k) for k in (1, 2, 3)]
-    assert localcoh._pd_off_leads(Ideal(R, f), EngineLimits()) == (3, None)
+    assert lead_read(f) == 3
     assert resolved_pd(f) == 3
-    # l*(x1*x2, x1*x3, x2*x3): J's leads decline too, so R/J is resolved,
-    # J given by the generators divided by the content
-    ell = P(R, "x1 + 2*x2 + x3")
-    J = [P(R, s) for s in ("x1*x2", "x1*x3", "x2*x3")]
-    f = [ell * h for h in J]
-    pd, K = localcoh._pd_off_leads(Ideal(R, f), EngineLimits())
-    assert pd is None
-    assert [h.monic() for h in K.gens] == J
-    assert resolved_pd(list(K.gens)) == 2 == resolved_pd(f) == pd_bound_check(f).data["pd"]
-
-
-@pytest.mark.parametrize("where", ["_gcd", "exact_div"])
-def test_pd_read_content_ceiling_falls_through_to_the_resolution_of_I(monkeypatch, where):
-    """A ceiling in the content step, in the gcd or in dividing the
-    generators by it, leaves I to the resolution, so a ceiling report
-    names R/I's own ceiling."""
-    R = PolyRing(3, 3)
+    # l*(x1*x2, x1*x3, x2*x3): divided by lead(l) = x1, the leads are those
+    # of J = (x1*x2, x1*x3, x2*x3), which decline too, so R/I is resolved
     ell = P(R, "x1 + 2*x2 + x3")
     f = [ell * P(R, s) for s in ("x1*x2", "x1*x3", "x2*x3")]
-
-    def capped(*args):
-        raise ResourceLimitError("reductions", 1)
-
-    monkeypatch.setattr(localcoh, where, capped)
-    I = Ideal(R, f)
-    assert localcoh._pd_off_leads(I, EngineLimits()) == (None, I)
-    assert pd_bound_check(f).data == {"pd": 2, "depth": 1, "bound": 9}
+    assert lead_read(f) is None
+    assert resolved_pd(f) == 2 == pd_bound_check(f).data["pd"]
 
 
 def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeypatch):
-    # seed 1: 8 random-3-5, 2 random-2-6, 12 regular and 12 times-linear
-    # instances; the times-linear ones, l*J, are read through the content
+    """seed 1: 8 random-3-5, 2 random-2-6, 12 regular and 12 times-linear
+    instances; the times-linear ones, l*J, are read off the leads divided
+    by lead(l).  Each instance computes one basis, I's, and nothing else:
+    no syzygy, no exact division, no resolution."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
-    resolutions = []
-    real = modres.free_resolution
-    monkeypatch.setattr(modres, "free_resolution", lambda *a: resolutions.append(a) or real(*a))
+    calls = Counter()
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def spy(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+
+        monkeypatch.setattr(mod, name, spy)
+
+    counted(modres, "free_resolution")
+    counted(groebner, "exact_div")
+    for mod in (groebner, modres):
+        counted(mod, "_syzygies_raw")
+        counted(mod, "_divisor_basis")
     ops = workloads.build("pd-resolution", 1)
     assert len(ops) == 34
     for op in ops:
+        before = calls["_divisor_basis"]
         assert op.check(op.call(op.limits)) is None, op.label
-    assert resolutions == []
+        assert calls["_divisor_basis"] == before + 1, op.label
+    assert calls == Counter(_divisor_basis=34)
 
 
 # ---------------------------------------------------------------------------
