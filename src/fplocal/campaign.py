@@ -67,6 +67,7 @@ class CampaignConfig:
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {self.workers}")
+        self.to_limits()  # rejects a negative ceiling before any trial or worker starts
 
     def to_limits(self) -> EngineLimits:
         return EngineLimits(

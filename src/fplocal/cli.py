@@ -59,10 +59,11 @@ def _common_flags(sp) -> None:
     sp.add_argument("--timings", action="store_true", help="include wall-clock millis in reports")
 
 
-def _ring_flags(sp) -> None:
+def _ring_flags(sp, order: bool) -> None:
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
     sp.add_argument("--n", type=int, required=True, help="number of variables")
-    sp.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
+    if order:
+        sp.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
 
 
 def _limits(args) -> EngineLimits:
@@ -296,9 +297,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, order=True):
+        # --order only where the subcommand builds its ring from it:
+        # campaign rings are always grevlex
         sp = sub.add_parser(name, help=help_text)
-        _ring_flags(sp)
+        _ring_flags(sp, order)
         _common_flags(sp)
         sp.set_defaults(fn=fn)
         return sp
@@ -357,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gpoly", required=True)
     sp.add_argument("--l", type=int, required=True)
 
-    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign")
+    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign", order=False)
     sp.add_argument("--degrees", required=True, help="comma-separated generator degrees")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", required=True)

@@ -28,6 +28,12 @@ class EngineLimits:
     # confluence of every basis the engine produces.
     on_basis: Optional[Callable[..., None]] = None
 
+    def __post_init__(self):
+        # zero is legal: it forces a ceiling at once
+        for name in ("max_reductions", "max_basis", "max_rounds", "max_length", "level_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 DEFAULT_LIMITS = EngineLimits()
 

@@ -19,14 +19,13 @@ approximation anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import product as _iproduct
-from typing import Iterator, Optional, Tuple
+from itertools import islice, product as _iproduct
+from typing import Iterator, Optional
 
 from .config import DEFAULT_LIMITS, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
 from .groebner import Ideal
-from .polycore import Polynomial, PolyRing, _is_prime, _Layout, _times_mod, add_scaled
+from .polycore import Polynomial, PolyRing, _is_prime, _Layout, _product_layout, _times_mod, add_scaled
 
 __all__ = [
     "FrobeniusLevel",
@@ -34,6 +33,7 @@ __all__ = [
     "level_for_degree",
     "frobenius_power",
     "frobenius_multipliers",
+    "frobenius_walk",
     "bracket_power",
     "frobenius_decompose",
     "component_at",
@@ -155,9 +155,9 @@ def frobenius_multipliers(g: Polynomial, lay: _Layout) -> Iterator[dict]:
     g^(pq-1) = (g^(q-1))^p * g^(p-1), and the p-th power is Frobenius: on
     a pack it is multiplication by p, since c^p = c in F_p.  So each step
     after the first costs one product of the large g^(q-1), scaled, with
-    the small g^(p-1), and nothing is unpacked.  The caller sizes `lay`
-    for the largest level it takes, whose degree is (q-1) deg g: no field
-    can then carry (see _horizon).
+    the small g^(p-1), and nothing is unpacked.  `lay` must hold the
+    degree (q-1) deg g of the largest level taken: no field can then
+    carry (frobenius_walk sizes it).
     """
     p = g.ring.p
     base = mult = lay.pack_terms((g ** (p - 1)).terms)
@@ -177,23 +177,38 @@ def _horizon(level: int, horizon: int, last: int) -> int:
     return min(last, max(level, 2 * horizon, DEFAULT_LIMITS.level_cap))
 
 
+def frobenius_walk(polys: dict, first: int, last: int, extra: int = 0) -> Iterator[tuple]:
+    """(l, lay, {key: g^(q-1)}) for l = first..last, q = p^l, one entry
+    per g = polys[key], packed in the product layout `lay`.
+
+    The one level walk of the checks: every g walks by
+    frobenius_multipliers' recurrence, built up from level 1 even when
+    `first` is higher.  `lay` holds degree p^h * max deg g + extra up to a
+    horizon h (_horizon), `extra` leaving room for one more factor of
+    that degree: the default level cap at once, doubling after, and each
+    new horizon restarts every walk from level 1 in the wider layout.
+    """
+    ring = next(iter(polys.values())).ring
+    top = max(max(map(sum, g.terms), default=0) for g in polys.values())
+    horizon = 0
+    for l in range(first, last + 1):
+        if l > horizon:
+            horizon = _horizon(l, horizon, last)
+            lay = _product_layout(ring.n, ring.p ** horizon * top + extra)
+            walks = {k: islice(frobenius_multipliers(g, lay), l - 1, None) for k, g in polys.items()}
+        yield l, lay, {k: next(w) for k, w in walks.items()}
+
+
 def bracket_power(I: Ideal, lvl: FrobeniusLevel) -> Ideal:
     """The ideal generated by the q-th powers of the given generators.
 
-    Its reduced basis is I's, scaled, and no Buchberger run computes it:
-    x^a -> x^(qa) is an injective ring map that fixes every coefficient
-    of F_p and preserves the monomial order and divisibility, so it
-    carries S-polynomials, standard representations and tail reductions
-    of I's reduced basis to those of the scaled one.  The scaled basis
-    reaches the on_basis observer like any fresh ideal basis.
+    Its reduced basis is I's, scaled (groebner._Divisors.scaled), and no
+    Buchberger run computes it past I's own.  The scaled basis reaches
+    the on_basis observer like any fresh ideal basis.
     """
     _check_level(I.ring, lvl)
     gens = [frobenius_power(g, lvl) for g in I.gens]
-    return Ideal(I.ring, gens, _basis=partial(_bracket_basis, I, lvl))
-
-
-def _bracket_basis(I: Ideal, lvl: FrobeniusLevel, limits: EngineLimits) -> tuple:
-    return tuple(frobenius_power(g, lvl) for g in I.groebner_basis(limits))
+    return Ideal(I.ring, gens, _basis=lambda limits: I._divisors(limits).scaled(lvl.q))
 
 
 def psi_map(h: Polynomial, g: Polynomial, lvl: FrobeniusLevel) -> Polynomial:

@@ -20,9 +20,9 @@ pending.  It is sound within one component, and that is all it sees:
 pairs are formed only within one component, and a lead divides only
 terms of its own component.  The product criterion is applied to ideals
 only; it is unsound for modules.  Module bases are checked by a
-test-side confluence verifier.  Only the bases of Ideal.groebner_basis
-reach the on_basis observer: colons, meets and saturations compute
-module bases, tags included, and stay silent.
+test-side confluence verifier.  Only an Ideal's own basis, fresh or
+derived (Ideal._divisors), reaches the on_basis observer: colons, meets
+and saturations compute module bases, tags included, and stay silent.
 
 Inside the engine each term is one int (Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
@@ -271,6 +271,27 @@ class _Divisors:
             if -(lead >> lay.S) >= c  # the lead's component, as unpack reads it
         ]
         return _Divisors._of_packed(split, lay, self.ring)
+
+    def scaled(self, q: int) -> "_Divisors":
+        """These divisors under x^a * e_c -> x^(qa) * e_c, with no engine
+        call: of a reduced basis, the reduced basis of the image of its
+        span, marked `reduced` like this one.
+
+        The map is injective and additive, fixes every coefficient, and
+        preserves the module order and divisibility: x^a e_c divides
+        x^b e_c exactly when x^(qa) e_c divides x^(qb) e_c.  At q = p^l
+        on one component it is the ring map g -> g^q, since c^q = c in
+        F_p.  So it carries the S-vectors, standard representations and
+        tail reductions of this basis to those of the scaled one: the
+        scaled basis is Groebner, its leads are minimal and monic, and no
+        term of a tail lies in its lead module, so it is the reduced
+        basis of the scaled span."""
+        out = _Divisors(
+            [{(c, tuple(e * q for e in a)): w for (c, a), w in v.items()} for v in self.vecs],
+            self.ring,
+        )
+        out.reduced = self.reduced
+        return out
 
     def at(self, lay: _Layout) -> list:
         out = self.packed.get(lay.bits)
@@ -632,18 +653,21 @@ def _terms(v: dict) -> dict:
     return {a: c for (_, a), c in v.items()}
 
 
-def _wrap(ring: PolyRing, dicts: Sequence[dict]) -> tuple:
-    return tuple(Polynomial(ring, t, _raw=True) for t in dicts)
+def _wrap(ring: PolyRing, basis: _Divisors) -> tuple:
+    """A rank-1 basis as Polynomials."""
+    return tuple(Polynomial(ring, _terms(v), _raw=True) for v in basis.vecs)
 
 
 class Ideal:
     """An ideal of a PolyRing, with a lazily computed reduced basis.
 
-    Generators are stored nonzero and in the given order; the basis
-    cache is filled compute-then-publish, so concurrent readers either
-    see nothing or the finished tuple.  The basis comes from Buchberger,
-    or from `_basis(limits)` when the ideal was built with one: a route
-    that derives the same reduced basis without it, as bracket powers do.
+    Generators are stored nonzero and in the given order.  The basis is
+    kept as the engine's divisors (_divisors); groebner_basis is its
+    Polynomial view.  Both caches are filled compute-then-publish, so
+    concurrent readers either see nothing or the finished basis.  The
+    basis comes from Buchberger, or from `_basis(limits)` when the ideal
+    was built with one: a route that derives the same reduced basis,
+    as _Divisors, without the engine, as bracket powers do.
     """
 
     __slots__ = ("ring", "gens", "_gb", "_basis", "_div")
@@ -669,7 +693,7 @@ class Ideal:
     def _of_basis(cls, ring: PolyRing, basis: _Divisors) -> "Ideal":
         """The ideal with reduced basis `basis`, which is also its list of
         generators."""
-        gb = _wrap(ring, [_terms(v) for v in basis.vecs])
+        gb = _wrap(ring, basis)
         out = cls(ring, gb)
         out._div = basis
         out._gb = gb
@@ -678,26 +702,25 @@ class Ideal:
     def groebner_basis(self, limits: Optional[EngineLimits] = None) -> tuple:
         gb = self._gb
         if gb is None:
+            gb = self._gb = _wrap(self.ring, self._divisors(limits))
+        return gb
+
+    def _divisors(self, limits: Optional[EngineLimits]) -> _Divisors:
+        """The reduced basis as the engine's divisors, fit to be a known
+        part: computed by the engine, or derived by `_basis`."""
+        div = self._div
+        if div is None:
             lim = resolve_limits(limits)
             if self._basis is None:
                 div = _divisor_basis([_rank1(g.terms) for g in self.gens], self.ring, lim, True)
-                gb = _wrap(self.ring, [_terms(v) for v in div.vecs])
-                self._div = div
             else:
-                gb = self._basis(lim)
+                div = self._basis(lim)
             # a fresh or derived ideal basis reaches the observer; cache hits do not
-            if gb and lim.on_basis is not None:
-                lim.on_basis(self.ring, gb)
-            self._gb = gb
-        return gb
-
-    def _divisors(self, limits: EngineLimits) -> _Divisors:
-        """The reduced basis as the engine's divisors, fit to be a known
-        part.  A derived basis goes through the engine once more."""
-        gb = self.groebner_basis(limits)  # sets _div when it runs the engine
-        if self._div is None:
-            self._div = _divisor_basis([_rank1(g.terms) for g in gb], self.ring, limits, True)
-        return self._div
+            if lim.on_basis is not None and div.vecs:
+                self._gb = _wrap(self.ring, div)
+                lim.on_basis(self.ring, self._gb)
+            self._div = div
+        return div
 
     def normal_form(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
         return normal_form(g, self.groebner_basis(limits), limits)

@@ -23,48 +23,37 @@ phi pushes every torsion generator into the image of the level-q
 differential, which kills its class downstream (Lyubeznik 1997,
 Prop. 2.3 supplies the limit argument).
 
-The level walk runs on packs, in one polycore product layout sized for
-every level up to the level cap when the cap is at most the default one
-(frobenius._horizon doubles the horizon past it): each field holds
-p^cap * sum deg f plus the degree of the torsion representatives, so
-neither a product nor a Frobenius step can carry.  The multipliers follow the recurrence M_T(pq) = F(M_T(q)) *
-M_T(p), where F, the p-th power, multiplies a pack by p: one product of a
-large and a small pack per subset T and level, built up from level 1
-even when the walk starts higher.  The level-q differential is F^e(d_1)
-entrywise, and every level tried checks both identities exactly on
-packs: d_q o phi = phi o d_1 entry by entry, and d_q o d_q = 0
-(polycore._vanishes accumulates each sum of products and reduces it mod
-p once).  Only the images phi(rep) of the torsion representatives are
-unpacked, for the normal form.  The image of the level-q differential
-is the level-1 image under x^a e_c -> x^(qa) e_c, an injective map that
-fixes F_p and preserves the module order and divisibility, so it
-carries the reduced basis of im d_1 to that of im d_q: one Buchberger
-run, at level 1, serves every level.  phi_chain_map is the same walk and
-check, unpacked into matrices.
+The level walk is frobenius_walk, on packs: the multipliers follow the
+recurrence M_T(pq) = F(M_T(q)) * M_T(p), where F, the p-th power,
+multiplies a pack by p, built up from level 1 even when the walk starts
+higher, in one polycore product layout that holds p^h * sum deg f plus
+the degree of the torsion representatives up to the walk's horizon h,
+so neither a product nor a Frobenius step can carry.  The level-q
+differential is F^e(d_1) entrywise, and every level tried checks both
+identities exactly on packs: d_q o phi = phi o d_1 entry by entry, and
+d_q o d_q = 0 (polycore._vanishes accumulates each sum of products and
+reduces it mod p once).  Only the images phi(rep) of the torsion
+representatives are unpacked, for the membership test.  The reduced
+basis of im d_q is that of im d_1, scaled (groebner._Divisors.scaled):
+one Buchberger run, at level 1, serves every level.  phi_chain_map is
+the same walk and check, unpacked into matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .config import EngineLimits, resolve_limits
-from .frobenius import (
-    FrobeniusLevel,
-    _check_level,
-    _horizon,
-    frobenius_multipliers,
-    frobenius_power,
-    level_for_degree,
-)
+from .config import Budget, EngineLimits, resolve_limits
+from .frobenius import FrobeniusLevel, _check_level, frobenius_walk, level_for_degree
+from .groebner import _divisor_basis, _reduce
 from .modres import (
     ModulePresentation,
     PolyMatrix,
+    _vec_from_free,
     kernel_of_map,
-    module_gb,
     module_h0m,
-    module_normal_form,
     subquotient_presentation,
 )
 from .polycore import (
@@ -169,25 +158,6 @@ def _packed(entries: dict, lay: _Layout) -> dict:
     return {k: lay.pack_terms(g.terms) for k, g in entries.items()}
 
 
-def _multiplier_levels(f: Sequence[Polynomial], lay: _Layout) -> Iterator[dict]:
-    """{T: M_T(q)} packed in `lay`, for q = p, p^2, ..., one dict per
-    level, T over every increasing tuple of generator indices, the empty
-    one included.
-
-    M_T(q) is (prod over a in T of f_a)^(q-1), and each walks by
-    frobenius_multipliers' recurrence: a level after the first costs one
-    product per subset.  `lay` must hold the degree of every level taken.
-    """
-    s = len(f)
-    prods = {(): Polynomial.one(f[0].ring)}
-    for j in range(1, s + 1):
-        for T in combinations(range(1, s + 1), j):
-            prods[T] = prods[T[:-1]] * f[T[-1] - 1]
-    walks = {T: frobenius_multipliers(g, lay) for T, g in prods.items()}
-    while True:
-        yield {T: next(w) for T, w in walks.items()}
-
-
 def _level_entries(d1: dict, q: int) -> dict:
     """The level-q differential's packed entries: F^e(d_1) entrywise,
     x^a -> x^(qa) on every pack.  The signs carry over: q is odd for odd
@@ -210,23 +180,23 @@ def _check_chain_map(d1: dict, mults: dict, q: int, index_maps: tuple, p: int) -
 
 
 def _chain_maps(k1: KoszulComplex, first: int, last: int, extra: int) -> Iterator[tuple]:
-    """(l, lay, {T: M_T(q)}) for the levels l = first..last, q = p^l, the
-    multipliers packed in the product layout `lay`.  It holds degree
-    p^h * sum deg f + extra up to a horizon h (frobenius._horizon): the
-    default level cap at once, doubling after, each time with a fresh
-    walk from level 1.  The walk starts at level 1 whatever `first` is,
-    and each level yielded has passed both identities of
+    """(l, lay, {T: M_T(q)}) for the levels l = first..last, q = p^l: the
+    frobenius_walk of the subset products prod over a in T of f_a, T over
+    every increasing tuple of generator indices, the empty one included.
+    The largest is prod f, so `lay` holds p^h * sum deg f + extra up to
+    the walk's horizon h.  d_1 is packed again whenever the layout
+    changes, and each level yielded has passed both identities of
     _check_chain_map."""
-    p, n = k1.ring.p, k1.ring.n
-    total = _sum_deg(k1.f)
-    horizon = 0
-    for l in range(first, last + 1):
-        if l > horizon:
-            horizon = _horizon(l, horizon, last)
-            lay = _product_layout(n, p ** horizon * total + extra)
-            d1 = _packed(_koszul_entries(k1.f, k1.index_maps), lay)
-            walk = islice(_multiplier_levels(k1.f, lay), l - 1, None)
-        mults = next(walk)
+    f, p = k1.f, k1.ring.p
+    prods = {(): Polynomial.one(k1.ring)}
+    for tuples in k1.index_maps[1:]:
+        for T in tuples:
+            prods[T] = prods[T[:-1]] * f[T[-1] - 1]
+    entries = _koszul_entries(f, k1.index_maps)
+    packed_in = None
+    for l, lay, mults in frobenius_walk(prods, first, last, extra):
+        if lay is not packed_in:
+            d1, packed_in = _packed(entries, lay), lay
         _check_chain_map(d1, mults, p ** l, k1.index_maps, p)
         yield l, lay, mults
 
@@ -407,23 +377,22 @@ def verify_prop_van(
     if l0 > lim.level_cap:
         return finish("inconclusive", None, 0, ())
     im_1 = k1.diffs[i - 1].columns if i > 0 else ()
-    imgb_1 = module_gb(ring, im_1, lim) if im_1 else ()
+    basis_1 = _divisor_basis([_vec_from_free(col) for col in im_1], ring, lim)
     p = ring.p
     targets = k1.index_maps[i]
     retries = 0
     verdicts: list = []
     for l, lay, mults in _chain_maps(k1, l0, lim.level_cap, dmax):
-        lvl = FrobeniusLevel(p, l)
-        imgb = tuple(tuple(frobenius_power(g, lvl) for g in v) for v in imgb_1)
+        basis = basis_1.scaled(p ** l)
         verdicts = []
         pack, unpack = lay.pack_terms, lay.unpack_terms
         for rep in reps:
-            image = tuple(
-                Polynomial(ring, unpack(_times_mod(pack(g.terms), mults[T], p), p), _raw=True)
-                for T, g in zip(targets, rep)
-            )
-            nf = module_normal_form(ring, image, imgb, lim) if imgb else image
-            verdicts.append(not any(nf))
+            image = {
+                (c, a): w
+                for c, (T, g) in enumerate(zip(targets, rep))
+                for a, w in unpack(_times_mod(pack(g.terms), mults[T], p), p).items()
+            }
+            verdicts.append(not _reduce(image, basis, ring, Budget(lim)))
         if all(verdicts):
             return finish("pass", l, retries, verdicts)
         retries += 1

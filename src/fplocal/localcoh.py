@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,9 +29,8 @@ from .config import EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
 from .frobenius import (
     FrobeniusLevel,
-    _horizon,
     bracket_power,
-    frobenius_multipliers,
+    frobenius_walk,
     level_for_degree,
     psi_map,
 )
@@ -50,7 +48,6 @@ from .polycore import (
     PolyRing,
     RationalPoint,
     _normalize_point,
-    _product_layout,
     _ring_of,
     _sum_deg,
     mono_div,
@@ -235,10 +232,9 @@ def top_lc_vanishing_certificate(
     inconclusive, not fail.  e_max = 0 tries stage 0 only; a negative
     e_max raises ValueError.
 
-    Each stage's multiplier comes from the one before, on packs
-    (frobenius_multipliers, in a layout sized by frobenius._horizon), and
-    is unpacked once for its stage; each bracket power's basis is I's,
-    scaled (bracket_power): no stage runs Buchberger.
+    The multipliers come from frobenius_walk on prod f, each unpacked
+    once for its stage; each bracket power's basis is I's, scaled
+    (bracket_power): no stage runs Buchberger.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -249,14 +245,9 @@ def top_lc_vanishing_certificate(
             return "pass", {"stage": 0, "memberships": None}
         ring, p = x.ring, x.ring.p
         g = prod(x.gens, start=Polynomial.one(ring))
-        horizon = 0
-        for e in range(1, e_max + 1):
-            if e > horizon:
-                horizon = _horizon(e, horizon, e_max)
-                lay = _product_layout(ring.n, p ** horizon * max(map(sum, g.terms), default=0))
-                mults = islice(frobenius_multipliers(g, lay), e - 1, None)
+        for e, lay, mults in frobenius_walk({(): g}, 1, e_max):
             Iq = bracket_power(x.ideal, FrobeniusLevel(p, e))
-            mult = Polynomial(ring, lay.unpack_terms(next(mults), p), _raw=True)
+            mult = Polynomial(ring, lay.unpack_terms(mults[()], p), _raw=True)
             verdicts = [not Iq.normal_form(mult * h, x.limits) for h in S.gens]
             if all(verdicts):
                 return "pass", {"stage": e, "memberships": verdicts}

@@ -311,16 +311,18 @@ def kernel_of_map(mat: PolyMatrix, limits: Optional[EngineLimits] = None) -> tup
 
 def _presentation_raw(
     gens: Sequence[dict], modulo: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
-) -> ModulePresentation:
-    """Presentation of (span(gens) + span(modulo)) / span(modulo).  Its
-    relations are the syzygies of gens modulo span(modulo), the same list
-    as full tags projected onto the gens tags (see the module docstring)."""
+) -> tuple:
+    """(presentation, relation basis) of (span(gens) + span(modulo)) /
+    span(modulo).  Its relations are the syzygies of gens modulo
+    span(modulo), the same list as full tags projected onto the gens tags
+    (see the module docstring); the engine's reduced basis of them comes
+    back as well."""
     u = len(gens)
     if u == 0:
-        return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ()))
+        return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ())), _Divisors([], ring)
     rels = _syzygies_raw(gens, rank, ring, limits, modulo)
     cols = tuple(_free_from_vec(v, u, ring) for v in rels.vecs)
-    return ModulePresentation(ring, u, PolyMatrix(ring, u, cols))
+    return ModulePresentation(ring, u, PolyMatrix(ring, u, cols)), rels
 
 
 def subquotient_presentation(
@@ -346,7 +348,7 @@ def subquotient_presentation(
         raise ValueError("image generators do not lie in the kernel span")
     else:
         rank = 0
-    return _presentation_raw(kv, iv, rank, ring, lim)
+    return _presentation_raw(kv, iv, rank, ring, lim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +615,8 @@ def module_h0m(
 
     Saturates the relation submodule at the (translated) origin, reduces
     the saturation generators mod the relations to get torsion
-    generators, presents the subquotient, and counts its staircase.
+    generators, presents the subquotient, and counts the staircase of the
+    relation basis that presenting it computed.
     """
     ring = pres.ring
     lim = resolve_limits(limits)
@@ -641,8 +644,8 @@ def module_h0m(
             if r not in tors:
                 tors.append(r)
     tors.sort(key=lambda v: vk(next(iter(v))), reverse=True)  # engine output: lead first
-    presentation = _presentation_raw(tors, cols, rank, ring, lim)
-    finite, length = finite_length_data(presentation, lim)
+    presentation, rels = _presentation_raw(tors, cols, rank, ring, lim)
+    finite, length = _staircase_length(rels, len(tors), lim)
     gens = [_free_from_vec(v, rank, ring) for v in tors]
     if pt is not None:
         back = -pt
@@ -654,7 +657,18 @@ def finite_length_data(
     pres: ModulePresentation, limits: Optional[EngineLimits] = None
 ) -> tuple:
     """(finite, length): whether coker(relations) has a finite staircase,
-    and the count of standard monomials across components when it does.
+    and the count of standard monomials across components when it does
+    (_staircase_length, on the reduced basis of the relations)."""
+    lim = resolve_limits(limits)
+    if pres.rank == 0:
+        return True, 0
+    rel = [_vec_from_free(col) for col in pres.relations.columns]
+    return _staircase_length(_divisor_basis(rel, pres.ring, lim), pres.rank, lim)
+
+
+def _staircase_length(basis: _Divisors, rank: int, lim: EngineLimits) -> tuple:
+    """(finite, length) of R^rank / span(basis), read off the leads of
+    its reduced basis.
 
     A component's staircase is finite when its leads hold a pure power of
     every variable.  The count walks the staircase itself, not the box
@@ -662,23 +676,13 @@ def finite_length_data(
     depth-first walk from 1 that reaches each b only from b - x_k, k the
     last variable of b, visits each of them once.  max_length bounds the
     count, and is reached only by a module that long."""
-    ring = pres.ring
-    lim = resolve_limits(limits)
-    rank = pres.rank
-    if rank == 0:
-        return True, 0
-    rel = [_vec_from_free(col) for col in pres.relations.columns]
-    rel = [v for v in rel if v]
-    gb = _reduced_basis(rel, ring, lim)
-    leads: dict = {}
-    for v in gb:
-        c, a = next(iter(v))  # engine output: lead first
-        leads.setdefault(c, []).append(a)
-    n = ring.n
-    stairs = [leads.get(c, []) for c in range(rank)]
+    stairs: list = [[] for _ in range(rank)]
+    for c, a in basis.leads():
+        stairs[c].append(a)
+    n = basis.ring.n
     if not all(any(not any(a[:k] + a[k + 1:]) for a in L) for L in stairs for k in range(n)):
         return False, None  # some component has no pure power of some x_k
-    zero = ring.zero_mono()
+    zero = basis.ring.zero_mono()
     total = 0
     for L in stairs:
         stack = [] if zero in L else [(zero, 0)]  # (b, the last variable of b)

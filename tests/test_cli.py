@@ -15,6 +15,7 @@ import pytest
 from fplocal import campaign
 from fplocal.campaign import CampaignConfig
 from fplocal.cli import main
+from fplocal.config import EngineLimits
 
 
 def run(capsys, *argv):
@@ -341,6 +342,21 @@ def test_campaign_inhomogeneous_pd_is_a_usage_error(capsys):
     assert doc["config"]["homogeneous"] is False
 
 
+def test_campaign_rejects_order(capsys):
+    # campaign rings are always grevlex and the config records no order,
+    # so --order is not a campaign flag; the subcommands that build their
+    # ring from it keep it
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--p", "2", "--n", "3", "--degrees", "1,1",
+              "--trials", "2", "--seed", "demo", "--order", "lex"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--order" in captured.err and captured.out == ""
+    code, doc = run_json(capsys, "check-q1", "--p", "2", "--n", "2", "--order", "lex",
+                         "--gens", "x1^2, x1*x2")
+    assert code == 1 and doc["outcome"] == "fail"
+
+
 # ---------------------------------------------------------------------------
 # plumbing: --out, env defaults, error paths
 
@@ -396,6 +412,56 @@ def test_flag_beats_malformed_env_ceiling(monkeypatch, capsys):
     )
     assert code == 1
     assert doc["outcome"] != "resource-limit"
+
+
+CEILING_FLAGS = ["--max-reductions", "--max-basis", "--max-rounds", "--max-length", "--level-cap"]
+
+
+@pytest.mark.parametrize("flag", CEILING_FLAGS)
+def test_negative_ceiling_is_a_usage_error(capsys, flag):
+    code = main(["check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_env_ceiling_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FPLOCAL_MAX_BASIS", "-3")
+    code = main(["gb", "--p", "2", "--n", "2", "--gens", "x1^2 + x2, x1*x2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: max_basis must be >= 0, got -3" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_level_cap_tries_no_propvan_level(capsys):
+    code = main(["check-propvan", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+                 "--i", "2", "--level-cap", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and "level_cap" in captured.err and captured.out == ""
+
+
+def test_zero_ceilings_stay_legal():
+    lim = EngineLimits(max_reductions=0, max_basis=0, max_rounds=0, max_length=0, level_cap=0)
+    assert lim.max_reductions == 0 and lim.level_cap == 0
+    for name in ("max_reductions", "max_basis", "max_rounds", "max_length", "level_cap"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            EngineLimits(**{name: -1})
+
+
+def test_negative_campaign_ceiling_fails_before_any_trial(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a trial or a worker pool was started")
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(campaign, "run_trial", never)
+    with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+        CampaignConfig(p=2, n=3, degrees=(1, 1), trials=1, seed="s", max_rounds=-1)
+    code = main(["campaign", "--p", "2", "--n", "3", "--degrees", "1,1", "--trials", "2",
+                 "--seed", "demo", "--max-length", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and "max_length must be >= 0" in captured.err and captured.out == ""
 
 
 def test_parse_error_exit2(capsys):

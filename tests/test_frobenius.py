@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from fplocal import groebner
 from fplocal.config import EngineLimits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.frobenius import (
@@ -19,11 +20,12 @@ from fplocal.frobenius import (
     frobenius_decompose,
     frobenius_multipliers,
     frobenius_power,
+    frobenius_walk,
     level_for_degree,
     psi_map,
     td_roundtrip_check,
 )
-from fplocal.groebner import Ideal, ideals_equal, verify_confluence
+from fplocal.groebner import Ideal, ideals_equal, maximal_ideal, saturation, verify_confluence
 from fplocal.modres import module_gb
 from fplocal.polycore import MINUS_INF, Polynomial, PolyRing, _product_layout, parse_poly
 
@@ -306,6 +308,59 @@ def test_frobenius_multipliers_match_direct_powers():
             for l in range(1, top + 1):
                 step = Polynomial(R, lay.unpack_terms(next(walk), p), _raw=True)
                 assert step == g ** (p ** l - 1)
+
+
+def test_frobenius_walk_matches_direct_powers_from_any_start():
+    # a dict of polynomials, walked from level 1, from a later level and
+    # from past the default level cap, up to past that cap: every value is
+    # the direct power g^(q-1), in a layout that holds its degree
+    rng = random.Random(SEED + 14)
+    cap = EngineLimits().level_cap
+    for p, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        R = PolyRing(p, n)
+        polys = {
+            "g": random_poly(R, rng, deg=2 if n == 1 else 1, terms=2),
+            "h": parse_poly(R, "x1 + 1"),
+            "one": Polynomial.one(R),
+            "zero": Polynomial.zero(R),
+        }
+        last = cap + (2 if p == 2 else 1)
+        for first in (1, 3, cap + 1):
+            levels = []
+            for l, lay, mults in frobenius_walk(polys, first, last):
+                levels.append(l)
+                for k, g in polys.items():
+                    power = g ** (p ** l - 1)
+                    assert Polynomial(R, lay.unpack_terms(mults[k], p), _raw=True) == power
+                    assert lay.bits >= _product_layout(n, max(map(sum, power.terms), default=0)).bits
+            assert levels == list(range(first, last + 1))
+
+
+def test_bracket_basis_costs_no_buchberger_run_once_the_basis_is_cached(monkeypatch):
+    # with I's basis cached, the bracket power's basis is I's, scaled: no
+    # _packed_basis run computes it, also when a saturation asks for it
+    # first, as the engine's divisors; and it is the basis Buchberger
+    # computes from the bracket generators
+    runs = []
+    packed_basis = groebner._packed_basis
+    monkeypatch.setattr(groebner, "_packed_basis", lambda *a: runs.append(1) or packed_basis(*a))
+    cases = [
+        (PolyRing(3, 3), ["x1^2 + x2", "x1*x2 + 2*x2^2"]),  # no lead holds x3: saturated
+        (PolyRing(2, 2), ["x1^2 + x1*x2", "x2^3"]),  # m-primary: a finite staircase
+        (PolyRing(5, 3, "lex"), ["x1^2 + 3*x2", "x2^2 + x1*x2"]),
+        (PolyRing(5, 2, "lex"), ["x1^2 + 3*x1*x2", "x2^3"]),
+    ]
+    for R, gens in cases:
+        I = Ideal(R, gens)
+        I.groebner_basis()
+        for l in (1, 2):
+            runs.clear()
+            Iq = bracket_power(I, FrobeniusLevel(R.p, l))
+            S = saturation(Iq, maximal_ideal(R))
+            gb = Iq.groebner_basis()
+            assert runs == []
+            assert S is Iq or S.groebner_basis() == (Polynomial.one(R),)
+            assert gb == Ideal(R, Iq.gens).groebner_basis()
 
 
 # ---------------------------------------------------------------------------

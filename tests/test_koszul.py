@@ -8,7 +8,7 @@ exploratory run on a hypothesis-violating input.
 """
 
 import random
-from itertools import islice
+from math import prod
 
 import pytest
 
@@ -24,7 +24,7 @@ from fplocal.koszul import (
     phi_chain_map,
     verify_prop_van,
 )
-from fplocal.modres import finite_length_data, module_gb
+from fplocal.modres import _free_from_vec, finite_length_data, module_gb
 from fplocal.polycore import Polynomial, PolyRing, _product_layout, _sum_deg, parse_poly
 
 SEED = 16180
@@ -375,11 +375,12 @@ def test_recurrence_multipliers_match_direct_products():
     families += [(f, max(l, 2 if f[0].ring.p < 5 else 1)) for f, l in criterion_3_families(200)]
     for f, top in families:
         R = f[0].ring
-        lay = _product_layout(R.n, R.p ** top * _sum_deg(f))
-        index_maps = build_koszul(f).index_maps
-        walk = koszul._multiplier_levels(f, lay)
-        for l in range(1, top + 1):
-            assert unpacked(R, lay, next(walk)) == direct_multipliers(f, index_maps, R.p ** l)
+        k1 = build_koszul(f)
+        walk = list(koszul._chain_maps(k1, 1, top, 0))
+        assert [l for l, _, _ in walk] == list(range(1, top + 1))
+        for l, lay, mults in walk:
+            assert lay.bits == _product_layout(R.n, R.p ** top * _sum_deg(f)).bits
+            assert unpacked(R, lay, mults) == direct_multipliers(f, k1.index_maps, R.p ** l)
 
 
 def test_phi_chain_map_matches_direct_products():
@@ -413,17 +414,21 @@ def test_walk_layout_is_sized_for_the_cap(monkeypatch):
     lay_1 = _product_layout(R.n, R.p * _sum_deg(f))
     lay = _product_layout(R.n, R.p ** cap * _sum_deg(f))
     assert lay.bits > lay_1.bits
-    index_maps = build_koszul(f).index_maps
-    walk, short = koszul._multiplier_levels(f, lay), koszul._multiplier_levels(f, lay_1)
-    for l in range(1, cap + 1):
-        direct = direct_multipliers(f, index_maps, R.p ** l)
-        assert unpacked(R, lay, next(walk)) == direct
+    k1 = build_koszul(f)
+    short = {
+        T: frobenius.frobenius_multipliers(prod((f[a - 1] for a in T), start=Polynomial.one(R)), lay_1)
+        for tuples in k1.index_maps for T in tuples
+    }
+    for l, walk_lay, mults in koszul._chain_maps(k1, 1, cap, 0):
+        direct = direct_multipliers(f, k1.index_maps, R.p ** l)
+        assert walk_lay.bits == lay.bits
+        assert unpacked(R, lay, mults) == direct
         # the level-1 layout's 8-bit fields hold M_T(27), of x1-degree at
         # most 5 * 26 = 130, but not M_T(81), of x1-degree up to 400
-        assert (unpacked(R, lay_1, next(short)) == direct) == (l < 4)
+        assert (unpacked(R, lay_1, {T: next(w) for T, w in short.items()}) == direct) == (l < 4)
     widths = []
-    real = koszul._product_layout
-    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    real = frobenius._product_layout
+    monkeypatch.setattr(frobenius, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
     cert = verify_prop_van(f, 2, level=FrobeniusLevel(3, cap))
     # (x1^4, x1*x2) has radical (x1), so H^2_I(R) = 0 and the torsion dies
     assert (cert.num_torsion_generators, cert.level_used, cert.verdicts) == (1, cap, (True,))
@@ -435,38 +440,40 @@ def test_walk_past_the_default_cap_doubles_its_layout(monkeypatch):
     # is laid out for levels up to 4, then 8, then 9, restarting from
     # level 1 each time, and every level still passes both checks
     widths = []
-    real = koszul._product_layout
-    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    real = frobenius._product_layout
+    monkeypatch.setattr(frobenius, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
     R = PolyRing(2, 2)
     f = [P(R, "x1"), P(R, "x2")]
     cert = verify_prop_van(f, 2, limits=EngineLimits(level_cap=9))
     assert cert.retries == 9
-    assert widths[1:] == [2 ** 4 * 2, 2 ** 8 * 2, 2 ** 9 * 2]  # widths[0] is build_koszul's
+    assert widths == [2 ** 4 * 2, 2 ** 8 * 2, 2 ** 9 * 2]
 
 
 def test_huge_level_cap_widens_no_pack_before_the_walk_needs_it(monkeypatch):
+    # build_koszul's layout and the walk's, both spied
     widths = []
-    real = koszul._product_layout
-    monkeypatch.setattr(koszul, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    for mod in (koszul, frobenius):
+        monkeypatch.setattr(mod, "_product_layout",
+                            lambda n, d, real=mod._product_layout: widths.append(d) or real(n, d))
     R = PolyRing(3, 2)
     f = [P(R, "x1^2"), P(R, "x1*x2")]
     lim = EngineLimits(level_cap=10 ** 6)
     cert = verify_prop_van(f, 2, level=FrobeniusLevel(3, 1), limits=lim)
     assert (cert.level_used, cert.verdicts) == (1, (True,))
-    assert max(widths) <= 3 ** 4 * _sum_deg(f) + 1
+    assert len(widths) == 2 and max(widths) <= 3 ** 4 * _sum_deg(f) + 1
 
 
 def test_level_q_image_bases_match_buchberger(monkeypatch):
-    # the basis each level reduces by is the reduced basis that Buchberger
-    # computes from the level-q image columns
+    # the basis each level reduces by, im d_1's scaled, is the reduced
+    # basis that Buchberger computes from the level-q image columns
     seen = []
-    real = koszul.module_normal_form
+    real = koszul._reduce
 
-    def spy(ring, vec, basis, limits=None):
-        seen.append(basis)
-        return real(ring, vec, basis, limits)
+    def spy(v, divisors, ring, budget):
+        seen.append(divisors)
+        return real(v, divisors, ring, budget)
 
-    monkeypatch.setattr(koszul, "module_normal_form", spy)
+    monkeypatch.setattr(koszul, "_reduce", spy)
     cases = [
         (PolyRing(2, 2), ["x1", "x2"], 2, 3),
         (PolyRing(3, 2), ["x1", "x2", "x1 + x2"], 2, 2),
@@ -485,7 +492,8 @@ def test_level_q_image_bases_match_buchberger(monkeypatch):
             kq = build_koszul(f, R.p ** l)
             ref = module_gb(R, kq.diffs[i - 1].columns)
             for basis in seen[k * cert.num_torsion_generators:(k + 1) * cert.num_torsion_generators]:
-                assert basis == ref
+                assert basis.reduced
+                assert tuple(_free_from_vec(v, kq.rank(i), R) for v in basis.vecs) == ref
 
 
 def count_work(monkeypatch):
@@ -573,7 +581,7 @@ def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
 
 def test_walk_rejects_a_perturbed_multiplier(monkeypatch):
     # one term of one M_T at level 2 changes; every subset T, p = 2 and 3
-    real = koszul.frobenius_multipliers
+    real = frobenius.frobenius_multipliers
     for p in (2, 3):
         R = PolyRing(p, 2)
         f = [P(R, "x1 + x2"), P(R, "x2")]
@@ -589,7 +597,7 @@ def test_walk_rejects_a_perturbed_multiplier(monkeypatch):
                         m = {**m, t: m[t] + 1}
                     yield m
 
-            monkeypatch.setattr(koszul, "frobenius_multipliers", perturbed)
+            monkeypatch.setattr(frobenius, "frobenius_multipliers", perturbed)
             with pytest.raises(ValueError, match="chain map fails to commute"):
                 phi_chain_map(f, FrobeniusLevel(p, 2))
             made.clear()
@@ -622,8 +630,7 @@ def test_level_check_rejects_a_complex_that_fails_d_compose_d():
     R = PolyRing(3, 2)
     f = [P(R, "x1"), P(R, "x2"), P(R, "x1 + x2")]
     k1 = build_koszul(f)
-    lay = _product_layout(R.n, 9 * _sum_deg(f))
-    mults = next(islice(koszul._multiplier_levels(f, lay), 1, None))
+    [(_, lay, mults)] = koszul._chain_maps(k1, 2, 2, 0)
     d1 = {k: lay.pack_terms(g.terms) for k, g in koszul._koszul_entries(f, k1.index_maps).items()}
     koszul._check_chain_map(d1, mults, 9, k1.index_maps, R.p)
     for key in d1:

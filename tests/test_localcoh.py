@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fplocal import groebner, localcoh, modres
+from fplocal import frobenius, groebner, localcoh, modres
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
 from fplocal.config import EngineLimits
 from fplocal.errors import (
@@ -739,7 +739,7 @@ def test_topvan_walk_past_the_default_cap_restarts_exactly(monkeypatch):
     # and the second walk starts again from stage 1; every value it
     # yields is the direct power
     walks = []
-    real = localcoh.frobenius_multipliers
+    real = frobenius.frobenius_multipliers
 
     def spy(g, lay):
         walks.append([])
@@ -747,7 +747,7 @@ def test_topvan_walk_past_the_default_cap_restarts_exactly(monkeypatch):
             walks[-1].append((g, Polynomial(g.ring, lay.unpack_terms(m, g.ring.p), _raw=True)))
             yield m
 
-    monkeypatch.setattr(localcoh, "frobenius_multipliers", spy)
+    monkeypatch.setattr(frobenius, "frobenius_multipliers", spy)
     R = PolyRing(2, 2)
     rep = top_lc_vanishing_certificate([P(R, "x1"), P(R, "x2")], e_max=6)
     assert rep.outcome == "inconclusive" and rep.data["stages_tried"] == 6
@@ -759,8 +759,8 @@ def test_topvan_walk_past_the_default_cap_restarts_exactly(monkeypatch):
 
 def test_topvan_huge_e_max_widens_no_pack_before_the_walk_needs_it(monkeypatch):
     widths = []
-    real = localcoh._product_layout
-    monkeypatch.setattr(localcoh, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
+    real = frobenius._product_layout
+    monkeypatch.setattr(frobenius, "_product_layout", lambda n, d: widths.append(d) or real(n, d))
     R = PolyRing(2, 2)
     rep = top_lc_vanishing_certificate([P(R, "x1^2"), P(R, "x1*x2")], e_max=10 ** 6)
     assert rep.outcome == "pass" and rep.data["stage"] == 1

@@ -1089,6 +1089,47 @@ def test_h0m_of_the_thin_staircase():
     assert (tor.finite, tor.length) == (True, 178)
 
 
+def test_h0m_counts_its_length_on_the_relation_basis_it_has(monkeypatch):
+    # presenting the torsion computes the reduced basis of its relations,
+    # and the length is counted on its leads: no _divisor_basis call takes
+    # those relations again, the one call finite_length_data makes on them
+    calls = []
+
+    def spy(real):
+        def counted(vecs, *args, **kwargs):
+            calls.append([v for v in vecs if v])
+            return real(vecs, *args, **kwargs)
+
+        return counted
+
+    for mod in (groebner, modres):
+        monkeypatch.setattr(mod, "_divisor_basis", spy(mod._divisor_basis))
+    rng = random.Random(SEED + 44)
+    cases = []
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            R = PolyRing(p, 2, order)
+            for rank in (1, 2, 3):
+                cases.append(finite_presentation(R, rng, rank))
+                cases.append(two_point_presentation(R, rng, rank))
+            cases.append(quotient_presentation(Ideal(R, ["x1^2", "x1*x2"])))
+            cases.append(quotient_presentation(Ideal(R, ["x1^3 + x2^2", "x1^2*x2"])))
+    with_torsion = 0
+    for pres in cases:
+        calls.clear()
+        td = module_h0m(pres)
+        made = list(calls)
+        rels = [modres._vec_from_free(col) for col in td.presentation.relations.columns]
+        calls.clear()
+        assert finite_length_data(td.presentation) == (td.finite, td.length)
+        if not td.generators:
+            continue
+        with_torsion += 1
+        assert rels and calls == [rels]
+        assert rels not in made[1:]  # made[0] is the basis of pres's own relations
+    assert with_torsion >= 20
+
+
 # ---------------------------------------------------------------------------
 # length counting
 
