@@ -70,17 +70,23 @@ basis.  A one-term generator u that shares a variable with no lead gives
 N : J = N at once, at any rank and in any order.  For an ideal with a
 homogeneous basis in grevlex, N : x_n is that basis with x_n divided out
 of each element whose lead it divides (Bayer and Stillman), interreduced.
-Saturation, of ideals and modules alike, iterates the colon until it
-gives N back, the one round where that test can pass, so the early exit
-changes no saturation's generators.  A saturated N whose leads miss some
-variable costs no engine colon; one modulo which x1 is a nonzerodivisor
-costs at most one.  Before the first round, _saturate reads N's
-staircase: when every component's leads hold a pure power of every
-variable, no generator of J has a constant term, and x_k^D * e_c reduces
-to zero for every k and c, with D past every component's box, then a
-power of J (inside m) kills R^rank/N, and N : J^infinity is R^rank with
-no colon at all.  The test is exact in any order; when it fails, the
+Saturation, of ideals and modules alike, iterates _colon on the reduced
+basis until it gives N back, the one round where that test can pass, so
+the early exit changes no saturation's generators.  A saturated N whose
+leads miss some variable costs no engine colon; one modulo which x1 is a
+nonzerodivisor costs at most one.  Before the first round, _saturate
+reads N's staircase: when every component's leads hold a pure power of
+every variable, no generator of J has a constant term, and x_k^D * e_c
+reduces to zero for every k and c, with D past every component's box,
+then a power of J (inside m) kills R^rank/N, and N : J^infinity is
+R^rank with no colon at all.  The test is exact in any order; when it fails, the
 loop runs as before.
+
+The ideal entries run on an ideal's reduced basis as the engine's
+divisors (Ideal._divisors): membership reduces by its packs, made once
+per field width, equality compares it, a colon is _colon at rank 1, and
+saturation wraps only the loop's result in an Ideal.  Each entry raises
+RingMismatchError on an argument from another ring.
 
 verify_confluence is an independent second route used as an oracle: it
 re-derives every S-polynomial on exponent tuples and reduces it with its
@@ -609,12 +615,12 @@ def _lead_dim(monos: Sequence[tuple], n: int) -> int:
     return best
 
 
-def _saturate(N, hs: Sequence[dict], rank: int, colon: Callable, limits: EngineLimits):
-    """N : J^infinity, J generated by `hs` ({monomial: coeff}) and N an
-    Ideal (rank 1) or a submodule of R^rank given by its reduced basis;
-    colon(N) is N : J, and is N itself exactly when N : J = N.  N is
-    returned when it is saturated.  The one saturation loop: ideals call
-    it through saturation, modules through modres.module_h0m.
+def _saturate(N: _Divisors, hs: Sequence[dict], rank: int, limits: EngineLimits) -> _Divisors:
+    """N : J^infinity, J generated by `hs` ({monomial: coeff}) and N a
+    submodule of R^rank given by its reduced basis, the ideals' at rank 1;
+    N itself when it is saturated.  The one saturation loop: each round
+    is one _colon, and the loop ends at the first colon that gives N back.
+    Ideals call it through saturation, modules through modres.module_h0m.
 
     One exact exit comes first, read off N's staircase.  If J has
     generators, none with a constant term, and every x_k^D * e_c of
@@ -626,16 +632,15 @@ def _saturate(N, hs: Sequence[dict], rank: int, colon: Callable, limits: EngineL
     ring = N.ring
     zero = ring.zero_mono()
     if hs and not any(zero in h for h in hs):
-        basis = N._divisors(limits) if isinstance(N, Ideal) else N
-        corners = _staircase_corners(basis, rank)
+        corners = _staircase_corners(N, rank)
         if corners == []:
             return N  # N = R^rank
-        if corners and _spans_all(basis, corners, ring, limits):
+        if corners and _spans_all(N, corners, ring, limits):
             whole = _Divisors([{(c, zero): 1} for c in range(rank)], ring)
             whole.reduced = True
-            return Ideal._of_basis(ring, whole) if isinstance(N, Ideal) else whole
+            return whole
     for _ in range(limits.max_rounds):
-        Q = colon(N)
+        Q = _colon(N, hs, rank, ring, limits)
         if Q is N:
             return N
         N = Q
@@ -653,6 +658,11 @@ def _terms(v: dict) -> dict:
     return {a: c for (_, a), c in v.items()}
 
 
+def _same_ring(ring: PolyRing, other: PolyRing) -> None:
+    if other != ring:
+        raise RingMismatchError(f"{ring} vs {other}")
+
+
 def _wrap(ring: PolyRing, basis: _Divisors) -> tuple:
     """A rank-1 basis as Polynomials."""
     return tuple(Polynomial(ring, _terms(v), _raw=True) for v in basis.vecs)
@@ -662,9 +672,12 @@ class Ideal:
     """An ideal of a PolyRing, with a lazily computed reduced basis.
 
     Generators are stored nonzero and in the given order.  The basis is
-    kept as the engine's divisors (_divisors); groebner_basis is its
-    Polynomial view.  Both caches are filled compute-then-publish, so
-    concurrent readers either see nothing or the finished basis.  The
+    kept as the engine's divisors (_divisors), packed once per field
+    width: membership reduces by those packs, and equality, colons and
+    saturation read that basis; groebner_basis is its Polynomial view,
+    built only when asked for.  Both caches are filled
+    compute-then-publish, so concurrent readers either see nothing or the
+    finished basis.  The
     basis comes from Buchberger, or from `_basis(limits)` when the ideal
     was built with one: a route that derives the same reduced basis,
     as _Divisors, without the engine, as bracket powers do.
@@ -723,7 +736,11 @@ class Ideal:
         return div
 
     def normal_form(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
-        return normal_form(g, self.groebner_basis(limits), limits)
+        """Remainder of g on full division by the reduced basis."""
+        _same_ring(self.ring, g.ring)
+        lim = resolve_limits(limits)
+        r = _reduce(_rank1(g.terms), self._divisors(lim), self.ring, Budget(lim))
+        return Polynomial(self.ring, _terms(r), _raw=True)
 
     def contains(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> bool:
         return not self.normal_form(g, limits)
@@ -747,12 +764,14 @@ def normal_form(
     g: Polynomial, basis: Sequence[Polynomial], limits: Optional[EngineLimits] = None
 ) -> Polynomial:
     """Remainder of g on full division by the basis, in basis order."""
+    for b in basis:
+        _same_ring(b.ring, g.ring)
     if not basis:
         return g
     ring = g.ring
-    budget = Budget(resolve_limits(limits))
     divisors = _Divisors([_rank1(b.terms) for b in basis], ring)
-    return Polynomial(ring, _terms(_reduce(_rank1(g.terms), divisors, ring, budget)), _raw=True)
+    r = _reduce(_rank1(g.terms), divisors, ring, Budget(resolve_limits(limits)))
+    return Polynomial(ring, _terms(r), _raw=True)
 
 
 def verify_confluence(
@@ -804,9 +823,9 @@ def verify_confluence(
 
 def ideals_equal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> bool:
     """Equality via the canonical reduced bases."""
-    if I.ring != J.ring:
-        raise RingMismatchError(f"{I.ring} vs {J.ring}")
-    return I.groebner_basis(limits) == J.groebner_basis(limits)
+    _same_ring(I.ring, J.ring)
+    lim = resolve_limits(limits)
+    return I._divisors(lim).vecs == J._divisors(lim).vecs
 
 
 def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
@@ -827,8 +846,7 @@ def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Idea
     """I intersect J: I's generators, each tagged with its own copy,
     modulo J's reduced basis (_meet)."""
     ring = I.ring
-    if ring != J.ring:
-        raise RingMismatchError(f"{I.ring} vs {J.ring}")
+    _same_ring(ring, J.ring)
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
     lim = resolve_limits(limits)
@@ -856,12 +874,13 @@ def exact_div(g: Polynomial, h: Polynomial, limits: Optional[EngineLimits] = Non
 
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:
-    """(I : h): the syzygies of h modulo I's reduced basis."""
+    """(I : h) by _colon at rank 1, as the ideal of its reduced basis."""
+    ring = I.ring
+    _same_ring(ring, h.ring)
     if not h:
         raise ValueError("colon by the zero polynomial")
-    ring = I.ring
     lim = resolve_limits(limits)
-    return Ideal._of_basis(ring, _syzygies_raw([_rank1(h.terms)], 1, ring, lim, I._divisors(lim)))
+    return Ideal._of_basis(ring, _colon(I._divisors(lim), [h.terms], 1, ring, lim))
 
 
 def _spans_all(
@@ -876,9 +895,10 @@ def _spans_all(
 def ideal_quotient_ideal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
     """(I : J) by _colon at rank 1: I itself when I : J = I, with its own
     generators, and otherwise the ideal of the new reduced basis."""
+    ring = I.ring
+    _same_ring(ring, J.ring)
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
-    ring = I.ring
     lim = resolve_limits(limits)
     N = I._divisors(lim)
     Q = _colon(N, [g.terms for g in J.gens], 1, ring, lim)
@@ -886,7 +906,13 @@ def ideal_quotient_ideal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = No
 
 
 def saturation(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
-    """(I : J^infinity) by _saturate, one ideal_quotient_ideal per round;
-    I itself when I is saturated."""
-    return _saturate(I, [g.terms for g in J.gens], 1,
-                     lambda K: ideal_quotient_ideal(K, J, limits), resolve_limits(limits))
+    """(I : J^infinity) by _saturate on I's reduced basis: I itself when I
+    is saturated, with its own generators, and otherwise the ideal of the
+    saturation's reduced basis, built once at the end."""
+    _same_ring(I.ring, J.ring)
+    if J.is_zero():
+        raise ValueError("colon by the zero ideal")
+    lim = resolve_limits(limits)
+    N = I._divisors(lim)
+    S = _saturate(N, [g.terms for g in J.gens], 1, lim)
+    return I if S is N else Ideal._of_basis(I.ring, S)

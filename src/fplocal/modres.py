@@ -40,7 +40,6 @@ from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
 from .groebner import (
     Ideal,
-    _colon,
     _divisor_basis,
     _Divisors,
     _monic,
@@ -633,7 +632,7 @@ def module_h0m(
             cols.append(v)
     ngb = _divisor_basis(cols, ring, lim)
     m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]
-    sat = _saturate(ngb, m, rank, lambda N: _colon(N, m, rank, ring, lim), lim)
+    sat = _saturate(ngb, m, rank, lim)
     budget = Budget(lim)
     vk = _vkey(ring)
     tors: list = []

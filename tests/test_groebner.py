@@ -344,6 +344,32 @@ def test_intersect_on_elim_ring():
 
 
 # ---------------------------------------------------------------------------
+# a polynomial or an ideal from another ring
+
+
+FOREIGN_ENTRIES = {
+    "Ideal.normal_form": lambda I, g: I.normal_form(g),
+    "Ideal.contains": lambda I, g: I.contains(g),
+    "normal_form": lambda I, g: normal_form(g, I.groebner_basis()),
+    "saturation": lambda I, g: saturation(I, Ideal(g.ring, [g])),
+    "ideal_quotient_ideal": lambda I, g: ideal_quotient_ideal(I, Ideal(g.ring, [g])),
+    "ideal_quotient": lambda I, g: ideal_quotient(I, g),
+}
+
+
+@pytest.mark.parametrize("entry", FOREIGN_ENTRIES)
+def test_an_argument_from_another_ring_raises(entry):
+    # x1^2 over F_3[x1], read against this basis as if over F_3[x1, x2, x3],
+    # reduces to 0: a wrong membership, and a wrong colon or saturation
+    I = Ideal(PolyRing(3, 3), ["x1^2*x3", "x1*x2*x3"])
+    for S in (PolyRing(3, 1), PolyRing(3, 4), PolyRing(3, 3, "lex")):
+        with pytest.raises(RingMismatchError):
+            FOREIGN_ENTRIES[entry](I, parse_poly(S, "x1^2"))
+    FOREIGN_ENTRIES[entry](I, parse_poly(I.ring, "x1^2"))  # the same ring is fine
+    assert not I.contains(parse_poly(I.ring, "x1^2"))
+
+
+# ---------------------------------------------------------------------------
 # colon ideals
 
 
@@ -630,6 +656,48 @@ def test_quotient_ideal_intersects_when_no_generator_passes():
     assert S.gens == (parse_poly(R, "x1"),)
 
 
+def test_saturation_builds_one_ideal_at_the_end(monkeypatch):
+    # x1*(x1, x2)^3 : m^infinity = (x1) sheds one power of m a round: four
+    # colons, the last giving its input back, and one Ideal for the result
+    R = PolyRing(3, 2)
+    I = Ideal(R, ["x1^4", "x1^3*x2", "x1^2*x2^2", "x1*x2^3"])
+    colons = count_calls(monkeypatch, groebner, "_colon")
+    built = []
+    of_basis = Ideal._of_basis
+    monkeypatch.setattr(
+        Ideal, "_of_basis", lambda ring, basis: built.append(1) or of_basis(ring, basis)
+    )
+    S = saturation(I, maximal_ideal(R))
+    assert S.gens == (parse_poly(R, "x1"),) == reference_saturation(I, maximal_ideal(R)).gens
+    assert (len(colons), len(built)) == (4, 1)
+
+
+def test_membership_packs_the_basis_once(monkeypatch):
+    # the dividends need a wider field than the basis: its packs at that
+    # width are made by the first normal form and reused by the others
+    R = PolyRing(5, 3)
+    I = Ideal(R, ["x1^2 + x2*x3", "x2^2 + 2*x1*x3", "x3^3"])
+    basis = I.groebner_basis()
+    gs = [parse_poly(R, f"x1^{k}*x2^{k} + 3*x3^{2 * k} + x1*x2") for k in range(40, 45)]
+    want = [normal_form(g, basis) for g in gs]
+    splits = count_calls(monkeypatch, groebner, "_split")
+    assert [I.normal_form(g) for g in gs] == want
+    assert [I.contains(g) for g in gs] == [not r for r in want]
+    assert len(splits) == len(basis)
+
+
+def test_quotient_by_the_last_variable_makes_no_engine_colon(monkeypatch):
+    # a homogeneous basis in grevlex: I : x3 is read off its leads
+    R = PolyRing(3, 3)
+    x3 = parse_poly(R, "x3")
+    I = Ideal(R, ["x1*x3^2 + x2^3", "x2*x3^2 + 2*x1^2*x2"])
+    syz = count_calls(monkeypatch, groebner, "_syzygies_raw")
+    Q = ideal_quotient(I, x3)
+    assert syz == []
+    assert Q.gens == elim_quotient(I, x3).gens
+    assert Q.groebner_basis() != I.groebner_basis()
+
+
 def test_q1_on_a_complete_intersection_makes_no_colon(monkeypatch):
     # x4 and x5 divide no lead of I's reduced basis (x3^4, x1*x3^2, x1^2,
     # x1*x2): the one round reads I : m = I off the leads, and the steps
@@ -806,12 +874,13 @@ def count_shortcuts(monkeypatch):
     with no colon: the ones the staircase answered."""
     tally = [0, 0]
     real = groebner._saturate
+    colons = count_calls(monkeypatch, groebner, "_colon")
 
-    def counted(N, hs, rank, colon, limits):
-        colons = []
-        out = real(N, hs, rank, lambda K: colons.append(1) or colon(K), limits)
+    def counted(N, hs, rank, limits):
+        before = len(colons)
+        out = real(N, hs, rank, limits)
         tally[0] += 1
-        tally[1] += not colons
+        tally[1] += len(colons) == before
         return out
 
     for module in (groebner, modres):
@@ -862,7 +931,7 @@ def test_other_saturations_fall_back_to_the_loop(monkeypatch):
     assert tally == [cases, 0]
 
 
-def test_the_whole_ring_saturates_to_itself():
+def test_the_whole_ring_saturates_to_itself(monkeypatch):
     for order in ("grevlex", "lex"):
         R = PolyRing(3, 2, order)
         I = Ideal(R, ["1"])
@@ -874,10 +943,11 @@ def test_the_whole_ring_saturates_to_itself():
     N = groebner._divisor_basis([{(0, zero): 1}, {(1, zero): 1}], R, lim)
     m = [x.terms for x in maximal_ideal(R).gens]
 
-    def colon(K):
+    def colon(*args):
         raise AssertionError("N = R^2 needs no colon")
 
-    assert groebner._saturate(N, m, 2, colon, lim) is N
+    monkeypatch.setattr(groebner, "_colon", colon)
+    assert groebner._saturate(N, m, 2, lim) is N
 
 
 def test_fewer_leads_than_variables_decide_the_staircase_at_once():
@@ -917,18 +987,47 @@ def test_thin_staircase_saturates_in_no_round():
     assert (report.outcome, report.data["witness"]) == ("fail", "1")
 
 
+def count_saturation_colons(monkeypatch):
+    """[colons]: the _colon calls made under groebner.saturation, the one
+    caller of _saturate through the groebner module; module_h0m's, through
+    modres, are not counted."""
+    count, inside = [0], [0]
+    saturate, colon = groebner._saturate, groebner._colon
+
+    def counted_saturate(*args):
+        inside[0] += 1
+        try:
+            return saturate(*args)
+        finally:
+            inside[0] -= 1
+
+    def counted_colon(*args):
+        count[0] += inside[0] > 0
+        return colon(*args)
+
+    monkeypatch.setattr(groebner, "_saturate", counted_saturate)
+    monkeypatch.setattr(groebner, "_colon", counted_colon)
+    return count
+
+
 def test_staircase_hits_in_one_bench_round(monkeypatch):
     # seed 1: the finite family of torsion-certificates saturates to R^r
     # in all 48 of its saturations (24 module_h0m in propvan, 24 _torsion
-    # in topvan); no q1 saturation has a finite staircase
+    # in topvan); no q1 saturation has a finite staircase.  The ideal
+    # saturations take 84 and 80 colons, one a round.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
-    for workload, want in (("torsion-certificates", [144, 48]), ("q1-saturation", [72, 0])):
-        tally = count_shortcuts(monkeypatch)
-        for op in workloads.build(workload, 1):
-            assert op.check(op.call(op.limits)) is None, op.label
-        assert tally == want, workload
+    for workload, want, rounds in (
+        ("torsion-certificates", [144, 48], 84),
+        ("q1-saturation", [72, 0], 80),
+    ):
+        with monkeypatch.context() as m:
+            tally = count_shortcuts(m)
+            colons = count_saturation_colons(m)
+            for op in workloads.build(workload, 1):
+                assert op.check(op.call(op.limits)) is None, op.label
+        assert (tally, colons) == (want, [rounds]), workload
 
 
 # ---------------------------------------------------------------------------
