@@ -28,13 +28,10 @@ from .frobenius import (
 )
 from .groebner import (
     Ideal,
-    exact_div,
     ideal_quotient,
     ideal_quotient_ideal,
     ideals_equal,
-    intersect,
     maximal_ideal,
-    normal_form,
     saturation,
     verify_confluence,
 )
@@ -62,10 +59,7 @@ from .modres import (
     depth,
     finite_length_data,
     free_resolution,
-    kernel_of_map,
-    module_gb,
     module_h0m,
-    module_normal_form,
     projective_dimension,
     quotient_presentation,
     subquotient_presentation,

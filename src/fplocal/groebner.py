@@ -48,10 +48,7 @@ division using a heap", JSC 2011): _divide, the one division loop, keeps
 the dividend's packed terms in a max-heap, so a term costs one push and
 one pop, and a cancelled term is skipped when it is popped.  Divisors
 are monic, so each step cancels the lead exactly.  The divisor chosen
-for a lead is the first one in basis order that divides it.  exact_div
-is a tagged reduction on the same loop: g*e_0 reduced by h*e_0 - e_1
-leaves the remainder g - q*h in component 0 and the quotient q in
-component 1.
+for a lead is the first one in basis order that divides it.
 
 Syzygies modulo a submodule come from one tagged kernel, _syzygies_raw:
 each column gets a unit tag component, the submodule's vectors get none,
@@ -118,15 +115,12 @@ from .polycore import (
 
 __all__ = [
     "Ideal",
-    "normal_form",
     "verify_confluence",
-    "intersect",
     "ideal_quotient",
     "ideal_quotient_ideal",
     "saturation",
     "ideals_equal",
     "maximal_ideal",
-    "exact_div",
 ]
 
 
@@ -351,21 +345,6 @@ def _canonical_input(vecs: Sequence[dict], lay: _Layout, p: int) -> list:
     return canon
 
 
-def _reduced_basis(
-    vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits, ideal: bool = False
-) -> list:
-    """Reduced basis of the span of `vecs`, position-over-term order.
-
-    Pairs are formed only between leads in one component and popped
-    smallest first on (-component, lcm).  The chain criterion applies to
-    every basis.  `ideal` marks rank-1 input from the ideal entry: only
-    there is the product criterion applied, and a basis overflow is
-    reported as "basis size" rather than "module basis size".  The basis
-    elements list their leads first.
-    """
-    return _divisor_basis(vecs, ring, limits, ideal).vecs
-
-
 def _divisor_basis(
     vecs: Sequence[dict],
     ring: PolyRing,
@@ -373,12 +352,20 @@ def _divisor_basis(
     ideal: bool = False,
     known: Optional[_Divisors] = None,
 ) -> _Divisors:
-    """_reduced_basis as monic divisors, still packed at the width the
-    basis was computed at: a caller that reduces by the basis skips the
-    unpacking and packing again.  `known`, a reduced basis the engine
-    computed, joins the input: its packs are reused at their width, and no
-    pair between two of its elements is formed, since such an S-vector
-    reduces to zero by it; for the chain criterion, none is pending.
+    """Reduced basis of the span of `vecs`, position-over-term order, as
+    monic divisors still packed at the width the basis was computed at: a
+    caller that reduces by the basis skips the unpacking and packing
+    again.  Its vecs list their leads first.
+
+    Pairs are formed only between leads in one component and popped
+    smallest first on (-component, lcm).  The chain criterion applies to
+    every basis.  `ideal` marks rank-1 input from the ideal entry: only
+    there is the product criterion applied, and a basis overflow is
+    reported as "basis size" rather than "module basis size".  `known`, a
+    reduced basis the engine computed, joins the input: its packs are
+    reused at their width, and no pair between two of its elements is
+    formed, since such an S-vector reduces to zero by it; for the chain
+    criterion, none is pending.
     """
     vecs = [v for v in vecs if v]
     if known is not None and not known.reduced:
@@ -760,20 +747,6 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
 
-def normal_form(
-    g: Polynomial, basis: Sequence[Polynomial], limits: Optional[EngineLimits] = None
-) -> Polynomial:
-    """Remainder of g on full division by the basis, in basis order."""
-    for b in basis:
-        _same_ring(b.ring, g.ring)
-    if not basis:
-        return g
-    ring = g.ring
-    divisors = _Divisors([_rank1(b.terms) for b in basis], ring)
-    r = _reduce(_rank1(g.terms), divisors, ring, Budget(resolve_limits(limits)))
-    return Polynomial(ring, _terms(r), _raw=True)
-
-
 def verify_confluence(
     ring: PolyRing, basis: Sequence[Polynomial], limits: Optional[EngineLimits] = None
 ) -> bool:
@@ -841,37 +814,6 @@ def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
 
 # ---------------------------------------------------------------------------
 # rank-1 entries on the tagged kernel
-
-def intersect(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:
-    """I intersect J: I's generators, each tagged with its own copy,
-    modulo J's reduced basis (_meet)."""
-    ring = I.ring
-    _same_ring(ring, J.ring)
-    if I.is_zero() or J.is_zero():
-        return Ideal(ring, ())
-    lim = resolve_limits(limits)
-    A = [_rank1(g.terms) for g in I.gens]
-    return Ideal._of_basis(ring, _meet(A, J._divisors(lim), 1, ring, lim))
-
-
-def exact_div(g: Polynomial, h: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
-    """Quotient g / h when h divides g exactly; ArithmeticError otherwise.
-
-    One tagged reduction: g*e_0 reduced by h*e_0 - e_1 leaves
-    (g - q*h)*e_0 + q*e_1, and the division by one divisor leaves no
-    term of g - q*h that h's lead divides, so g - q*h is zero exactly
-    when h divides g.  Counted against the reduction ceiling of `limits`,
-    the default one when None.
-    """
-    if not h:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = g.ring
-    tagged = {**_rank1(h.terms), (1, ring.zero_mono()): ring.p - 1}
-    r = _reduce(_rank1(g.terms), _Divisors([tagged], ring), ring, Budget(resolve_limits(limits)))
-    if any(c == 0 for c, _ in r):
-        raise ArithmeticError(f"{h} does not divide {g}")
-    return Polynomial(ring, _terms(r), _raw=True)
-
 
 def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = None) -> Ideal:
     """(I : h) by _colon at rank 1, as the ideal of its reduced basis."""

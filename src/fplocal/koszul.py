@@ -52,9 +52,9 @@ from .modres import (
     ModulePresentation,
     PolyMatrix,
     _vec_from_free,
-    kernel_of_map,
     module_h0m,
     subquotient_presentation,
+    syzygies,
 )
 from .polycore import (
     Polynomial,
@@ -232,7 +232,7 @@ def _cohomology_data(
     ring = kx.ring
     rank = kx.rank(i)
     if i < s:
-        ker = kernel_of_map(kx.diffs[i], limits)
+        ker = syzygies(ring, kx.diffs[i].columns, limits)
     else:
         zero = Polynomial.zero(ring)
         one = Polynomial.one(ring)

@@ -44,7 +44,6 @@ from .groebner import (
     _Divisors,
     _monic,
     _reduce,
-    _reduced_basis,
     _saturate,
     _spans_all,
     _syzygies_raw,
@@ -64,10 +63,7 @@ __all__ = [
     "ModulePresentation",
     "Resolution",
     "TorsionData",
-    "module_gb",
-    "module_normal_form",
     "syzygies",
-    "kernel_of_map",
     "subquotient_presentation",
     "free_resolution",
     "quotient_presentation",
@@ -110,28 +106,6 @@ def _vkey(ring: PolyRing):
 
 # ---------------------------------------------------------------------------
 # public module layer
-
-def module_gb(
-    ring: PolyRing, vectors: Sequence[Sequence[Polynomial]], limits: Optional[EngineLimits] = None
-) -> tuple:
-    """Reduced module basis (monic, tail-reduced, descending leads)."""
-    rank = _common_rank(vectors)
-    gb = _reduced_basis([_vec_from_free(v) for v in vectors], ring, resolve_limits(limits))
-    return tuple(_free_from_vec(v, rank, ring) for v in gb)
-
-
-def module_normal_form(
-    ring: PolyRing,
-    vec: Sequence[Polynomial],
-    basis: Sequence[Sequence[Polynomial]],
-    limits: Optional[EngineLimits] = None,
-) -> FreeElem:
-    rank = len(vec)
-    budget = Budget(resolve_limits(limits))
-    gb = [_vec_from_free(v) for v in basis if any(v)]
-    r = _reduce(_vec_from_free(vec), _Divisors(gb, ring), ring, budget)
-    return _free_from_vec(r, rank, ring)
-
 
 def syzygies(
     ring: PolyRing, columns: Sequence[Sequence[Polynomial]], limits: Optional[EngineLimits] = None
@@ -189,14 +163,6 @@ class PolyMatrix:
             if g.ring != self.ring:
                 raise RingMismatchError(f"{g.ring} entry applied to a {self.ring} matrix")
         return self._times((tuple(vec),))[0]
-
-    def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self o other, defined when other maps into self's source."""
-        if other.rows != self.cols:
-            raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        if other.ring != self.ring:
-            raise RingMismatchError(f"{other.ring} matrix composed with a {self.ring} matrix")
-        return PolyMatrix(self.ring, self.rows, self._times(other.columns))
 
     def _times(self, vecs: Sequence[FreeElem]) -> tuple:
         """self applied to each of `vecs`.  Every entry is packed once per
@@ -303,11 +269,6 @@ def quotient_presentation(I: Ideal) -> ModulePresentation:
     return ModulePresentation(ring, 1, PolyMatrix(ring, 1, cols), shifts)
 
 
-def kernel_of_map(mat: PolyMatrix, limits: Optional[EngineLimits] = None) -> tuple:
-    """Generators of ker(mat) in R^cols."""
-    return syzygies(mat.ring, mat.columns, limits)
-
-
 def _presentation_raw(
     gens: Sequence[dict], modulo: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
 ) -> tuple:
@@ -390,7 +351,6 @@ class Resolution:
 def free_resolution(
     pres: ModulePresentation,
     limits: Optional[EngineLimits] = None,
-    max_len: Optional[int] = None,
 ) -> Resolution:
     """The resolution of coker(pres.relations) by iterated syzygies,
     until a kernel vanishes; exact by construction.  A level of one
@@ -407,14 +367,13 @@ def free_resolution(
     would give g_j = -a_j^{-1} (sum of the other terms), a redundant g_j.
     So every map has its entries in m, and for graded input an exact
     resolution with its entries in m is the minimal graded resolution;
-    graded input terminates within n steps.  The shifts are carried level
-    to level: the next level's shifts are the degrees of the current
-    columns.
+    graded input terminates within n steps.  A resolution that needs more
+    than n + 4 maps raises ResourceLimitError.  The shifts are carried
+    level to level: the next level's shifts are the degrees of the
+    current columns.
     """
     ring = pres.ring
     lim = resolve_limits(limits)
-    if max_len is None:
-        max_len = ring.n + 4
     pres = _cancel_constant_entries(pres)
     maps: list = []
     shifts = [pres.shifts]
@@ -422,8 +381,8 @@ def free_resolution(
     cols, degs = _prune(_dedupe_nonzero(cols), pres.shifts, ring, lim)
     cur_rank = pres.rank
     while cols:
-        if len(maps) >= max_len:
-            raise ResourceLimitError("resolution length", max_len)
+        if len(maps) >= ring.n + 4:
+            raise ResourceLimitError("resolution length", ring.n + 4)
         m = PolyMatrix(ring, cur_rank, tuple(_free_from_vec(v, cur_rank, ring) for v in cols))
         if any(g and g.is_constant() for col in m.columns for g in col):
             raise AssertionError(f"map {len(maps)} of the resolution holds a constant entry")
@@ -570,12 +529,11 @@ def _independent(v: dict, rows: list, p: int) -> bool:
 def projective_dimension(
     pres: ModulePresentation,
     limits: Optional[EngineLimits] = None,
-    max_len: Optional[int] = None,
 ) -> int:
     """Length of the minimal graded resolution.  Graded input only."""
     if pres.shifts is None:
         raise NonHomogeneousError("projective dimension needs a graded presentation")
-    return free_resolution(pres, limits, max_len).length
+    return free_resolution(pres, limits).length
 
 
 def depth(

@@ -21,9 +21,9 @@ packs and leaves the coefficient sums unreduced, and unpacks the result
 once, reducing mod p.  Its fields are sized from deg A + deg B, which
 bounds every exponent of the product, so no field can carry.
 Polynomial.translate runs the same kernel on each term's binomial
-factors, and so do PolyMatrix.apply and compose in modres, with every
-matrix entry packed once per call and each output entry accumulated in
-one packed dict.  Polynomial.__pow__ packs its base once, in a layout
+factors, and so does PolyMatrix.apply in modres, with every matrix
+entry packed once per call and each output entry accumulated in one
+packed dict.  Polynomial.__pow__ packs its base once, in a layout
 sized for the final degree, so its Frobenius steps scale packs by p and
 its squarings stay packed until the one unpack at the end.  The
 Frobenius walks of frobenius and koszul keep their packs in one layout

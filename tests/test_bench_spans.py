@@ -13,9 +13,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Targets allowed to be missing, with the reason.
+DELETED = "deleted with no program caller; the span goes with ROADMAP item 1's bench change"
 KNOWN_MISSING = {
     ("modres", "minimize_resolution"): "deleted when free_resolution began returning "
     "the minimal resolution; the span goes with the next change to the bench",
+    ("groebner", "exact_div"): DELETED,
+    ("groebner", "intersect"): DELETED,
+    ("groebner", "normal_form"): DELETED,
+    ("modres", "module_gb"): DELETED,
+    ("modres", "module_normal_form"): DELETED,
 }
 
 

@@ -1,14 +1,14 @@
 """Heap-ordered division against a max-scan reference.
 
-normal_form and module_normal_form keep the dividend's monomials in a
-heap, and exact_div is a tagged reduction on the same loop: g*e_0
-reduced by h*e_0 - e_1 leaves the quotient in component 1, and any term
-left in component 0 means h does not divide g.  The reference below
-finds every leading term by a full max() scan under order keys written
-out here, divides by the divisor's lead coefficient instead of assuming
-monic divisors, and shares no code with the engine.  Both must pick the
-same divisor (the first in basis order whose lead divides the current
-lead) and so return the same remainder, term for term.
+groebner._reduce, the kernel every normal form runs on, keeps the
+dividend's monomials in a heap.  Here it divides by lists of divisors
+that are neither reduced nor monic, for ideals and for modules.  The
+reference below finds every leading term by a full max() scan under
+order keys written out here, divides by the divisor's lead coefficient
+instead of assuming monic divisors, and shares no code with the engine.
+Both must pick the same divisor (the first in basis order whose lead
+divides the current lead) and so return the same remainder, term for
+term.
 
 The reference also counts monomials that cancel while a lower term is
 reduced and are later brought back by another divisor: the case the
@@ -26,9 +26,10 @@ import pytest
 
 from fplocal.config import EngineLimits
 from fplocal.errors import ResourceLimitError
-from fplocal.groebner import Ideal, exact_div, normal_form, verify_confluence
-from fplocal.modres import module_normal_form, syzygies
+from fplocal.groebner import Ideal, verify_confluence
+from fplocal.modres import _free_from_vec, syzygies
 from fplocal.polycore import Polynomial, PolyRing, parse_poly
+from support import engine_nf
 
 SEED = 20261018
 
@@ -100,23 +101,6 @@ class Reference:
                 out[lm] = h.pop(lm)
         return out
 
-    def exact_div(self, terms, divisor):
-        p = self.p
-        self.cancelled = set()
-        dlm = self.lead(divisor)
-        inv = pow(divisor[dlm], -1, p)
-        h = dict(terms)
-        q = {}
-        while h:
-            lm = self.lead(h)
-            if not divides(dlm, lm):
-                raise ArithmeticError(f"{dlm} does not divide {lm}")
-            s = tuple(x - y for x, y in zip(lm, dlm))
-            c = h[lm] * inv % p
-            q[s] = c
-            self.subtract(h, divisor, c, lambda m: tuple(x + y for x, y in zip(m, s)), lm)
-        return q
-
 
 def poly_shift(lm, dlm):
     s = tuple(x - y for x, y in zip(lm, dlm))
@@ -134,6 +118,17 @@ def vec_shift(lead, dlead):
 
 def to_vec(col):
     return {(c, a): v for c, g in enumerate(col) for a, v in g.terms.items()}
+
+
+def normal_form(g, divisors, limits=None):
+    """g's remainder by _reduce against the polynomials `divisors`."""
+    r = engine_nf(g.ring, (g,), [to_vec((d,)) for d in divisors], limits)
+    return Polynomial(g.ring, {a: c for (_, a), c in r.items()})
+
+
+def module_normal_form(R, vec, basis):
+    """vec's remainder by _reduce against the vectors `basis`."""
+    return _free_from_vec(engine_nf(R, vec, [to_vec(b) for b in basis]), len(vec), R)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ RINGS = [
 
 
 # ---------------------------------------------------------------------------
-# normal_form, module_normal_form, exact_div against the reference
+# ideal and module normal forms against the reference
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
 def test_normal_form_matches_max_scan_reference(ring):
@@ -216,34 +211,8 @@ def test_module_normal_form_matches_max_scan_reference(order):
     assert ref.reappeared > 0
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
-def test_exact_div_matches_max_scan_reference(ring):
-    rng = random.Random(f"{SEED}:exact:{ring.p}:{ring.n}:{ring.order}")
-    ref = Reference(order_key(ring.order), ring.p)
-    raised = 0
-    for _ in range(40):
-        h = Polynomial(ring, random_terms(rng, ring.n, ring.p, rng.randint(1, 4), 2))
-        q = Polynomial(ring, random_terms(rng, ring.n, ring.p, rng.randint(1, 6), 3))
-        if not h or not q:
-            continue
-        g = q * h
-        if rng.random() < 0.4:
-            g = g + Polynomial(ring, random_terms(rng, ring.n, ring.p, 1, 3))
-        try:
-            want = ref.exact_div(g.terms, h.terms)
-        except ArithmeticError:
-            raised += 1
-            with pytest.raises(ArithmeticError):
-                exact_div(g, h)
-            continue
-        got = exact_div(g, h)
-        assert got.terms == want
-        assert list(got.terms) == list(want)
-    assert raised > 0
-
-
 # ---------------------------------------------------------------------------
-# non-monic divisors: the public normal forms divide by the lead coefficient
+# non-monic divisors: _reduce divides by the lead coefficient
 
 
 def test_normal_form_non_monic_divisor():
@@ -292,26 +261,6 @@ def test_syzygy_ceiling_fires_at_the_same_step():
     with pytest.raises(ResourceLimitError) as ei:
         syzygies(R, cols, EngineLimits(max_reductions=SYZ_STEPS - 1))
     assert ei.value.kind == "reductions"
-
-
-# ---------------------------------------------------------------------------
-# exact_div failures
-
-
-def test_exact_div_fails_on_non_divisible_lead():
-    R = PolyRing(3, 2)
-    with pytest.raises(ArithmeticError):
-        exact_div(parse_poly(R, "x2^2 + x1"), parse_poly(R, "x1"))
-
-
-def test_exact_div_fails_after_partial_cancellation():
-    # x1*(x1 + x2) cancels x1^2 and x1*x2; the remainder x2^2 is not a multiple of x1
-    R = PolyRing(3, 2)
-    g = parse_poly(R, "x1^2 + x1*x2 + x2^2")
-    h = parse_poly(R, "2*x1 + 2*x2")
-    with pytest.raises(ArithmeticError):
-        exact_div(g, h)
-    assert exact_div(g - parse_poly(R, "x2^2"), h) == parse_poly(R, "2*x1")
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +329,6 @@ def test_lex_reduction_outgrows_its_first_width():
         run(EngineLimits(max_reductions=302))
         with pytest.raises(ResourceLimitError):
             run(EngineLimits(max_reductions=301))
-    # exact_div walks the same growing remainder before it fails
-    with pytest.raises(ArithmeticError):
-        ref.exact_div(parse_poly(R, "x1^300").terms, gens[0].terms)
-    with pytest.raises(ArithmeticError):
-        exact_div(parse_poly(R, "x1^300"), gens[0])
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda R: f"F{R.p}-n{R.n}-{R.order}")
@@ -398,8 +342,6 @@ def test_exponents_past_2_to_the_40_match_max_scan_reference(ring):
         got = normal_form(g, divisors)
         assert got.terms == want
         assert list(got.terms) == list(want)
-        q = divisors[0]
-        assert exact_div(g * q, q) == g
     # x_i -> x_i^BIG maps the reduced basis of I onto that of the image
     for _ in range(5):
         gens = [Polynomial(ring, random_divisor(rng, ring.n, ring.p)) for _ in range(3)]

@@ -20,13 +20,13 @@ from fplocal.config import Budget, EngineLimits, resolve_limits
 from fplocal.errors import ResourceLimitError, RingMismatchError
 from fplocal.groebner import (
     Ideal,
-    exact_div,
+    _meet,
+    _rank1,
+    _wrap,
     ideal_quotient,
     ideal_quotient_ideal,
     ideals_equal,
-    intersect,
     maximal_ideal,
-    normal_form,
     saturation,
     verify_confluence,
 )
@@ -39,6 +39,7 @@ from fplocal.polycore import (
     monomials_of_degree,
     parse_poly,
 )
+from support import exact_quotient
 
 SEED = 20260819
 
@@ -234,63 +235,29 @@ def test_normal_form_properties():
     gb = I.groebner_basis()
     for _ in range(10):
         g = random_poly(R, rng, deg=3)
-        r = normal_form(g, gb)
-        assert normal_form(r, gb) == r
+        r = I.normal_form(g)
+        assert I.normal_form(r) == r
         assert I.contains(g - r)
         q = random_poly(R, rng, deg=2)
-        assert normal_form(g + q * gb[0], gb) == r
+        assert I.normal_form(g + q * gb[0]) == r
 
 
 def test_normal_form_empty_basis():
     R = PolyRing(2, 2)
     g = parse_poly(R, "x1 + 1")
-    assert normal_form(g, ()) == g
+    assert Ideal(R, ()).normal_form(g) == g
 
 
 # ---------------------------------------------------------------------------
-# exact division
+# intersection: _meet at rank 1, the meet every colon by a J of several
+# generators ends in
 
 
-def test_exact_div_frozen():
-    R = PolyRing(5, 2)
-    g = parse_poly(R, "x1^2*x2 + 2*x1*x2")
-    assert exact_div(g, parse_poly(R, "x1*x2")) == parse_poly(R, "x1 + 2")
-    assert exact_div(g, Polynomial.one(R)) == g
-
-
-def test_exact_div_random_products():
-    rng = random.Random(SEED + 4)
-    for p in (2, 3, 5):
-        R = PolyRing(p, 2)
-        for _ in range(8):
-            q = random_poly(R, rng)
-            h = random_poly(R, rng)
-            if not q or not h:
-                continue
-            assert exact_div(q * h, h) == q
-
-
-def test_exact_div_errors():
-    R = PolyRing(2, 2)
-    with pytest.raises(ZeroDivisionError):
-        exact_div(Polynomial.one(R), Polynomial.zero(R))
-    with pytest.raises(ArithmeticError):
-        exact_div(parse_poly(R, "x1^2 + x2"), parse_poly(R, "x1"))
-
-
-def test_exact_div_counts_against_the_given_ceiling():
-    # (x1 + 1)^4 / (x1 + 1) takes four reduction steps
-    R = PolyRing(5, 1)
-    h = parse_poly(R, "x1 + 1")
-    with pytest.raises(ResourceLimitError) as ei:
-        exact_div(h ** 4, h, EngineLimits(max_reductions=1))
-    assert ei.value.kind == "reductions"
-    assert exact_div(h ** 4, h, EngineLimits(max_reductions=4)) == h ** 3
-    assert exact_div(h ** 4, h) == h ** 3  # the default ceiling
-
-
-# ---------------------------------------------------------------------------
-# intersection
+def intersect(I, J):
+    """I meet J by _meet: I's generators against J's reduced basis."""
+    lim = EngineLimits()
+    A = [_rank1(g.terms) for g in I.gens]
+    return Ideal(I.ring, _wrap(I.ring, _meet(A, J._divisors(lim), 1, I.ring, lim)))
 
 
 def test_intersect_frozen():
@@ -339,8 +306,6 @@ def test_intersect_on_elim_ring():
     E = PolyRing(2, 3, "elim-grevlex")
     x1, x2 = Polynomial.variable(E, 1), Polynomial.variable(E, 2)
     assert intersect(Ideal(E, [x1]), Ideal(E, [x2])).gens == (x1 * x2,)
-    with pytest.raises(RingMismatchError):
-        intersect(Ideal(PolyRing(2, 2), ["x1"]), Ideal(PolyRing(3, 2), ["x1"]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +315,6 @@ def test_intersect_on_elim_ring():
 FOREIGN_ENTRIES = {
     "Ideal.normal_form": lambda I, g: I.normal_form(g),
     "Ideal.contains": lambda I, g: I.contains(g),
-    "normal_form": lambda I, g: normal_form(g, I.groebner_basis()),
     "saturation": lambda I, g: saturation(I, Ideal(g.ring, [g])),
     "ideal_quotient_ideal": lambda I, g: ideal_quotient_ideal(I, Ideal(g.ring, [g])),
     "ideal_quotient": lambda I, g: ideal_quotient(I, g),
@@ -516,7 +480,7 @@ def elim_intersect(I, J):
 
 def elim_quotient(I, h):
     """I : h = (I meet (h)) / h, generated by its reduced basis."""
-    Q = Ideal(I.ring, [exact_div(g, h) for g in elim_intersect(I, Ideal(I.ring, [h])).gens])
+    Q = Ideal(I.ring, [exact_quotient(g, h) for g in elim_intersect(I, Ideal(I.ring, [h])).gens])
     return Ideal(I.ring, Q.groebner_basis())
 
 
@@ -679,7 +643,7 @@ def test_membership_packs_the_basis_once(monkeypatch):
     I = Ideal(R, ["x1^2 + x2*x3", "x2^2 + 2*x1*x3", "x3^3"])
     basis = I.groebner_basis()
     gs = [parse_poly(R, f"x1^{k}*x2^{k} + 3*x3^{2 * k} + x1*x2") for k in range(40, 45)]
-    want = [normal_form(g, basis) for g in gs]
+    want = [Ideal(R, basis).normal_form(g) for g in gs]  # packs of its own
     splits = count_calls(monkeypatch, groebner, "_split")
     assert [I.normal_form(g) for g in gs] == want
     assert [I.contains(g) for g in gs] == [not r for r in want]
@@ -1076,7 +1040,6 @@ def test_basis_size_budget():
 def test_normal_form_budget():
     R = PolyRing(2, 1)
     I = Ideal(R, ["x1"])
-    gb = I.groebner_basis()
     g = parse_poly(R, "x1^5 + x1^4 + x1^3 + x1^2 + x1")
     with pytest.raises(ResourceLimitError):
-        normal_form(g, gb, EngineLimits(max_reductions=2))
+        I.normal_form(g, EngineLimits(max_reductions=2))

@@ -1,13 +1,19 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function or class of the package goes unread.
 
-No linter runs on this repository, so this test is what catches an import
-left behind when the code that used it moves or goes.  It parses each
+No linter runs on this repository, so these tests are what catch an
+import left behind when the code that used it moves or goes, and a
+private helper whose last caller went.  The import check parses each
 module of src/fplocal except __init__.py, which re-exports, and counts a
 name as used when it is read anywhere in the module, appears in a string
-annotation, or is listed in __all__.
+annotation, or is listed in __all__.  The private check counts a
+top-level _name as read when some module of the package loads it as a
+name or an attribute outside its own definition; an import alone is no
+read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +67,39 @@ def test_a_stale_import_is_caught():
     assert set(imported_names(tree)) - used_names(tree) == {"Tuple"}
     tree = ast.parse("from .groebner import _Divisors\n\ndef f() -> '_Divisors': ...\n")
     assert set(imported_names(tree)) <= used_names(tree)
+
+
+def loads(tree):
+    """Counter of the names and attributes loaded in `tree`."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_private(trees):
+    """module.name of each top-level _name function or class of `trees`
+    ({module: tree}) that no tree loads outside its own definition."""
+    total = sum((loads(t) for t in trees.values()), Counter())
+    return {
+        f"{mod}.{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and total[node.name] == loads(node)[node.name]
+    }
+
+
+def test_every_private_definition_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    assert not unread_private(trees)
+
+
+def test_an_unread_private_definition_is_caught():
+    trees = {
+        "a": ast.parse("def _used(): ...\ndef _dead(): return _dead()\ndef f(): return _used()\n"),
+        "b": ast.parse("from .a import _dead\nclass _Kept: ...\nx = b._Kept\n"),
+    }
+    assert unread_private(trees) == {"a._dead"}

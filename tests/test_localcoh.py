@@ -24,7 +24,7 @@ from fplocal.errors import (
     RingMismatchError,
 )
 from fplocal.frobenius import FrobeniusLevel, bracket_power
-from fplocal.groebner import Ideal, exact_div, intersect, maximal_ideal, saturation
+from fplocal.groebner import Ideal, ideal_quotient, maximal_ideal, saturation
 from fplocal.koszul import verify_prop_van
 from fplocal.localcoh import (
     CheckReport,
@@ -36,6 +36,7 @@ from fplocal.localcoh import (
 )
 from fplocal.modres import projective_dimension, quotient_presentation
 from fplocal.polycore import Polynomial, PolyRing, RationalPoint, monomials_of_degree, parse_poly
+from support import exact_quotient
 
 SEED = 14142
 
@@ -583,13 +584,13 @@ def test_pd_read_through_the_content_agrees_with_the_resolution():
 
 def gcd_of(fs):
     """A gcd of the nonzero polynomials fs, up to a unit: gcd(a, b) is
-    a*b / lcm(a, b), and the lcm is the one element of the reduced basis
-    of (a) meet (b)."""
+    b / c, where c, the one element of the reduced basis of (b) : a, is
+    b / gcd(a, b) up to a unit."""
     ring = fs[0].ring
     g = fs[0]
     for b in fs[1:]:
-        (lcm,) = intersect(Ideal(ring, [g]), Ideal(ring, [b])).groebner_basis()
-        g = exact_div(g * b, lcm)
+        (c,) = ideal_quotient(Ideal(ring, [b]), g).groebner_basis()
+        g = exact_quotient(b, c)
     return g
 
 
@@ -649,7 +650,7 @@ def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeyp
     """seed 1: 8 random-3-5, 2 random-2-6, 12 regular and 12 times-linear
     instances; the times-linear ones, l*J, are read off the leads divided
     by lead(l).  Each instance computes one basis, I's, and nothing else:
-    no syzygy, no exact division, no resolution."""
+    no syzygy and no resolution."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
@@ -665,7 +666,6 @@ def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeyp
         monkeypatch.setattr(mod, name, spy)
 
     counted(modres, "free_resolution")
-    counted(groebner, "exact_div")
     for mod in (groebner, modres):
         counted(mod, "_syzygies_raw")
         counted(mod, "_divisor_basis")

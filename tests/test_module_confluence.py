@@ -15,8 +15,8 @@ from itertools import product
 
 import pytest
 
-from fplocal.modres import module_gb
 from fplocal.polycore import Polynomial, PolyRing, parse_poly
+from support import engine_basis
 
 SEED = 27182
 
@@ -129,7 +129,7 @@ def test_module_gb_is_confluent_and_reduced(p, n, rank, order):
     key = term_key(order)
     for _ in range(8):
         cols = [random_col(rng, R, rank) for _ in range(rng.randint(2, 3))]
-        gb = [to_vec(v) for v in module_gb(R, cols)]
+        gb = engine_basis(R, cols)
         assert all(gb)
         assert module_confluent(gb, order, p)
         assert reduced(gb, order)
@@ -149,10 +149,10 @@ def test_verifier_rejects_a_non_basis():
         {(0, a): w for a, w in x2.items()},
     ]
     assert not module_confluent(not_a_basis, "grevlex", R.p)
-    gb = [to_vec(v) for v in module_gb(R, [
+    gb = engine_basis(R, [
         (Polynomial(R, x1), Polynomial(R, x2)),
         (Polynomial(R, x2), Polynomial.zero(R)),
-    ])]
+    ])
     assert module_confluent(gb, "grevlex", R.p)
     assert len(gb) == 3
 
@@ -223,7 +223,7 @@ def test_tagged_bases_where_the_chain_criterion_fires(monkeypatch):
                 for _ in range(3)]
         cols = tagged_columns(R, gens)
         del log[:]
-        gb = [to_vec(v) for v in module_gb(R, cols)]
+        gb = engine_basis(R, cols)
         beyond += sum(1 for c, formed in log if c >= rank and not formed)
         assert module_confluent(gb, order, p)
         assert reduced(gb, order)
@@ -237,7 +237,7 @@ def test_syzygy_tags_of_three_quadrics(monkeypatch):
     log = observe_pairs(monkeypatch)
     R = PolyRing(3, 3, "lex")
     gens = [(parse_poly(R, s),) for s in ("x1^2 + x2*x3", "x1*x2 + 2*x3^2", "x2^2 + x1*x3 + x3^2")]
-    gb = [to_vec(v) for v in module_gb(R, tagged_columns(R, gens))]
+    gb = engine_basis(R, tagged_columns(R, gens))
     assert sum(1 for c, formed in log if c >= 1 and not formed) == 22
     assert module_confluent(gb, "lex", 3)
     assert reduced(gb, "lex")
