@@ -3,8 +3,9 @@ and emits a single JSON document to stdout (or --out).
 
 Exit codes: 0 when every reported outcome is a pass, 1 when any check
 fails or stays inconclusive, 2 for usage errors and resource ceilings.
-Reports contain no timestamps; timing is opt-in via --timings so that
-identical inputs produce identical bytes.
+Reports contain no timestamps; timing is opt-in via --timings, on the
+four subcommands whose reports carry millis (pd, check-q1, check-topvan
+and campaign), so that identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ def _common_flags(sp) -> None:
     sp.add_argument("--level-cap", type=int,
                     default=os.environ.get("FPLOCAL_LEVEL_CAP") or DEFAULT_LIMITS.level_cap)
     sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
-    sp.add_argument("--timings", action="store_true", help="include wall-clock millis in reports")
 
 
 def _ring_flags(sp, order: bool) -> None:
@@ -297,12 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, order=True):
+    def add(name, fn, help_text, order=True, timings=False):
         # --order only where the subcommand builds its ring from it:
-        # campaign rings are always grevlex
+        # campaign rings are always grevlex; --timings only where the
+        # report carries millis
         sp = sub.add_parser(name, help=help_text)
         _ring_flags(sp, order)
         _common_flags(sp)
+        if timings:
+            sp.add_argument("--timings", action="store_true",
+                            help="include wall-clock millis in the report")
         sp.set_defaults(fn=fn)
         return sp
 
@@ -337,14 +341,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("resolve", _cmd_resolve, "free resolution of R/I")
     sp.add_argument("--gens", required=True)
 
-    sp = add("pd", _cmd_pd, "projective dimension bound check for R/I")
+    sp = add("pd", _cmd_pd, "projective dimension bound check for R/I", timings=True)
     sp.add_argument("--gens", required=True)
 
-    sp = add("check-q1", _cmd_check_q1, "torsion-freeness of R/I at a rational point")
+    sp = add("check-q1", _cmd_check_q1, "torsion-freeness of R/I at a rational point",
+             timings=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--point", default=None, help="comma-separated coordinates")
 
-    sp = add("check-topvan", _cmd_check_topvan, "top local cohomology torsion certificate")
+    sp = add("check-topvan", _cmd_check_topvan, "top local cohomology torsion certificate",
+             timings=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--point", default=None)
     sp.add_argument("--e-max", type=int, default=3)
@@ -360,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gpoly", required=True)
     sp.add_argument("--l", type=int, required=True)
 
-    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign", order=False)
+    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign", order=False,
+             timings=True)
     sp.add_argument("--degrees", required=True, help="comma-separated generator degrees")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", required=True)

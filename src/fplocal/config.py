@@ -15,7 +15,9 @@ from .errors import CancelledError, ResourceLimitError
 
 @dataclass
 class EngineLimits:
-    max_reductions: int = 2_000_000  # reduction steps per basis computation
+    max_reductions: int = 2_000_000  # reduction steps per Budget, made fresh for
+                                     # each basis computation and for each
+                                     # membership test or normal-form pass
     max_basis: int = 600             # basis elements per computation
     max_rounds: int = 50             # colon iterations in a saturation loop
     max_length: int = 200_000        # standard monomials counted in a length; also

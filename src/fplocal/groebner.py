@@ -56,15 +56,17 @@ and the basis elements whose lead is a tag are the reduced basis of
 {a : sum a_j col_j in the submodule}; tagging the submodule too and
 projecting onto the column tags would give the same list.  A colon
 N : h, N <= R^rank, is the syzygies of h*e_c, c < rank, modulo N; a meet
-tags each vector with its own copy.  A reduced basis the engine computed
-joins such a call as a known part (N's in a colon, the later colon's in
-a meet), and no S-pair between two of its elements is formed: each
-reduces to zero by Buchberger's criterion.  N : J is the meet of the
-N : h over the generators h of J, and each N : h is tested as soon as it
-is computed: if it is N, then N : J = N, since N <= N : J <= N : h.
-Before any engine call, _colon reads what it can off the leads of N's
-basis.  A one-term generator u that shares a variable with no lead gives
-N : J = N at once, at any rank and in any order.  For an ideal with a
+tags each vector with its own copy.  The submodule always crosses in as
+a reduced basis the engine computed, and joins the call as its known
+part: N's in a colon, the later colon's in a meet, the image's or the
+relations' in a modres presentation.  No S-pair between two of its
+elements is formed: each reduces to zero by Buchberger's criterion.
+N : J is the meet of the N : h over the generators h of J, and each
+N : h is tested as soon as it is computed: if it is N, then N : J = N,
+since N <= N : J <= N : h.  Before any engine call, _colon reads what it
+can off the leads of N's basis.  A one-term generator u that shares a
+variable with no lead gives N : J = N at once, at any rank and in any
+order.  For an ideal with a
 homogeneous basis in grevlex, N : x_n is that basis with x_n divided out
 of each element whose lead it divides (Bayer and Stillman), interreduced.
 Saturation, of ideals and modules alike, iterates _colon on the reduced
@@ -465,18 +467,19 @@ def _interreduce(G: list, lay: _Layout, p: int, budget: Budget) -> list:
 # syzygies modulo a submodule, and the one saturation loop
 
 def _syzygies_raw(
-    cols: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits, modulo=()
+    cols: Sequence[dict],
+    rank: int,
+    ring: PolyRing,
+    limits: EngineLimits,
+    modulo: Optional[_Divisors] = None,
 ) -> _Divisors:
     """Reduced basis of {a in R^k : sum a_j cols_j in span(modulo)},
-    k = len(cols).  Column j is tagged at component rank + j; the
-    `modulo` vectors are not tagged.  `modulo` is a list of vectors, or
-    a reduced basis as the engine's _Divisors, which then joins the
-    engine call as its known part."""
+    k = len(cols), the plain syzygies when `modulo` is None.  Column j is
+    tagged at component rank + j.  `modulo` is a reduced basis the engine
+    computed; it joins the engine call untagged, as its known part."""
     zero = ring.zero_mono()
     tagged = [{**col, (rank + j, zero): 1} for j, col in enumerate(cols)]
-    if isinstance(modulo, _Divisors):
-        return _divisor_basis(tagged, ring, limits, known=modulo).above(rank)
-    return _divisor_basis(tagged + list(modulo), ring, limits).above(rank)
+    return _divisor_basis(tagged, ring, limits, known=modulo).above(rank)
 
 
 def _meet(

@@ -34,9 +34,12 @@ identities exactly on packs: d_q o phi = phi o d_1 entry by entry, and
 d_q o d_q = 0 (polycore._vanishes accumulates each sum of products and
 reduces it mod p once).  Only the images phi(rep) of the torsion
 representatives are unpacked, for the membership test.  The reduced
-basis of im d_q is that of im d_1, scaled (groebner._Divisors.scaled):
-one Buchberger run, at level 1, serves every level.  phi_chain_map is
-the same walk and check, unpacked into matrices.
+basis of im d_q is that of im d_1, scaled (groebner._Divisors.scaled),
+and the basis of im d_1 is the one that presenting H^i was computed
+modulo (modres._subquotient): no level runs Buchberger on the image.
+The torsion is taken on that presentation's relation basis
+(modres._torsion), which is not built again.  phi_chain_map is the
+same walk and check, unpacked into matrices.
 """
 
 from __future__ import annotations
@@ -47,15 +50,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .frobenius import FrobeniusLevel, _check_level, frobenius_walk, level_for_degree
-from .groebner import _divisor_basis, _reduce
-from .modres import (
-    ModulePresentation,
-    PolyMatrix,
-    _vec_from_free,
-    module_h0m,
-    subquotient_presentation,
-    syzygies,
-)
+from .groebner import _reduce
+from .modres import ModulePresentation, PolyMatrix, _subquotient, _torsion, syzygies
 from .polycore import (
     Polynomial,
     PolyRing,
@@ -222,17 +218,16 @@ def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
     return tuple(phis)
 
 
-def _cohomology_data(
-    kx: KoszulComplex, i: int, limits: Optional[EngineLimits] = None
-):
-    """(kernel generators, image columns, subquotient presentation)."""
+def _cohomology_data(kx: KoszulComplex, i: int, lim: EngineLimits) -> tuple:
+    """(kernel generators, presentation, relation basis, image basis):
+    ker d^i and modres._subquotient of it by im d^{i-1}."""
     s = kx.s
     if i < 0 or i > s:
         raise ValueError(f"cohomological degree {i} outside [0, {s}]")
     ring = kx.ring
     rank = kx.rank(i)
     if i < s:
-        ker = syzygies(ring, kx.diffs[i].columns, limits)
+        ker = syzygies(ring, kx.diffs[i].columns, lim)
     else:
         zero = Polynomial.zero(ring)
         one = Polynomial.one(ring)
@@ -240,15 +235,14 @@ def _cohomology_data(
             tuple(one if r == u else zero for r in range(rank)) for u in range(rank)
         )
     im = kx.diffs[i - 1].columns if i > 0 else ()
-    pres = subquotient_presentation(ring, ker, im, limits)
-    return ker, im, pres
+    return (ker,) + _subquotient(ring, ker, im, lim)
 
 
 def koszul_cohomology(
     kx: KoszulComplex, i: int, limits: Optional[EngineLimits] = None
 ) -> ModulePresentation:
     """Presentation of ker d^i / im d^{i-1}."""
-    return _cohomology_data(kx, i, limits)[2]
+    return _cohomology_data(kx, i, resolve_limits(limits))[1]
 
 
 @dataclass(frozen=True)
@@ -331,8 +325,8 @@ def verify_prop_van(
     pt = _normalize_point(ring, point)
     fs = tuple(g.translate(pt) for g in f) if pt is not None else f
     k1 = build_koszul(fs, 1)
-    ker, _, pres = _cohomology_data(k1, i, lim)
-    tors = module_h0m(pres, None, lim)
+    ker, pres, rels, basis_1 = _cohomology_data(k1, i, lim)
+    tors = _torsion(rels, pres.rank, lim)
 
     def finish(outcome, level_used, retries, verdicts):
         if not hypothesis_ok:
@@ -376,8 +370,6 @@ def verify_prop_van(
     l0 = level.l if level is not None else level_for_degree(ring.p, dmax).l
     if l0 > lim.level_cap:
         return finish("inconclusive", None, 0, ())
-    im_1 = k1.diffs[i - 1].columns if i > 0 else ()
-    basis_1 = _divisor_basis([_vec_from_free(col) for col in im_1], ring, lim)
     p = ring.p
     targets = k1.index_maps[i]
     retries = 0

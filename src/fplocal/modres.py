@@ -14,7 +14,13 @@ shares no code with the engine.
 
 Syzygies modulo a submodule come from groebner's tagged kernel,
 _syzygies_raw, and the m-torsion from its saturation loop; each syzygy
-is an exact certificate, and tests verify them by substitution.
+is an exact certificate, and tests verify them by substitution.  A
+submodule goes to the engine as its reduced basis only, so each layer
+hands on the basis it holds: _subquotient presents modulo the image's
+basis and returns it with the relation basis, and _torsion saturates
+the relation basis and presents the torsion modulo it.  module_h0m and
+subquotient_presentation are thin wrappers over these two bodies, which
+koszul's verifier calls directly.
 
 Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
@@ -46,6 +52,7 @@ from .groebner import (
     _reduce,
     _saturate,
     _spans_all,
+    _staircase_corners,
     _syzygies_raw,
 )
 from .polycore import (
@@ -270,13 +277,13 @@ def quotient_presentation(I: Ideal) -> ModulePresentation:
 
 
 def _presentation_raw(
-    gens: Sequence[dict], modulo: Sequence[dict], rank: int, ring: PolyRing, limits: EngineLimits
+    gens: Sequence[dict], modulo: _Divisors, rank: int, ring: PolyRing, limits: EngineLimits
 ) -> tuple:
     """(presentation, relation basis) of (span(gens) + span(modulo)) /
-    span(modulo).  Its relations are the syzygies of gens modulo
-    span(modulo), the same list as full tags projected onto the gens tags
-    (see the module docstring); the engine's reduced basis of them comes
-    back as well."""
+    span(modulo), `modulo` a reduced basis the engine computed.  Its
+    relations are the syzygies of gens modulo span(modulo), the same list
+    as full tags projected onto the gens tags (see the module docstring);
+    the engine's reduced basis of them comes back as well."""
     u = len(gens)
     if u == 0:
         return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ())), _Divisors([], ring)
@@ -296,10 +303,21 @@ def subquotient_presentation(
     The inclusion im <= span(ker) is checked; a failure signals a broken
     complex upstream, not bad user input.
     """
-    lim = resolve_limits(limits)
+    return _subquotient(ring, ker_gens, im_gens, resolve_limits(limits))[0]
+
+
+def _subquotient(
+    ring: PolyRing,
+    ker_gens: Sequence[Sequence[Polynomial]],
+    im_gens: Sequence[Sequence[Polynomial]],
+    lim: EngineLimits,
+) -> tuple:
+    """(presentation, relation basis, image basis) of
+    span(ker_gens)/span(im_gens): subquotient_presentation's answer, the
+    engine's reduced basis of its relations, and that of span(im_gens),
+    which the presentation is computed modulo."""
     kv = [_vec_from_free(v) for v in ker_gens]
-    iv = [_vec_from_free(v) for v in im_gens]
-    iv = [v for v in iv if v]
+    iv = [v for v in map(_vec_from_free, im_gens) if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
         if not _spans_all(_divisor_basis(kv, ring, lim), iv, ring, lim):
@@ -308,7 +326,8 @@ def subquotient_presentation(
         raise ValueError("image generators do not lie in the kernel span")
     else:
         rank = 0
-    return _presentation_raw(kv, iv, rank, ring, lim)[0]
+    image = _divisor_basis(iv, ring, lim)
+    return _presentation_raw(kv, image, rank, ring, lim) + (image,)
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +589,34 @@ def module_h0m(
 ) -> TorsionData:
     """Presentation of (0 :_M m_a^infinity) with finite-length detection.
 
-    Saturates the relation submodule at the (translated) origin, reduces
-    the saturation generators mod the relations to get torsion
-    generators, presents the subquotient, and counts the staircase of the
-    relation basis that presenting it computed.
+    Translates the relations to the origin, takes their reduced basis and
+    hands it to _torsion; the generators are translated back.
     """
     ring = pres.ring
     lim = resolve_limits(limits)
-    rank = pres.rank
-    if rank == 0:
-        return TorsionData(pres, (), True, 0)
     pt = _normalize_point(ring, point)
-    cols = []
-    for col in pres.relations.columns:
-        if pt is not None:
-            col = tuple(g.translate(pt) for g in col)
-        v = _vec_from_free(col)
-        if v:
-            cols.append(v)
-    ngb = _divisor_basis(cols, ring, lim)
+    cols = pres.relations.columns
+    if pt is not None:
+        cols = [tuple(g.translate(pt) for g in col) for col in cols]
+    tors = _torsion(_divisor_basis([_vec_from_free(c) for c in cols], ring, lim), pres.rank, lim)
+    if pt is None:
+        return tors
+    back = -pt
+    gens = tuple(tuple(g.translate(back) for g in col) for col in tors.generators)
+    return TorsionData(tors.presentation, gens, tors.finite, tors.length)
+
+
+def _torsion(ngb: _Divisors, rank: int, lim: EngineLimits) -> TorsionData:
+    """module_h0m at the origin of R^rank / span(ngb), `ngb` the reduced
+    basis of the relations.
+
+    Saturates span(ngb) at m, reduces the saturation generators mod ngb
+    to get torsion generators, presents the subquotient modulo ngb, and
+    counts the staircase of the relation basis that presenting it
+    computed.  At rank 0 the saturation is ngb itself, and the torsion is
+    0 of length 0.
+    """
+    ring = ngb.ring
     m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]
     sat = _saturate(ngb, m, rank, lim)
     budget = Budget(lim)
@@ -601,13 +629,10 @@ def module_h0m(
             if r not in tors:
                 tors.append(r)
     tors.sort(key=lambda v: vk(next(iter(v))), reverse=True)  # engine output: lead first
-    presentation, rels = _presentation_raw(tors, cols, rank, ring, lim)
+    presentation, rels = _presentation_raw(tors, ngb, rank, ring, lim)
     finite, length = _staircase_length(rels, len(tors), lim)
-    gens = [_free_from_vec(v, rank, ring) for v in tors]
-    if pt is not None:
-        back = -pt
-        gens = [tuple(g.translate(back) for g in col) for col in gens]
-    return TorsionData(presentation, tuple(gens), finite, length)
+    gens = tuple(_free_from_vec(v, rank, ring) for v in tors)
+    return TorsionData(presentation, gens, finite, length)
 
 
 def finite_length_data(
@@ -627,18 +652,19 @@ def _staircase_length(basis: _Divisors, rank: int, lim: EngineLimits) -> tuple:
     """(finite, length) of R^rank / span(basis), read off the leads of
     its reduced basis.
 
-    A component's staircase is finite when its leads hold a pure power of
-    every variable.  The count walks the staircase itself, not the box
-    below those powers: the standard monomials are an order ideal, so a
-    depth-first walk from 1 that reaches each b only from b - x_k, k the
-    last variable of b, visits each of them once.  max_length bounds the
-    count, and is reached only by a module that long."""
+    The staircase is finite when groebner._staircase_corners finds every
+    component's pure powers.  The count walks the staircase itself, not
+    the box below those powers: the standard monomials are an order
+    ideal, so a depth-first walk from 1 that reaches each b only from
+    b - x_k, k the last variable of b, visits each of them once.
+    max_length bounds the count, and is reached only by a module that
+    long."""
+    if _staircase_corners(basis, rank) is None:
+        return False, None
     stairs: list = [[] for _ in range(rank)]
     for c, a in basis.leads():
         stairs[c].append(a)
     n = basis.ring.n
-    if not all(any(not any(a[:k] + a[k + 1:]) for a in L) for L in stairs for k in range(n)):
-        return False, None  # some component has no pure power of some x_k
     zero = basis.ring.zero_mono()
     total = 0
     for L in stairs:

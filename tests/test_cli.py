@@ -7,6 +7,7 @@ byte-identical documents, and --timings is the only sanctioned source of
 nondeterminism in a report.
 """
 
+import hashlib
 import json
 import os
 
@@ -258,6 +259,17 @@ def test_pd_timings_flag(capsys):
     )
     assert code == 0
     assert isinstance(doc["millis"], float)
+
+
+@pytest.mark.parametrize("argv", [["check-propvan", "--i", "1"], ["gb"]], ids=lambda a: a[0])
+def test_timings_only_where_a_report_carries_millis(capsys, argv):
+    # these reports have no millis field, so the flag is a usage error;
+    # pd keeps it (test_pd_timings_flag)
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "2", "--n", "2", "--gens", "x1", *rest, "--timings"])
+    assert exc.value.code == 2
+    assert "--timings" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +552,29 @@ def test_check_propvan_heavy_walk_bytes(capsys):
     )
     assert code == 1
     assert out == HEAVY_PROPVAN
+
+
+# A propvan walk below the top degree, i = 2 < s = 3, and the cohomology
+# it presents: at the origin H^2 has two torsion generators, and levels 2
+# to 4 are walked; at (1, 1) there is no torsion.  Recorded when
+# verify_prop_van still went through the public module_h0m and
+# subquotient_presentation.
+BELOW_TOP = "x1^2 + x2^2, x1*x2 + x2^2, x1"
+BELOW_TOP_DIGESTS = {
+    ("check-propvan", "--i", "2"):
+        (1, "ed0a797677f42d2687bd6d21bbe7392c47daf2f0d189abdc685df7a7e991f639"),
+    ("check-propvan", "--i", "2", "--point", "1,1"):
+        (1, "30ac6589bc51d2dead5001edcfa8c71dd98a17821817f163d361484b81098532"),
+    ("cohomology", "--i", "2"):
+        (0, "d0f632541ab4d76f2437218341f4f674b752a7d66dd74a8e39cce5bd67eca86e"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BELOW_TOP_DIGESTS), ids=" ".join)
+def test_propvan_below_the_top_degree_bytes(capsys, argv):
+    command, *rest = argv
+    code, out = run(capsys, command, "--p", "2", "--n", "2", "--gens", BELOW_TOP, *rest)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == BELOW_TOP_DIGESTS[argv]
 
 
 def run_err(capsys, *argv):

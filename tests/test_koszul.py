@@ -576,6 +576,26 @@ def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
     assert 8 not in log["pows"]
 
 
+def test_propvan_builds_each_basis_once(monkeypatch):
+    # Buchberger runs in one verify_prop_van.  The torsion is taken on the
+    # relation basis that presenting H^i computed, and im d_1's basis is
+    # the one that presentation was computed modulo, so neither is built
+    # again.  At i = s = 2: span(ker), im d_1, the relations, and the
+    # torsion's relations (its saturation exits on the staircase).  At
+    # i = 2 < s = 3: ker d^2 first, and six for the saturation's two
+    # rounds of colons and meets.
+    log = count_work(monkeypatch)
+    for p, gens, runs, torsion, walked in (
+        (3, ["x1^2", "x1*x2 + x2^2"], 4, 1, 4),
+        (2, ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 11, 2, 3),
+    ):
+        R = PolyRing(p, 2)
+        log["gb"] = 0
+        cert = verify_prop_van([P(R, g) for g in gens], 2)
+        assert (cert.num_torsion_generators, cert.retries) == (torsion, walked)
+        assert log["gb"] == runs, gens
+
+
 # ---------------------------------------------------------------------------
 # mutations: a broken identity fails the check
 

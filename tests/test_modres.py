@@ -603,14 +603,15 @@ def torsion_presentation(R, rng, rank, point, terms):
 
 def reference_colon_all(N, hs, rank, ring, limits):
     """N : J with no early exit and no known part: the colon by every
-    generator, as syzygies modulo N's vectors, and the meets of the
-    colons in order, each a self-tagged colon modulo the next one's
-    vectors; N itself when the reduced bases agree, as groebner._colon
-    returns it."""
+    generator, the tagged h*e_c beside N's untagged vectors, and the
+    meets of the colons in order, each a self-tagged colon modulo the
+    next one's vectors; N itself when the reduced bases agree, as
+    groebner._colon returns it."""
     quot = None
+    zero = ring.zero_mono()
     for h in hs:
-        cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
-        q = groebner._syzygies_raw(cols, rank, ring, limits, N.vecs).vecs
+        tagged = [{**{(c, a): w for a, w in h.items()}, (rank + c, zero): 1} for c in range(rank)]
+        q = groebner._divisor_basis(tagged + N.vecs, ring, limits).above(rank).vecs
         if quot is not None:
             tagged = [{**a, **{(rank + c, m): w for (c, m), w in a.items()}} for a in quot]
             q = groebner._divisor_basis(tagged + q, ring, limits).above(rank).vecs
