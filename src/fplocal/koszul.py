@@ -30,16 +30,22 @@ higher, in one polycore product layout that holds p^h * sum deg f plus
 the degree of the torsion representatives up to the walk's horizon h,
 so neither a product nor a Frobenius step can carry.  The level-q
 differential is F^e(d_1) entrywise, and every level tried checks both
-identities exactly on packs: d_q o phi = phi o d_1 entry by entry, and
-d_q o d_q = 0 (polycore._vanishes accumulates each sum of products and
-reduces it mod p once).  Only the images phi(rep) of the torsion
-representatives are unpacked, for the membership test.  The reduced
-basis of im d_q is that of im d_1, scaled (groebner._Divisors.scaled),
-and the basis of im d_1 is the one that presenting H^i was computed
-modulo (modres._subquotient): no level runs Buchberger on the image.
-The torsion is taken on that presentation's relation basis
-(modres._torsion), which is not built again.  phi_chain_map is the
-same walk and check, unpacked into matrices.
+identities exactly on packs: d_q o phi = phi o d_1, and d_q o d_q = 0
+(polycore._vanishes accumulates each sum of products and reduces it mod
+p once).  The first is multiplied out on one entry per nonempty subset
+T, 2^s - 1 of the s * 2^(s-1) entries, after every entry of d_q is
+compared with F^e(d_1); R is a domain, so these force the multipliers
+to be M_() * prod f_a^{q-1}, which satisfy every entry
+(_check_chain_map has the proof).  Only the images phi(rep) of the
+torsion representatives are unpacked, for the membership test.  The
+reduced basis of im d_q is that of im d_1, scaled
+(groebner._Divisors.scaled), and the basis of im d_1 is the one that
+presenting H^i was computed modulo (modres._subquotient): no level runs
+Buchberger on the image.  The torsion is taken on that presentation's
+relation basis (modres._torsion), which is not built again; at i = s,
+where ker d^s is spanned by the unit vector, that relation basis is im
+d_{s-1}'s basis itself (modres._presentation_raw).  phi_chain_map is
+the same walk and check, unpacked into matrices.
 """
 
 from __future__ import annotations
@@ -162,16 +168,38 @@ def _level_entries(d1: dict, q: int) -> dict:
 
 
 def _check_chain_map(d1: dict, mults: dict, q: int, index_maps: tuple, p: int) -> None:
-    """Both exact identities of the level-q chain map, on packs:
-    d_q o phi = phi o d_1 entry by entry, F^e(d_1[T, S]) * M_S ==
-    M_T * d_1[T, S] (phi is diagonal, so these are all the entries), and
-    d_q o d_q = 0.  d1 holds the packed level-1 entries and mults[T] is
-    M_T(q), both in one layout that holds degree q * sum deg f."""
+    """The exact identities of the level-q chain map, on packs.  d1 holds
+    the packed level-1 entries and mults[T] is M_T(q), both in one layout
+    that holds degree q * sum deg f.
+
+    - Every entry of d_q is F^e(d_1[T, S]), d_1[T, S] with each pack
+      multiplied by q.
+    - For each nonempty T, one entry of d_q o phi = phi o d_1:
+      F^e(d_1[T, S]) * M_S == M_T * d_1[T, S] with S = T minus {a}, a the
+      index in T whose f_a has the fewest terms (the smallest on ties).
+    - d_q o d_q = 0 (_check_complex).
+
+    These imply every entry of d_q o phi = phi o d_1 (phi is diagonal, so
+    its entries are all the identities F^e(d_1[T, S]) * M_S == M_T *
+    d_1[T, S]).  d_1[T, S] = +-f_a and F^e(d_1[T, S]) = +-f_a^q with the
+    same sign (q is odd for odd p, and -1 = 1 in F_2), so the checked
+    entry reads f_a * (f_a^(q-1) * M_S - M_T) = 0, and R is a domain:
+    M_T = f_a^(q-1) * M_S.  By induction on |T|, M_T = M_() * prod over
+    b in T of f_b^(q-1) for every T.  Then any entry T = S + {b} has both
+    sides equal to +-f_b^q * M_() * prod over c in S of f_c^(q-1).  So
+    2^s - 1 entries are multiplied out, not all s * 2^(s-1).  A failure
+    raises ValueError."""
     dq = _level_entries(d1, q)
     for (T, S), e in d1.items():
-        minus = {t: p - c for t, c in e.items()}
-        if not _vanishes(((dq[T, S], mults[S]), (minus, mults[T])), p):
+        if dq[T, S] != {t * q: c for t, c in e.items()}:
             raise ValueError(f"chain map fails to commute at degree {len(S)}")
+    for tuples in index_maps[1:]:
+        for T in tuples:
+            subs = [T[:v] + T[v + 1:] for v in range(len(T))]
+            S = min(subs, key=lambda S: len(d1[T, S]))
+            minus = {t: p - c for t, c in d1[T, S].items()}
+            if not _vanishes(((dq[T, S], mults[S]), (minus, mults[T])), p):
+                raise ValueError(f"chain map fails to commute at degree {len(S)}")
     _check_complex(dq, index_maps, p)
 
 
@@ -181,8 +209,9 @@ def _chain_maps(k1: KoszulComplex, first: int, last: int, extra: int) -> Iterato
     every increasing tuple of generator indices, the empty one included.
     The largest is prod f, so `lay` holds p^h * sum deg f + extra up to
     the walk's horizon h.  d_1 is packed again whenever the layout
-    changes, and each level yielded has passed both identities of
-    _check_chain_map."""
+    changes, and each level yielded has passed _check_chain_map: d_q is
+    F^e(d_1), one entry per nonempty subset of d_q o phi = phi o d_1,
+    which implies all of them, and d_q o d_q = 0."""
     f, p = k1.f, k1.ring.p
     prods = {(): Polynomial.one(k1.ring)}
     for tuples in k1.index_maps[1:]:
@@ -200,8 +229,10 @@ def _chain_maps(k1: KoszulComplex, first: int, last: int, extra: int) -> Iterato
 def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
     """Per-degree diagonal multipliers prod f_a^{q-1}.  They come from
     verify_prop_van's packed walk, built up from level 1, with both
-    identities checked exactly on packs (d_q o phi = phi o d_1 and
-    d_q o d_q = 0), and are unpacked into matrices at the end."""
+    identities checked exactly on packs (d_q o phi = phi o d_1, on one
+    entry per subset, which implies every entry since R is a domain; see
+    _check_chain_map; and d_q o d_q = 0), and are unpacked into matrices
+    at the end."""
     k1 = build_koszul(f, 1)
     ring = k1.ring
     _check_level(ring, lvl)
@@ -310,8 +341,9 @@ def verify_prop_van(
     retrying at higher levels up to the cap.  Membership of each
     generator suffices: phi is R-linear and the image is a submodule.
     The walk stays on packs from level 1 to the cap (see the module
-    docstring): each level tried checks d_q o phi = phi o d_1 and
-    d_q o d_q = 0 exactly, and only the images phi(rep) are unpacked.
+    docstring): each level tried checks d_q o phi = phi o d_1 (on one
+    entry per subset, which implies the rest) and d_q o d_q = 0 exactly,
+    and only the images phi(rep) are unpacked.
     An explicit `level` above `limits.level_cap` raises ValueError: no
     level could be tried.
     """

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .config import EngineLimits, resolve_limits
+from .config import Budget, EngineLimits, resolve_limits
 from .errors import HypothesisViolatedError, NonHomogeneousError, ResourceLimitError
 from .frobenius import (
     FrobeniusLevel,
@@ -37,6 +37,8 @@ from .frobenius import (
 from .groebner import (
     Ideal,
     _lead_dim,
+    _rank1,
+    _reduce,
     ideals_equal,
     maximal_ideal,
     saturation,
@@ -50,6 +52,7 @@ from .polycore import (
     _normalize_point,
     _ring_of,
     _sum_deg,
+    _times_mod,
     mono_div,
 )
 
@@ -232,9 +235,13 @@ def top_lc_vanishing_certificate(
     inconclusive, not fail.  e_max = 0 tries stage 0 only; a negative
     e_max raises ValueError.
 
-    The multipliers come from frobenius_walk on prod f, each unpacked
-    once for its stage; each bracket power's basis is I's, scaled
-    (bracket_power): no stage runs Buchberger.
+    The multipliers come from frobenius_walk on prod f, laid out with
+    room for one more factor of the generators' degree, and stay packed:
+    each membership multiplies the multiplier by the packed generator in
+    that layout, and only the product is unpacked, to be reduced by the
+    bracket power's divisors under one Budget, as Ideal.normal_form
+    would.  Each bracket power's basis is I's, scaled (bracket_power): no
+    stage runs Buchberger.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -245,10 +252,13 @@ def top_lc_vanishing_certificate(
             return "pass", {"stage": 0, "memberships": None}
         ring, p = x.ring, x.ring.p
         g = prod(x.gens, start=Polynomial.one(ring))
-        for e, lay, mults in frobenius_walk({(): g}, 1, e_max):
-            Iq = bracket_power(x.ideal, FrobeniusLevel(p, e))
-            mult = Polynomial(ring, lay.unpack_terms(mults[()], p), _raw=True)
-            verdicts = [not Iq.normal_form(mult * h, x.limits) for h in S.gens]
+        hmax = max(max(map(sum, h.terms), default=0) for h in S.gens)
+        for e, lay, mults in frobenius_walk({(): g}, 1, e_max, hmax):
+            div = bracket_power(x.ideal, FrobeniusLevel(p, e))._divisors(x.limits)
+            verdicts = []
+            for h in S.gens:
+                image = lay.unpack_terms(_times_mod(lay.pack_terms(h.terms), mults[()], p), p)
+                verdicts.append(not _reduce(_rank1(image), div, ring, Budget(x.limits)))
             if all(verdicts):
                 return "pass", {"stage": e, "memberships": verdicts}
         return "inconclusive", {"stage": None, "memberships": None, "stages_tried": e_max}

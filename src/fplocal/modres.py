@@ -18,9 +18,10 @@ is an exact certificate, and tests verify them by substitution.  A
 submodule goes to the engine as its reduced basis only, so each layer
 hands on the basis it holds: _subquotient presents modulo the image's
 basis and returns it with the relation basis, and _torsion saturates
-the relation basis and presents the torsion modulo it.  module_h0m and
-subquotient_presentation are thin wrappers over these two bodies, which
-koszul's verifier calls directly.
+the relation basis and presents the torsion modulo it.  The unit
+vectors modulo a basis are presented by that basis, with no engine call
+(_presentation_raw).  module_h0m and subquotient_presentation are thin
+wrappers over these two bodies, which koszul's verifier calls directly.
 
 Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
@@ -283,11 +284,22 @@ def _presentation_raw(
     span(modulo), `modulo` a reduced basis the engine computed.  Its
     relations are the syzygies of gens modulo span(modulo), the same list
     as full tags projected onto the gens tags (see the module docstring);
-    the engine's reduced basis of them comes back as well."""
+    the engine's reduced basis of them comes back as well.
+
+    When gens are the unit vectors e_0, ..., e_{rank-1} in order, a is a
+    relation exactly when sum a_c e_c = a lies in span(modulo): the
+    relations are span(modulo) itself, whose reduced basis is `modulo`,
+    and no engine call is made.  This presents H^s of a Koszul complex,
+    and the torsion when it is all of R^rank / span(modulo) with no e_c
+    in span(modulo), as after a staircase exit (_torsion)."""
     u = len(gens)
     if u == 0:
         return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ())), _Divisors([], ring)
-    rels = _syzygies_raw(gens, rank, ring, limits, modulo)
+    zero = ring.zero_mono()
+    if u == rank and all(v == {(c, zero): 1} for c, v in enumerate(gens)):
+        rels = modulo
+    else:
+        rels = _syzygies_raw(gens, rank, ring, limits, modulo)
     cols = tuple(_free_from_vec(v, u, ring) for v in rels.vecs)
     return ModulePresentation(ring, u, PolyMatrix(ring, u, cols)), rels
 
@@ -613,8 +625,10 @@ def _torsion(ngb: _Divisors, rank: int, lim: EngineLimits) -> TorsionData:
     Saturates span(ngb) at m, reduces the saturation generators mod ngb
     to get torsion generators, presents the subquotient modulo ngb, and
     counts the staircase of the relation basis that presenting it
-    computed.  At rank 0 the saturation is ngb itself, and the torsion is
-    0 of length 0.
+    computed.  When the torsion generators are all the unit vectors
+    (the saturation is R^rank and no e_c lies in span(ngb)), that basis
+    is ngb itself, read off with no engine call.  At rank 0 the
+    saturation is ngb itself, and the torsion is 0 of length 0.
     """
     ring = ngb.ring
     m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]

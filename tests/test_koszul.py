@@ -546,9 +546,9 @@ def test_propvan_work_per_level_is_pinned(monkeypatch):
     # I = m never certifies, so every level up to the cap is tried.  After
     # the first level no Buchberger run happens and no power is taken, so
     # none with e = q.  Each level costs 2^s = 4 recurrence products, one
-    # per subset, and 10 identity products: two per entry of d_1 for
-    # d_q o phi = phi o d_1 (s * 2^(s-1) = 4 entries) and two for the one
-    # entry of d_q o d_q.
+    # per subset, and 8 identity products: two per nonempty subset T for
+    # its one entry of d_q o phi = phi o d_1 (2^s - 1 = 3 entries) and two
+    # for the one entry of d_q o d_q.
     log = count_work(monkeypatch)
     R = PolyRing(2, 2)
     cert = verify_prop_van([P(R, "x1"), P(R, "x2")], 2, limits=EngineLimits(level_cap=4))
@@ -562,7 +562,7 @@ def test_propvan_work_per_level_is_pinned(monkeypatch):
     for a, b in zip(levels, levels[1:]):
         assert b["steps"] - a["steps"] == 4
     for a, b in zip(marks, marks[1:]):
-        assert b["ident"] - a["ident"] == 10
+        assert b["ident"] - a["ident"] == 8
 
 
 def test_propvan_walk_started_high_builds_up_from_level_1(monkeypatch):
@@ -580,14 +580,19 @@ def test_propvan_builds_each_basis_once(monkeypatch):
     # Buchberger runs in one verify_prop_van.  The torsion is taken on the
     # relation basis that presenting H^i computed, and im d_1's basis is
     # the one that presentation was computed modulo, so neither is built
-    # again.  At i = s = 2: span(ker), im d_1, the relations, and the
-    # torsion's relations (its saturation exits on the staircase).  At
-    # i = 2 < s = 3: ker d^2 first, and six for the saturation's two
-    # rounds of colons and meets.
+    # again.  Both presentations are read off with no run when their
+    # generators are the unit vectors.  At i = s = 2: span(ker) and im d_1.
+    # The kernel is the unit vector there, so the relations are im d_1's
+    # basis, and the torsion's saturation exits on the staircase with e_1
+    # outside the relations, so the torsion's relations are that basis
+    # again.  At i = 2 < s = 3: ker d^2, span(ker), im d_1, the relations,
+    # and six for the saturation's two rounds of colons and meets; the
+    # saturation is all of R^2 with neither unit vector in the relations,
+    # so the torsion's relations are read off.
     log = count_work(monkeypatch)
     for p, gens, runs, torsion, walked in (
-        (3, ["x1^2", "x1*x2 + x2^2"], 4, 1, 4),
-        (2, ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 11, 2, 3),
+        (3, ["x1^2", "x1*x2 + x2^2"], 2, 1, 4),
+        (2, ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 10, 2, 3),
     ):
         R = PolyRing(p, 2)
         log["gb"] = 0
@@ -624,6 +629,36 @@ def test_walk_rejects_a_perturbed_multiplier(monkeypatch):
             made.clear()
             with pytest.raises(ValueError, match="chain map fails to commute"):
                 verify_prop_van(f, 2, limits=EngineLimits(level_cap=2))
+
+
+def test_walk_rejects_a_perturbed_multiplier_at_s_3(monkeypatch):
+    # one term of one of the 8 M_T at level 2 changes.  Each level checks
+    # one entry per nonempty T, S = T minus {a} with f_a of fewest terms:
+    # here x2 or x3, so no entry with S = T minus {1} is multiplied out
+    # once T holds 2 or 3, and each perturbation is still caught
+    real = frobenius.frobenius_multipliers
+    for p in (2, 3):
+        R = PolyRing(p, 3)
+        f = [P(R, "x1 + x2 + x3"), P(R, "x2"), P(R, "x3")]
+        for target in range(8):
+            made = []
+
+            def perturbed(g, lay):
+                made.append(g)
+                mine = len(made) - 1 == target
+                for l, m in enumerate(real(g, lay), 1):
+                    if mine and l == 2:
+                        t = max(m)
+                        m = {**m, t: m[t] + 1}
+                    yield m
+
+            monkeypatch.setattr(frobenius, "frobenius_multipliers", perturbed)
+            with pytest.raises(ValueError, match="chain map fails to commute"):
+                phi_chain_map(f, FrobeniusLevel(p, 2))
+            made.clear()
+            with pytest.raises(ValueError, match="chain map fails to commute"):
+                verify_prop_van(f, 3, limits=EngineLimits(level_cap=2))
+            assert len(made) == 8
 
 
 def test_walk_rejects_a_flipped_sign_of_d_q(monkeypatch):

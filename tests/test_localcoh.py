@@ -7,6 +7,7 @@ witness must lie in the saturation but not the ideal, and certified
 stages must also certify at the next stage (the memberships are nested).
 """
 
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -764,7 +765,49 @@ def test_topvan_huge_e_max_widens_no_pack_before_the_walk_needs_it(monkeypatch):
     R = PolyRing(2, 2)
     rep = top_lc_vanishing_certificate([P(R, "x1^2"), P(R, "x1*x2")], e_max=10 ** 6)
     assert rep.outcome == "pass" and rep.data["stage"] == 1
-    assert widths == [2 ** 4 * 4]  # (x1^2)(x1*x2) has degree 4
+    # (x1^2)(x1*x2) has degree 4, and room is left for one factor of the
+    # saturation generator x1's degree
+    assert widths == [2 ** 4 * 4 + 1]
+
+
+def test_topvan_packed_memberships_match_the_bracket_power_normal_forms(monkeypatch):
+    # each membership multiplies the packed multiplier by the packed
+    # saturation generator; its remainder is the normal form of mult * h
+    # by the bracket power, in grevlex and in lex
+    seen = []
+    real = localcoh._reduce
+    monkeypatch.setattr(localcoh, "_reduce", lambda *a: seen.append(real(*a)) or seen[-1])
+    rng = random.Random(SEED + 7)
+    checked = nonzero = 0
+    for order in ("grevlex", "lex"):
+        for p, n in ((2, 2), (3, 2), (2, 3), (3, 3)):
+            R = PolyRing(p, n, order)
+            xs = maximal_ideal(R).gens
+            cases = [[P(R, "x1^2"), P(R, "x1*x2")], list(xs)]
+            for _ in range(3):
+                # g * m has the saturation (g); three forms in two
+                # variables are mostly m-primary, with saturation (1)
+                g = random_poly(R, rng, 1, homogeneous=True)
+                cases.append([x * g for x in xs])
+                cases.append([random_poly(R, rng, 2, homogeneous=True) for _ in range(3)])
+            for f in cases:
+                if not all(f):
+                    continue
+                seen.clear()
+                rep = top_lc_vanishing_certificate(f, e_max=2)
+                I = Ideal(R, f)
+                S = saturation(I, maximal_ideal(R))
+                stages = rep.data.get("stages_tried", rep.data["stage"])
+                want = []
+                for e in range(1, stages + 1):
+                    Iq = bracket_power(I, FrobeniusLevel(p, e))
+                    mult = math.prod(f, start=Polynomial.one(R)) ** (p ** e - 1)
+                    want += [Iq.normal_form(mult * h) for h in S.gens]
+                got = [Polynomial(R, {a: c for (_, a), c in r.items()}) for r in seen]
+                assert got == want, (order, p, f)
+                checked += len(want)
+                nonzero += sum(1 for g in want if g)
+    assert checked >= 30 and nonzero >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -1126,6 +1126,57 @@ def test_h0m_counts_its_length_on_the_relation_basis_it_has(monkeypatch):
     assert with_torsion >= 20
 
 
+def unit_vectors(R, rank):
+    zero = R.zero_mono()
+    return [{(c, zero): 1} for c in range(rank)]
+
+
+def test_unit_vector_presentation_is_read_off_its_basis(monkeypatch):
+    # the relations of e_0, ..., e_{r-1} modulo N are N itself: its basis
+    # is handed back with no engine call, and equals the tagged kernel's
+    rng = random.Random(SEED + 45)
+    lim = EngineLimits()
+    cases = []
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            R = PolyRing(p, 2, order)
+            for rank in (1, 2, 3):
+                for _ in range(2):
+                    cols = [sparse_vec(R, rng, rank, 2) for _ in range(rank + 1)]
+                    cases.append((R, rank, cols))
+                cases.append((R, rank, list(finite_presentation(R, rng, rank).relations.columns)))
+    calls = []
+    real = modres._syzygies_raw
+    monkeypatch.setattr(modres, "_syzygies_raw", lambda *a: calls.append(1) or real(*a))
+    for R, rank, cols in cases:
+        N = groebner._divisor_basis([modres._vec_from_free(c) for c in cols], R, lim)
+        pres, rels = modres._presentation_raw(unit_vectors(R, rank), N, rank, R, lim)
+        assert calls == [] and rels is N
+        tagged = real(unit_vectors(R, rank), rank, R, lim, N)
+        assert tagged.vecs == N.vecs and tagged.reduced
+        want = tuple(modres._free_from_vec(v, rank, R) for v in tagged.vecs)
+        assert pres == ModulePresentation(R, rank, PolyMatrix(R, rank, want))
+
+
+def test_torsion_with_a_unit_vector_in_the_relations_is_presented_by_the_kernel(monkeypatch):
+    # e_0 lies in N and x1^2 e_1, x1*x2 e_1, x2^2 e_1 make R^2/N finite:
+    # the saturation is R^2, e_0 reduces to zero, and the torsion e_1 alone
+    # is not the unit vectors, so its relations come from the tagged kernel
+    R = PolyRing(3, 2)
+    cols = [vec(R, "1", "0"), vec(R, "0", "x1^2"), vec(R, "0", "x1*x2"), vec(R, "0", "x2^2")]
+    pres = ModulePresentation(R, 2, PolyMatrix.from_columns(R, 2, cols))
+    calls = []
+    real = modres._syzygies_raw
+    monkeypatch.setattr(modres, "_syzygies_raw", lambda *a: calls.append(a[0]) or real(*a))
+    tor = module_h0m(pres)
+    assert tor.generators == (vec(R, "0", "1"),)
+    assert calls == [[{(1, R.zero_mono()): 1}]]
+    assert tor.presentation.relations.columns == (
+        vec(R, "x1^2"), vec(R, "x1*x2"), vec(R, "x2^2"),
+    )
+    assert (tor.finite, tor.length) == (True, 3)
+
+
 # ---------------------------------------------------------------------------
 # length counting
 
