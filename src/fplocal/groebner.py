@@ -69,9 +69,16 @@ variable with no lead gives N : J = N at once, at any rank and in any
 order.  For an ideal with a
 homogeneous basis in grevlex, N : x_n is that basis with x_n divided out
 of each element whose lead it divides (Bayer and Stillman), interreduced.
-Saturation, of ideals and modules alike, iterates _colon on the reduced
-basis until it gives N back, the one round where that test can pass, so
-the early exit changes no saturation's generators.  A saturated N whose
+_colon then makes one colon Q = N : h0, by x_n where that read applies
+and by the first generator otherwise, and tests every other generator h
+by reduction: h*g reduces to zero by N's basis for every g of Q's basis
+exactly when h*Q <= N, that is Q <= N : h, and then meeting Q with N : h
+changes nothing.  Only the generators that fail get an engine colon and
+a meet; the answer is the unique reduced basis of the meet of all the
+N : h, so no result changes.  Saturation, of ideals and modules alike,
+iterates _colon on the reduced basis until it gives N back, the one
+round where that test can pass, so the early exit changes no
+saturation's generators.  A saturated N whose
 leads miss some variable costs no engine colon; one modulo which x1 is a
 nonzerodivisor costs at most one.  Before the first round, _saturate
 reads N's staircase: when every component's leads hold a pure power of
@@ -98,7 +105,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
@@ -112,6 +119,7 @@ from .polycore import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     parse_poly,
 )
 
@@ -524,33 +532,63 @@ def _colon(
     lead shares a variable with u, then N : J = N: a reduced a outside N
     with u*a in N has u*lead(a) in in(N), and a lead coprime to u that
     divides it divides lead(a).  This also covers u = x_n dividing no
-    lead.  An ideal in grevlex with a homogeneous basis and c*x_n in J has
-    N : x_n read off its basis (_colon_by_last).  The other N : h are
-    engine colons.  Each N : h contains N, so it lies in N exactly when
-    it has N's basis.  The colons are met in order only once none has,
-    each meet taking the later colon's basis as its known part."""
+    lead.
+
+    Otherwise one colon Q = N : h0 comes first: h0 = c*x_n when N is an
+    ideal in grevlex with a homogeneous basis, which has N : x_n read off
+    its basis (_colon_by_last), and the first generator, by an engine
+    colon, when not.  Every other generator h is tested by reduction:
+    h*g reduces to zero by N's basis for each g of Q's basis exactly when
+    h*Q <= N, that is Q <= N : h.  N : J is the meet of the N : h, and
+    meeting Q with an N : h that contains it changes nothing, so only
+    the generators that fail the test get an engine colon.  Each N : h
+    contains N, so it lies in N exactly when it has N's basis, and then
+    N : J = N before any meet; a generator that passes has N : h >= Q, so
+    it can be N only when Q is.  The failing colons are met with Q in
+    order, each meet taking the later colon's basis as its known part.
+    The reduced basis of N : J is unique, so the answer is the one every
+    colon met in gives."""
     used = {k for _, a in N.leads() for k, e in enumerate(a) if e}
     for h in hs:
         if len(h) == 1 and not any(e and k in used for k, e in enumerate(next(iter(h)))):
             return N
     last = ring.zero_mono()[:-1] + (1,)
-    by_last = None
-    if rank == 1 and any(h.keys() == {last} for h in hs) and _graded_revlex(N, ring):
-        by_last = _colon_by_last(N, _layout(ring.n, ring.order, N.bits), ring, limits)
+    first = next((i for i, h in enumerate(hs) if h.keys() == {last}), None)
+    if rank == 1 and first is not None and _graded_revlex(N, ring):
+        Q = _colon_by_last(N, _layout(ring.n, ring.order, N.bits), ring, limits)
+    else:
+        first = 0
+        Q = _colon_by(hs[0], N, rank, ring, limits)
+    if Q.vecs == N.vecs:
+        return N
+    p = ring.p
     quots = []
-    for h in hs:
-        if by_last is not None and h.keys() == {last}:
-            q = by_last
-        else:
-            cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
-            q = _syzygies_raw(cols, rank, ring, limits, N)
+    for i, h in enumerate(hs):
+        if i == first or _spans_all(N, (_times_vec(h, g, p) for g in Q.vecs), ring, limits):
+            continue
+        q = _colon_by(h, N, rank, ring, limits)
         if q.vecs == N.vecs:
             return N
         quots.append(q)
-    K = quots[0]
-    for q in quots[1:]:
-        K = _meet(K.vecs, q, rank, ring, limits)
-    return N if K.vecs == N.vecs else K
+    for q in quots:
+        Q = _meet(Q.vecs, q, rank, ring, limits)
+    return N if Q.vecs == N.vecs else Q
+
+
+def _colon_by(h: dict, N: _Divisors, rank: int, ring: PolyRing, limits: EngineLimits) -> _Divisors:
+    """N : h by the engine: the syzygies of h*e_c, c < rank, modulo N."""
+    cols = [{(c, a): w for a, w in h.items()} for c in range(rank)]
+    return _syzygies_raw(cols, rank, ring, limits, N)
+
+
+def _times_vec(h: dict, v: dict, p: int) -> dict:
+    """h * v, h {monomial: coeff} and v {(component, monomial): coeff}."""
+    out: dict = {}
+    for b, u in h.items():
+        for (c, a), w in v.items():
+            m = (c, mono_mul(a, b))
+            out[m] = (out.get(m, 0) + u * w) % p
+    return {m: w for m, w in out.items() if w}
 
 
 def _staircase_corners(N: _Divisors, rank: int) -> Optional[list]:
@@ -829,10 +867,11 @@ def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = Non
 
 
 def _spans_all(
-    divisors: _Divisors, vecs: Sequence[dict], ring: PolyRing, limits: EngineLimits
+    divisors: _Divisors, vecs: Iterable[dict], ring: PolyRing, limits: EngineLimits
 ) -> bool:
     """Whether every vector reduces to zero against `divisors`, a reduced
-    basis: membership in its span.  One budget covers the whole test."""
+    basis: membership in its span.  One budget covers the whole test,
+    which stops at the first vector that does not reduce to zero."""
     budget = Budget(limits)
     return not any(_reduce(v, divisors, ring, budget) for v in vecs)
 

@@ -277,6 +277,13 @@ def quotient_presentation(I: Ideal) -> ModulePresentation:
     return ModulePresentation(ring, 1, PolyMatrix(ring, 1, cols), shifts)
 
 
+def _are_units(vecs: Sequence[dict], rank: int, ring: PolyRing) -> bool:
+    """Whether `vecs` are the unit vectors e_0, ..., e_{rank-1} in order,
+    which span all of R^rank."""
+    zero = ring.zero_mono()
+    return len(vecs) == rank and all(v == {(c, zero): 1} for c, v in enumerate(vecs))
+
+
 def _presentation_raw(
     gens: Sequence[dict], modulo: _Divisors, rank: int, ring: PolyRing, limits: EngineLimits
 ) -> tuple:
@@ -295,8 +302,7 @@ def _presentation_raw(
     u = len(gens)
     if u == 0:
         return ModulePresentation(ring, 0, PolyMatrix(ring, 0, ())), _Divisors([], ring)
-    zero = ring.zero_mono()
-    if u == rank and all(v == {(c, zero): 1} for c, v in enumerate(gens)):
+    if _are_units(gens, rank, ring):
         rels = modulo
     else:
         rels = _syzygies_raw(gens, rank, ring, limits, modulo)
@@ -327,12 +333,19 @@ def _subquotient(
     """(presentation, relation basis, image basis) of
     span(ker_gens)/span(im_gens): subquotient_presentation's answer, the
     engine's reduced basis of its relations, and that of span(im_gens),
-    which the presentation is computed modulo."""
+    which the presentation is computed modulo.
+
+    The inclusion im <= span(ker) is checked wherever it can fail: when
+    ker_gens are the unit vectors of the common rank, as for H^s of a
+    Koszul complex, they span all of R^rank, so no basis of them is
+    built and no image vector is reduced."""
     kv = [_vec_from_free(v) for v in ker_gens]
     iv = [v for v in map(_vec_from_free, im_gens) if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        if not _spans_all(_divisor_basis(kv, ring, lim), iv, ring, lim):
+        if not _are_units(kv, rank, ring) and not _spans_all(
+            _divisor_basis(kv, ring, lim), iv, ring, lim
+        ):
             raise ValueError("image generators do not lie in the kernel span")
     elif iv:
         raise ValueError("image generators do not lie in the kernel span")

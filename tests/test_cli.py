@@ -185,12 +185,33 @@ def test_check_q1_fail_exit1(capsys):
 
 
 def test_check_q1_resource_limit_exit2(capsys):
+    # the reduced basis of (x1^2 + x2, x1*x2) takes three reduction steps
     code, doc = run_json(
-        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2 + x2, x1*x2",
         "--max-reductions", "1",
     )
     assert code == 2
     assert doc["outcome"] == "resource-limit"
+    # a ceiling of 0 fires at the first step
+    code, doc = run_json(
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        "--max-reductions", "0",
+    )
+    assert code == 2
+    assert doc["data"] == {"witness": None, "limit_kind": "reductions", "limit": 0}
+
+
+def test_check_q1_one_reduction_per_call_suffices(capsys):
+    # each Budget is per call: (x1^2, x1*x2) : m reads I : x2 = (x1) off
+    # the basis and tests x1 * x1 in I by one reduction step, so a ceiling
+    # of 1 answers
+    code, doc = run_json(
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        "--max-reductions", "1",
+    )
+    assert code == 1
+    assert doc["outcome"] == "fail"
+    assert doc["data"]["witness"] == "x1"
 
 
 def test_check_q1_point(capsys):
@@ -384,15 +405,16 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_env_ceiling(monkeypatch, capsys):
+    # the reduced basis of (x1^2 + x2, x1*x2) takes three reduction steps
     monkeypatch.setenv("FPLOCAL_MAX_REDUCTIONS", "1")
     code, doc = run_json(
-        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2"
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2 + x2, x1*x2"
     )
     assert code == 2
     assert doc["outcome"] == "resource-limit"
     # an explicit flag still beats the environment
     code, doc = run_json(
-        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2 + x2, x1*x2",
         "--max-reductions", "1000000",
     )
     assert code == 1
@@ -413,7 +435,7 @@ def test_malformed_env_ceiling_is_a_usage_error(monkeypatch, capsys, var):
 def test_flag_beats_malformed_env_ceiling(monkeypatch, capsys):
     monkeypatch.setenv("FPLOCAL_MAX_REDUCTIONS", "abc")
     code, doc = run_json(
-        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+        capsys, "check-q1", "--p", "2", "--n", "2", "--gens", "x1^2 + x2, x1*x2",
         "--max-reductions", "1",
     )
     assert code == 2

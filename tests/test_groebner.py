@@ -592,13 +592,15 @@ def test_quotient_ideal_returns_I_when_a_later_generator_passes(monkeypatch):
     assert (len(colons), len(meets), steps[0]) == (0, 0, 0)
     assert saturation(I, maximal_ideal(R)) is I
     # no generator of J is one term: x1*(x1 + x3) and x2*(x2 + x3) are
-    # zerodivisors on R/(x1*x2), x1 + x3 is not, so one round of three
-    # engine colons, no intersection of colons, and I itself comes back
+    # zerodivisors on R/(x1*x2), x1 + x3 is not.  The first colon is
+    # I : x1*(x1 + x3) = (x2); neither other generator times x2 lies in I
+    # (one reduction step tests (x1 + x3)*x2), so both get engine colons,
+    # and I : (x1 + x3) = I returns I before any intersection of colons
     J = Ideal(R, ["x1^2 + x1*x3", "x2^2 + x2*x3", "x1 + x3"])
     colons.clear()
     steps[0] = 0
     assert ideal_quotient_ideal(I, J) is I
-    assert (len(colons), len(meets), steps[0]) == (3, 0, 7)
+    assert (len(colons), len(meets), steps[0]) == (3, 0, 8)
     assert saturation(I, J) is I
     assert saturation(I, J).gens == reference_saturation(I, J).gens
     # x1 + 1 lies in no associated prime of (x1*x2) in two variables
@@ -708,17 +710,8 @@ def lead_colon_Js(R):
 
 
 def engine_colon(I, J):
-    """I : J with an engine colon for every generator, _syzygies_raw modulo
-    I's reduced basis, met in order: _colon with nothing read off the
-    leads.  The reduced basis as vectors."""
-    R, lim = I.ring, resolve_limits(None)
-    N = I._divisors(lim)
-    quots = [groebner._syzygies_raw([{(0, a): w for a, w in h.terms.items()}], 1, R, lim, N)
-             for h in J.gens]
-    K = quots[0]
-    for q in quots[1:]:
-        K = groebner._meet(K.vecs, q, 1, R, lim)
-    return K.vecs
+    """I : J by every_colon_met, on I's reduced basis."""
+    return every_colon_met(I._divisors(resolve_limits(None)), [h.terms for h in J.gens], 1, I.ring)
 
 
 def lead_colon(I, J):
@@ -803,6 +796,118 @@ def test_lead_read_needs_one_term_that_no_lead_shares_a_variable_with(monkeypatc
     assert len(colons) == 3
     assert ideal_quotient_ideal(Ideal(R, ["x1^2"]), Ideal(R, ["x1"])).gens == (x1,)
     assert len(colons) == 4
+
+
+# ---------------------------------------------------------------------------
+# one colon per round: the other generators of J are tested by reduction,
+# and only those that fail get an engine colon and a meet
+
+
+def every_colon_met(N, hs, rank, R):
+    """N : J with an engine colon for every generator h of J,
+    _syzygies_raw of h*e_c modulo N, met in order: _colon with no
+    generator tested and nothing read off the leads.  The reduced basis
+    as vectors."""
+    lim = resolve_limits(None)
+    quots = [groebner._syzygies_raw([{(c, a): w for a, w in h.items()} for c in range(rank)],
+                                    rank, R, lim, N) for h in hs]
+    K = quots[0]
+    for q in quots[1:]:
+        K = _meet(K.vecs, q, rank, R, lim)
+    return K.vecs
+
+
+def colon_Js(R, rng):
+    """m, m_a at a nonzero point (generators of two terms) and a random
+    J of two or three linear forms of two terms."""
+    point = tuple(rng.randrange(R.p) for _ in range(R.n))
+    if not any(point):
+        point = (1,) + point[1:]
+    return [maximal_ideal(R), maximal_ideal(R, point),
+            Ideal(R, [random_poly(R, rng, deg=1, terms=2) for _ in range(rng.choice((2, 3)))])]
+
+
+def submodules(seed, order):
+    """Reduced bases of N <= R^rank, rank 2 and 3, over F_2, F_3 and F_5
+    in 2 and 3 variables: h*v for every h of m or m_a and a sparse v,
+    plus two sparse vectors, so that v lies in N : m or N : m_a, and
+    often outside N."""
+    rng = random.Random(seed)
+    lim = resolve_limits(None)
+
+    def sparse(R, rank):
+        return {(c, tuple(rng.randint(0, 1) for _ in range(R.n))): rng.randrange(1, R.p)
+                for c in rng.sample(range(rank), 2)}
+
+    for p in (2, 3, 5):
+        for n in (2, 3):
+            R = PolyRing(p, n, order)
+            for rank in (2, 3):
+                for point in (None, tuple(rng.randrange(p) for _ in range(n))):
+                    v = sparse(R, rank)
+                    vecs = [groebner._times_vec(h.terms, v, p) for h in maximal_ideal(R, point).gens]
+                    N = groebner._divisor_basis(vecs + [sparse(R, rank), sparse(R, rank)], R, lim)
+                    yield R, rank, N, rng
+
+
+def tally_tests(monkeypatch):
+    """[passed, failed]: the outcomes of _colon's tests by reduction."""
+    tally = [0, 0]
+    spans_all = groebner._spans_all
+
+    def counted(*args):
+        ok = spans_all(*args)
+        tally[not ok] += 1
+        return ok
+
+    monkeypatch.setattr(groebner, "_spans_all", counted)
+    return tally
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_one_colon_per_round_matches_every_colon_met(monkeypatch, order):
+    tally = tally_tests(monkeypatch)
+    meets = count_calls(monkeypatch, groebner, "_meet")
+    lim = resolve_limits(None)
+    checked = grew = 0
+    cases = [(I.ring, 1, I._divisors(lim), random.Random(f"{SEED}:colon:{k}"))
+             for k, I in enumerate(lead_colon_ideals(SEED + 40, order))]
+    for R, rank, N, rng in cases + list(submodules(SEED + 41, order)):
+        for J in colon_Js(R, rng):
+            if J.is_zero():
+                continue
+            hs = [h.terms for h in J.gens]
+            want = every_colon_met(N, hs, rank, R)
+            K = groebner._colon(N, hs, rank, R, lim)
+            assert K.vecs == want
+            assert (K is N) == (want == N.vecs)
+            checked += 1
+            grew += rank > 1 and K is not N
+    # both outcomes of the test occur, failing generators are met in (the
+    # reference's meets are not counted), and module colons grow
+    assert checked >= 200 and len(meets) >= 30 and grew >= 15, (checked, len(meets), grew)
+    assert tally[0] >= 50 and tally[1] >= 50, tally
+
+
+def test_a_generator_that_fails_the_test_is_met(monkeypatch):
+    # (x1*x2) : (x1, x2) over F_2: Q = I : x2 = (x1) is read off the
+    # basis, and x1 * x1 is not in I, so I : x1 = (x2) is an engine colon,
+    # met with Q: (x1) meet (x2) = (x1*x2) = I
+    R = PolyRing(2, 2)
+    I = Ideal(R, ["x1*x2"])
+    colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
+    meets = count_calls(monkeypatch, groebner, "_meet")
+    assert ideal_quotient_ideal(I, maximal_ideal(R)) is I
+    assert (len(colons), len(meets)) == (1, 1)
+    assert saturation(I, maximal_ideal(R)) is I
+
+
+def test_skipping_a_generator_untested_gives_a_wrong_colon(monkeypatch):
+    # mutation: every generator passes, so only Q = I : x2 = (x1) is left
+    monkeypatch.setattr(groebner, "_spans_all", lambda *args: True)
+    R = PolyRing(2, 2)
+    K = ideal_quotient_ideal(Ideal(R, ["x1*x2"]), maximal_ideal(R))
+    assert K.gens == (parse_poly(R, "x1"),)
 
 
 # ---------------------------------------------------------------------------

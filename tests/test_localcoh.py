@@ -201,10 +201,26 @@ def test_q1_witness_reverifies():
 def test_q1_resource_limit():
     R = PolyRing(2, 2)
     rep = question_q_check(
-        [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
+        [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=0)
     )
     assert rep.outcome == "resource-limit"
-    assert rep.data == {"witness": None, "limit_kind": "reductions", "limit": 1}
+    assert rep.data == {"witness": None, "limit_kind": "reductions", "limit": 0}
+    # the reduced basis of (x1^2 + x2, x1*x2) takes three reduction steps
+    rep = question_q_check(
+        [P(R, "x1^2 + x2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=2)
+    )
+    assert rep.data == {"witness": None, "limit_kind": "reductions", "limit": 2}
+
+
+def test_q1_one_reduction_per_call_suffices():
+    # each Budget is per call, and no call on (x1^2, x1*x2) needs more than
+    # one step: I : m is I : x2 = (x1), read off the basis, after one
+    # reduction tests x1 * x1 in I
+    R = PolyRing(2, 2)
+    rep = question_q_check(
+        [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
+    )
+    assert (rep.outcome, rep.data) == ("fail", {"witness": "x1"})
 
 
 def test_q1_cancel_reaches_the_caller():
@@ -280,9 +296,14 @@ def test_topvan_translated():
 def test_topvan_resource_limit():
     R = PolyRing(2, 2)
     rep = top_lc_vanishing_certificate(
-        [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
+        [P(R, "x1^2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=0)
     )
     assert rep.outcome == "resource-limit"
+    assert rep.data == {"stage": None, "limit_kind": "reductions", "limit": 0}
+    # the reduced basis of (x1^2 + x2, x1*x2) takes three reduction steps
+    rep = top_lc_vanishing_certificate(
+        [P(R, "x1^2 + x2"), P(R, "x1*x2")], limits=EngineLimits(max_reductions=1)
+    )
     assert rep.data == {"stage": None, "limit_kind": "reductions", "limit": 1}
 
 

@@ -334,6 +334,41 @@ def test_subquotient_presentation_rejects_bad_image():
         subquotient_presentation(R, [], [vec(R, "x2")])
 
 
+def test_image_check_is_skipped_only_where_it_cannot_fail(monkeypatch):
+    # e_0, ..., e_{r-1} span R^r, which holds every image vector of rank
+    # r: no basis of them is built, and no image vector is reduced
+    checks = []
+    spans_all = modres._spans_all
+
+    def counted(*args):
+        checks.append(args)
+        return spans_all(*args)
+
+    monkeypatch.setattr(modres, "_spans_all", counted)
+    R = PolyRing(3, 2)
+    rng = random.Random(f"{SEED}:units")
+    for rank in (1, 2, 3):
+        units = [tuple(P(R, "1" if c == k else "0") for c in range(rank)) for k in range(rank)]
+        image = [random_vec(R, rng, rank) for _ in range(2)]
+        pres = subquotient_presentation(R, units, image)
+        assert pres.rank == rank
+        assert span_equal(R, pres.relations.columns, image)
+    assert checks == []
+    # a kernel that is not the unit vectors in order is checked, and a bad
+    # image still raises
+    im = [vec(R, "x1", "x2")]
+    subquotient_presentation(R, [vec(R, "2", "0"), vec(R, "0", "1")], im)
+    subquotient_presentation(R, [vec(R, "0", "1"), vec(R, "1", "0")], im)
+    with pytest.raises(ValueError, match="do not lie in the kernel span"):
+        subquotient_presentation(R, [vec(R, "1", "0")], [vec(R, "0", "x1")])
+    with pytest.raises(ValueError, match="do not lie in the kernel span"):
+        subquotient_presentation(R, [vec(R, "1", "0"), vec(R, "0", "x1")], [vec(R, "0", "1")])
+    assert len(checks) == 4
+    # so do images of another rank
+    with pytest.raises(ValueError, match="mixed ranks"):
+        subquotient_presentation(R, [vec(R, "1")], [vec(R, "x1", "x2")])
+
+
 # ---------------------------------------------------------------------------
 # resolutions
 

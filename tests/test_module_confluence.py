@@ -276,7 +276,11 @@ def observe_seeded(monkeypatch):
 
 def small_q1_round(rng):
     """q1 checks in F_3[x1..x4]: random quadric pairs and g*m + (h), at
-    the origin and at a point."""
+    the origin and at a point.  Most of their colons are read off the
+    basis (I : x4) and pass the test by reduction, so they build few
+    seeded bases.  Then x1*x2*(x1, x2) + (x3, x4), moved to the origin
+    and to a point: in each of its two rounds the generators x1 and x2
+    fail the test, so each gets an engine colon and a meet."""
     from fplocal.localcoh import question_q_check
 
     R = PolyRing(3, 4)
@@ -288,6 +292,9 @@ def small_q1_round(rng):
             g = random_form(rng, R, 1)
             f = [g * v for v in x] + [f[0]]
         question_q_check(f, point)
+    for point in (None, tuple(rng.randrange(3) for _ in range(4))):
+        y = [v - Polynomial.constant(R, a) for v, a in zip(x, point or (0,) * 4)]
+        question_q_check([y[0] ** 2 * y[1], y[0] * y[1] ** 2, y[2], y[3]], point)
 
 
 def small_torsion_round(rng):
@@ -296,7 +303,10 @@ def small_torsion_round(rng):
     is the origin, and on (x1*x2, x1*x3) in F_2[x1, x2, x3] at the origin
     and at (1, 1, 1).  The first two have finite staircases, so most of
     their saturations are read off the leads and build no seeded basis;
-    the plane and line of the last one make its saturations run colons."""
+    the plane and line of the last one make its saturations run colons.
+    Then propvan on (x1^2 + x2^2, x1*x2 + x2^2, x1) in F_2[x1, x2] at
+    i = 2: its rank-2 saturation has a generator fail the test, so it
+    runs a second engine colon and a meet."""
     from fplocal.config import EngineLimits
     from fplocal.koszul import verify_prop_van
     from fplocal.localcoh import top_lc_vanishing_certificate
@@ -317,6 +327,8 @@ def small_torsion_round(rng):
     for point in (None, (1, 1, 1)):
         verify_prop_van(f, 2, point)
         top_lc_vanishing_certificate(f, point, 2)
+    T = PolyRing(2, 2)
+    verify_prop_van([parse_poly(T, s) for s in ("x1^2 + x2^2", "x1*x2 + x2^2", "x1")], 2)
 
 
 @pytest.mark.parametrize("round_of", [small_q1_round, small_torsion_round],
