@@ -56,7 +56,6 @@ from .modres import (
     PolyMatrix,
     Resolution,
     TorsionData,
-    depth,
     finite_length_data,
     free_resolution,
     module_h0m,
@@ -67,7 +66,6 @@ from .modres import (
 )
 from .polycore import (
     MINUS_INF,
-    FpElem,
     Polynomial,
     PolyRing,
     RationalPoint,

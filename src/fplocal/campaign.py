@@ -13,10 +13,10 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .config import DEFAULT_LIMITS, EngineLimits
+from .config import CEILINGS, EngineLimits
 from .localcoh import pd_bound_check, question_q_check
 from .polycore import (
     Polynomial,
@@ -33,6 +33,11 @@ KNOWN_CHECKS = ("q1", "pd")
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """One campaign: the instance family, the checks and the engine
+    ceilings.  With workers > 1 the whole config, `limits` included, is
+    pickled to each worker process, so its cancel and on_basis hooks
+    must pickle too."""
+
     p: int
     n: int
     degrees: Tuple[int, ...]
@@ -42,11 +47,7 @@ class CampaignConfig:
     density: float = 0.5
     checks: Tuple[str, ...] = KNOWN_CHECKS
     workers: int = 1
-    max_reductions: int = DEFAULT_LIMITS.max_reductions
-    max_basis: int = DEFAULT_LIMITS.max_basis
-    max_rounds: int = DEFAULT_LIMITS.max_rounds
-    max_length: int = DEFAULT_LIMITS.max_length
-    level_cap: int = DEFAULT_LIMITS.level_cap
+    limits: EngineLimits = field(default_factory=EngineLimits)
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -67,16 +68,6 @@ class CampaignConfig:
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {self.workers}")
-        self.to_limits()  # rejects a negative ceiling before any trial or worker starts
-
-    def to_limits(self) -> EngineLimits:
-        return EngineLimits(
-            max_reductions=self.max_reductions,
-            max_basis=self.max_basis,
-            max_rounds=self.max_rounds,
-            max_length=self.max_length,
-            level_cap=self.level_cap,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,11 +80,7 @@ class CampaignConfig:
             "density": self.density,
             "checks": list(self.checks),
             "workers": self.workers,
-            "max_reductions": self.max_reductions,
-            "max_basis": self.max_basis,
-            "max_rounds": self.max_rounds,
-            "max_length": self.max_length,
-            "level_cap": self.level_cap,
+            **{name: getattr(self.limits, name) for name in CEILINGS},
         }
 
 
@@ -145,15 +132,14 @@ def run_trial(cfg: CampaignConfig, index: int) -> dict:
     pass/fail bears nothing on the question); then fail, then pass.
     """
     gens = random_instance(cfg, index)
-    lim = cfg.to_limits()
     t0 = time.monotonic()
     outcomes = []
     witness: Optional[str] = None
     for check in cfg.checks:
         if check == "q1":
-            rep = question_q_check(gens, None, lim)
+            rep = question_q_check(gens, None, cfg.limits)
         else:
-            rep = pd_bound_check(gens, lim)
+            rep = pd_bound_check(gens, cfg.limits)
         outcomes.append(rep.outcome)
         if rep.outcome == "fail" and witness is None:
             if check == "q1":

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .campaign import CampaignConfig, run_campaign
-from .config import DEFAULT_LIMITS, EngineLimits
+from .config import CEILINGS, DEFAULT_LIMITS, EngineLimits
 from .errors import (
     HypothesisViolatedError,
     NonHomogeneousError,
@@ -40,22 +40,21 @@ _OUTCOME_EXIT = {
 }
 
 
+_CEILING_HELP = {
+    "max_length": "ceiling on the count of standard monomials of a finite-length "
+                  "module, and on td-check's component box size q^n",
+}
+
+
 def _common_flags(sp) -> None:
     # An FPLOCAL_* value is a str default, which argparse converts with
     # `type` only when the flag is absent: a bad value is a usage error
     # (exit 2), and an explicit flag wins.  An empty variable counts as unset.
-    sp.add_argument("--max-reductions", type=int,
-                    default=os.environ.get("FPLOCAL_MAX_REDUCTIONS") or DEFAULT_LIMITS.max_reductions)
-    sp.add_argument("--max-basis", type=int,
-                    default=os.environ.get("FPLOCAL_MAX_BASIS") or DEFAULT_LIMITS.max_basis)
-    sp.add_argument("--max-rounds", type=int,
-                    default=os.environ.get("FPLOCAL_MAX_ROUNDS") or DEFAULT_LIMITS.max_rounds)
-    sp.add_argument("--max-length", type=int,
-                    default=os.environ.get("FPLOCAL_MAX_LENGTH") or DEFAULT_LIMITS.max_length,
-                    help="ceiling on the count of standard monomials of a finite-length "
-                         "module, and on td-check's component box size q^n")
-    sp.add_argument("--level-cap", type=int,
-                    default=os.environ.get("FPLOCAL_LEVEL_CAP") or DEFAULT_LIMITS.level_cap)
+    for name in CEILINGS:
+        sp.add_argument("--" + name.replace("_", "-"), type=int,
+                        default=os.environ.get("FPLOCAL_" + name.upper())
+                        or getattr(DEFAULT_LIMITS, name),
+                        help=_CEILING_HELP.get(name))
     sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
 
 
@@ -67,13 +66,7 @@ def _ring_flags(sp, order: bool) -> None:
 
 
 def _limits(args) -> EngineLimits:
-    return EngineLimits(
-        max_reductions=args.max_reductions,
-        max_basis=args.max_basis,
-        max_rounds=args.max_rounds,
-        max_length=args.max_length,
-        level_cap=args.level_cap,
-    )
+    return EngineLimits(**{name: getattr(args, name) for name in CEILINGS})
 
 
 def _ring(args) -> PolyRing:
@@ -89,6 +82,10 @@ def _point(args):
     if getattr(args, "point", None) is None:
         return None
     return tuple(int(c) for c in args.point.split(","))
+
+
+def _rows(m) -> list:
+    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _emit(args, obj) -> None:
@@ -178,10 +175,7 @@ def _cmd_koszul(args) -> int:
         "generators": [str(g) for g in kx.f],
         "ranks": [kx.rank(j) for j in range(kx.s + 1)],
         "index_maps": [[list(T) for T in tuples] for tuples in kx.index_maps],
-        "differentials": [
-            [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-            for m in kx.diffs
-        ],
+        "differentials": [_rows(m) for m in kx.diffs],
         "dd_zero": True,
     })
     return 0
@@ -210,10 +204,7 @@ def _cmd_resolve(args) -> int:
         "command": "resolve", "p": args.p, "n": args.n,
         "generators": [str(g) for g in I.gens],
         "ranks": list(res.ranks),
-        "maps": [
-            [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-            for m in res.maps
-        ],
+        "maps": [_rows(m) for m in res.maps],
         "graded": pres.shifts is not None,
     }
     if pres.shifts is not None:
@@ -279,11 +270,7 @@ def _cmd_campaign(args) -> int:
         density=args.density,
         checks=tuple(args.checks.split(",")),
         workers=args.workers,
-        max_reductions=args.max_reductions,
-        max_basis=args.max_basis,
-        max_rounds=args.max_rounds,
-        max_length=args.max_length,
-        level_cap=args.level_cap,
+        limits=_limits(args),
     )
     report = run_campaign(cfg, include_timing=args.timings)
     _emit(args, report)

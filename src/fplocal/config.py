@@ -32,10 +32,15 @@ class EngineLimits:
 
     def __post_init__(self):
         # zero is legal: it forces a ceiling at once
-        for name in ("max_reductions", "max_basis", "max_rounds", "max_length", "level_cap"):
+        for name in CEILINGS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
+
+# The integer ceilings of EngineLimits, in flag order.  Each name is also
+# a CLI flag (max_reductions is --max-reductions), an FPLOCAL_* variable
+# (FPLOCAL_MAX_REDUCTIONS) and a key of a campaign report's config.
+CEILINGS = ("max_reductions", "max_basis", "max_rounds", "max_length", "level_cap")
 
 DEFAULT_LIMITS = EngineLimits()
 

@@ -843,13 +843,19 @@ def ideals_equal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> b
 
 
 def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
-    """The maximal ideal (x1 - a1, ..., xn - an); origin by default."""
-    gens = []
+    """The maximal ideal (x1 - a1, ..., xn - an); origin by default.
+    Each generator is built from its terms: x_k, then -a_k mod p when it
+    is nonzero."""
     coords = (0,) * ring.n if point is None else (
         point.coords if hasattr(point, "coords") else tuple(point)
     )
-    for k in range(1, ring.n + 1):
-        gens.append(Polynomial.variable(ring, k) - Polynomial.constant(ring, coords[k - 1]))
+    n, p, one = ring.n, ring.p, ring.zero_mono()
+    gens = []
+    for k in range(n):
+        terms = {tuple(int(i == k) for i in range(n)): 1}
+        if a := -int(coords[k]) % p:
+            terms[one] = a
+        gens.append(Polynomial(ring, terms, _raw=True))
     return Ideal(ring, gens)
 
 

@@ -34,7 +34,8 @@ the kept generators of lower degree per degree, and an F_p echelon of
 the normal forms against it (_prune_graded proves the two passes keep
 the same generators).  Other input takes it one candidate at a time,
 with one basis of the others each.  Projective dimension reads the
-resolution's length; depth follows by the Auslander-Buchsbaum formula.
+resolution's length; localcoh.pd_bound_check reports depth as n - pd by
+the Auslander-Buchsbaum formula.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .groebner import (
     _spans_all,
     _staircase_corners,
     _syzygies_raw,
+    maximal_ideal,
 )
 from .polycore import (
     Polynomial,
@@ -76,7 +78,6 @@ __all__ = [
     "free_resolution",
     "quotient_presentation",
     "projective_dimension",
-    "depth",
     "module_h0m",
     "finite_length_data",
 ]
@@ -580,14 +581,6 @@ def projective_dimension(
     return free_resolution(pres, limits).length
 
 
-def depth(
-    pres: ModulePresentation,
-    limits: Optional[EngineLimits] = None,
-) -> int:
-    """depth = n - pd by Auslander-Buchsbaum, for graded presentations."""
-    return pres.ring.n - projective_dimension(pres, limits)
-
-
 # ---------------------------------------------------------------------------
 # m-torsion: (0 :_M m^infinity)
 
@@ -644,7 +637,7 @@ def _torsion(ngb: _Divisors, rank: int, lim: EngineLimits) -> TorsionData:
     saturation is ngb itself, and the torsion is 0 of length 0.
     """
     ring = ngb.ring
-    m = [Polynomial.variable(ring, k).terms for k in range(1, ring.n + 1)]
+    m = [g.terms for g in maximal_ideal(ring).gens]
     sat = _saturate(ngb, m, rank, lim)
     budget = Budget(lim)
     vk = _vkey(ring)

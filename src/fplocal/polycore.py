@@ -47,14 +47,12 @@ from .errors import ParseError, RingMismatchError
 __all__ = [
     "MINUS_INF",
     "PolyRing",
-    "FpElem",
     "Polynomial",
     "RationalPoint",
     "mono_mul",
     "mono_div",
     "mono_divides",
     "mono_lcm",
-    "mono_deg",
     "monomials_of_degree",
     "monomials_up_to_degree",
     "parse_poly",
@@ -143,10 +141,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def mono_deg(a: tuple) -> int:
-    return sum(a)
-
-
 def monomials_of_degree(n: int, d: int) -> Iterator[tuple]:
     """All exponent tuples of total degree exactly d, deterministic order."""
     if n == 1:
@@ -218,102 +212,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing(p={self.p}, n={self.n}, order={self.order!r})"
-
-
-class FpElem:
-    """An element of F_p, always reduced to [0, p)."""
-
-    __slots__ = ("p", "val")
-
-    def __init__(self, p: int, val: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
-        self.p = p
-        self.val = int(val) % p
-
-    @classmethod
-    def _of(cls, p: int, val: int) -> "FpElem":
-        """val mod p for a p already tested prime: arithmetic results skip
-        the test."""
-        e = object.__new__(cls)
-        e.p = p
-        e.val = val % p
-        return e
-
-    def _coerce(self, other) -> "FpElem":
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise RingMismatchError(f"F_{self.p} vs F_{other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElem._of(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElem._of(self.p, self.val + o.val)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElem._of(self.p, self.val - o.val)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElem._of(self.p, o.val - self.val)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElem._of(self.p, self.val * o.val)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem._of(self.p, -self.val)
-
-    def inverse(self) -> "FpElem":
-        if self.val == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return FpElem._of(self.p, pow(self.val, -1, self.p))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElem._of(self.p, pow(self.val, e, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.val))
-
-    def __int__(self):
-        return self.val
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"FpElem({self.p}, {self.val})"
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +436,6 @@ class Polynomial:
     def leading_coeff(self) -> int:
         return self.terms[self.leading_monomial()]
 
-    def leading_term(self) -> tuple:
-        lm = self.leading_monomial()
-        return lm, self.terms[lm]
-
-    def coefficient(self, mono: Sequence[int]) -> int:
-        return self.terms.get(tuple(mono), 0)
-
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {self.ring.zero_mono()}
 
@@ -606,10 +497,6 @@ class Polynomial:
             return Polynomial(
                 self.ring, {a: (v * c) % self.ring.p for a, v in self.terms.items()}, _raw=True
             )
-        if isinstance(other, FpElem):
-            if other.p != self.ring.p:
-                raise RingMismatchError(f"F_{other.p} scalar on {self.ring}")
-            return self * other.val
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -752,9 +639,6 @@ class RationalPoint:
 
     def is_origin(self) -> bool:
         return not any(self.coords)
-
-    def elements(self) -> tuple:
-        return tuple(FpElem(self.ring.p, c) for c in self.coords)
 
     def __neg__(self) -> "RationalPoint":
         return RationalPoint(self.ring, tuple(-c for c in self.coords))

@@ -491,7 +491,8 @@ def test_negative_campaign_ceiling_fails_before_any_trial(monkeypatch, capsys):
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", never)
     monkeypatch.setattr(campaign, "run_trial", never)
     with pytest.raises(ValueError, match="max_rounds must be >= 0"):
-        CampaignConfig(p=2, n=3, degrees=(1, 1), trials=1, seed="s", max_rounds=-1)
+        CampaignConfig(p=2, n=3, degrees=(1, 1), trials=1, seed="s",
+                       limits=EngineLimits(max_rounds=-1))
     code = main(["campaign", "--p", "2", "--n", "3", "--degrees", "1,1", "--trials", "2",
                  "--seed", "demo", "--max-length", "-5"])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-function or class of the package goes unread.
+"""No module of the package imports a name it never uses, no private
+function or class of the package goes unread, and no public name goes
+unread by the program.
 
 No linter runs on this repository, so these tests are what catch an
 import left behind when the code that used it moves or goes, and a
@@ -9,7 +10,11 @@ name as used when it is read anywhere in the module, appears in a string
 annotation, or is listed in __all__.  The private check counts a
 top-level _name as read when some module of the package loads it as a
 name or an attribute outside its own definition; an import alone is no
-read.
+read.  The public check asks the same of each name in a module's
+__all__, and also counts a load or an import in bench/*.py, a load in
+the acceptance suite, and a span target of bench/layers.py; tests other
+than the acceptance suite do not count, and a name that no program
+reads yet stays only on KEEP, with its reason.
 """
 
 import ast
@@ -18,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fplocal"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fplocal"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -103,3 +110,73 @@ def test_an_unread_private_definition_is_caught():
         "b": ast.parse("from .a import _dead\nclass _Kept: ...\nx = b._Kept\n"),
     }
     assert unread_private(trees) == {"a._dead"}
+
+
+# public names that nothing reads yet, each with the reason it stays
+KEEP = {
+    "finite_length_data": "the length of a presented module, which ROADMAP "
+                          "items 13 and 6 are to read",
+}
+
+
+def unread_public(trees, outside):
+    """module.name of each __all__ name of `trees` ({module: tree}) that
+    no tree loads outside its own top-level definition and that is not
+    in `outside`."""
+    total = sum((loads(t) for t in trees.values()), Counter())
+    out = set()
+    for mod, tree in trees.items():
+        own = Counter()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[node.name] += loads(node)[node.name]
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                out |= {
+                    f"{mod}.{e.value}" for e in node.value.elts
+                    if total[e.value] == own[e.value] and e.value not in outside
+                }
+    return out
+
+
+def bench_reads(tree):
+    """The names a bench script loads or imports."""
+    return set(loads(tree)) | set(imported_names(tree))
+
+
+def span_targets(tree):
+    """The first name of each attribute in the SPANS table of `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return {attr.split(".")[0] for _, attr, _ in ast.literal_eval(node.value)}
+    return set()
+
+
+def test_every_public_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH.glob("*.py"))]
+    outside = set().union(*map(bench_reads, bench), *map(span_targets, bench))
+    outside |= set(loads(ast.parse((TESTS / "test_acceptance.py").read_text())))
+    assert unread_public(trees, outside | set(KEEP)) == set()
+
+
+def test_an_unread_public_name_is_caught():
+    trees = {
+        "a": ast.parse(
+            '__all__ = ["used", "dead", "imported", "spanned", "K"]\n'
+            "def used(): ...\ndef dead(): return dead()\n"
+            "def imported(): ...\ndef spanned(): ...\nK = 1\n"
+        ),
+        "b": ast.parse("from .a import dead\ndef f(): return used()\n"),
+    }
+    bench = ast.parse(
+        "from fplocal.a import imported\n"
+        'SPANS = (("a", "spanned.attr", "a.spanned"),)\n'
+    )
+    outside = bench_reads(bench) | span_targets(bench)
+    assert unread_public(trees, outside) == {"a.dead", "a.K"}
+    assert unread_public(trees, outside | {"K"}) == {"a.dead"}
