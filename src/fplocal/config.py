@@ -26,8 +26,10 @@ class EngineLimits:
     # Cooperative cancellation: checked inside reduction loops.
     cancel: Optional[Callable[[], bool]] = None
     # Called once per freshly computed reduced basis: on_basis(ring, basis).
-    # Cache hits do not re-fire.  Used by the acceptance suite to verify
-    # confluence of every basis the engine produces.
+    # Cache hits do not re-fire, and a run stopped early, once its leads
+    # prove a complete intersection, computes no basis and fires nothing.
+    # Used by the acceptance suite to verify confluence of every basis the
+    # engine produces.
     on_basis: Optional[Callable[..., None]] = None
 
     def __post_init__(self):

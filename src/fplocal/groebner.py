@@ -23,6 +23,10 @@ only; it is unsound for modules.  Module bases are checked by a
 test-side confluence verifier.  Only an Ideal's own basis, fresh or
 derived (Ideal._divisors), reaches the on_basis observer: colons, meets
 and saturations compute module bases, tags included, and stay silent.
+A run can also end before its basis is done: _complete_intersection
+asks a stop hook on the leads found so far, and stops at the first that
+prove a complete intersection; such a run returns no basis, and nothing
+is cached or observed.
 
 Inside the engine each term is one int (Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
@@ -113,6 +117,7 @@ from .polycore import (
     Polynomial,
     PolyRing,
     _Layout,
+    _coords,
     _layout,
     _width,
     add_scaled,
@@ -361,11 +366,13 @@ def _divisor_basis(
     limits: EngineLimits,
     ideal: bool = False,
     known: Optional[_Divisors] = None,
-) -> _Divisors:
+    stop: Optional[Callable[[list], bool]] = None,
+) -> Optional[_Divisors]:
     """Reduced basis of the span of `vecs`, position-over-term order, as
     monic divisors still packed at the width the basis was computed at: a
     caller that reduces by the basis skips the unpacking and packing
-    again.  Its vecs list their leads first.
+    again.  Its vecs list their leads first.  None when `stop` ends the
+    run (see _packed_basis).
 
     Pairs are formed only between leads in one component and popped
     smallest first on (-component, lcm).  The chain criterion applies to
@@ -389,17 +396,29 @@ def _divisor_basis(
             (lead, [(t, w) for t, w in v.items() if t != lead])
             for lead, v in _canonical_input(vecs, lay, p)
         ]
-        return _Divisors._of_packed(_packed_basis(G, lay, p, limits, ideal, len(K)), lay, ring)
+        G = _packed_basis(G, lay, p, limits, ideal, len(K), stop)
+        return None if G is None else _Divisors._of_packed(G, lay, ring)
 
     bits = _width(a for v in vecs for _, a in v)
     return _retry(run, bits if known is None else max(bits, known.bits))
 
 
 def _packed_basis(
-    G: list, lay: _Layout, p: int, limits: EngineLimits, ideal: bool, known: int = 0
-) -> list:
+    G: list,
+    lay: _Layout,
+    p: int,
+    limits: EngineLimits,
+    ideal: bool,
+    known: int = 0,
+    stop: Optional[Callable[[list], bool]] = None,
+) -> Optional[list]:
     """The reduced basis of the span of monic (lead, tail) divisors G, a
-    fresh list that grows in place; its first `known` are a reduced basis."""
+    fresh list that grows in place; its first `known` are a reduced basis.
+
+    `stop`, when given, is asked on the leads found so far, as
+    (component, monomial) in G's order: once on the input and again each
+    time an element joins.  When it says True the run ends and returns
+    None: nothing is interreduced, and no caller caches or observes it."""
     budget = Budget(limits)
     pack, divides, guard, rest = lay.pack, lay.divides, lay.guard, lay.top - 1
     leads = [lay.unpack(lead) for lead, _ in G]  # for the lcms
@@ -417,6 +436,8 @@ def _packed_basis(
                 heappush(heap, (u, i, j))
                 pending.add((i, j))
 
+    if stop is not None and stop(leads):
+        return None
     for j in range(known, len(G)):
         push_pairs(j)
 
@@ -450,6 +471,8 @@ def _packed_basis(
                 raise ResourceLimitError(kind, limits.max_basis)
             G.append(_split(r, p))
             leads.append(lay.unpack(G[-1][0]))
+            if stop is not None and stop(leads):
+                return None
             push_pairs(len(G) - 1)
     return _interreduce(G, lay, p, budget)
 
@@ -756,12 +779,16 @@ class Ideal:
                 div = _divisor_basis([_rank1(g.terms) for g in self.gens], self.ring, lim, True)
             else:
                 div = self._basis(lim)
-            # a fresh or derived ideal basis reaches the observer; cache hits do not
-            if lim.on_basis is not None and div.vecs:
-                self._gb = _wrap(self.ring, div)
-                lim.on_basis(self.ring, self._gb)
-            self._div = div
+            self._publish(div, lim)
         return div
+
+    def _publish(self, div: _Divisors, lim: EngineLimits) -> None:
+        """Cache a fresh or derived reduced basis.  It reaches the
+        observer; cache hits do not."""
+        if lim.on_basis is not None and div.vecs:
+            self._gb = _wrap(self.ring, div)
+            lim.on_basis(self.ring, self._gb)
+        self._div = div
 
     def normal_form(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> Polynomial:
         """Remainder of g on full division by the reduced basis."""
@@ -835,6 +862,47 @@ def verify_confluence(
     return True
 
 
+def _complete_intersection(I: Ideal, limits: EngineLimits) -> bool:
+    """Whether the leads of I's basis prove that I's c nonzero generators,
+    homogeneous, form a regular sequence.  False on inhomogeneous input,
+    on c > n and on c = 0, and when the leads do not prove it.
+
+    Proof.  Let L be any set of leads of elements of I: L lies in in(I).
+    Krull's height theorem gives ht I <= c for the proper ideal I, so
+    n - c <= dim R/I = dim R/in(I) <= dim R/(L), and an L with
+    dim R/(L) = n - c (_lead_dim) proves ht I = c.  Homogeneous
+    generators give I = R only when one is a constant, whose lead 1 is in
+    L from the start: then dim R/(L) = -1, never n - c.  c homogeneous
+    forms of height c are a regular sequence, since R is graded
+    Cohen-Macaulay.  Then the Koszul complex resolves R/I, so
+    pd(R/I) = c, and R/I is Cohen-Macaulay, hence unmixed (Matsumura,
+    Commutative Ring Theory, Thm 17.6): every associated prime has
+    height c, so for c < n the maximal ideal is none of them and
+    I : m^infinity = I.  Conversely a regular sequence has
+    dim R/in(I) = n - c, so a finished basis decides the question.
+
+    A cached or `_basis`-derived basis is read as it is.  Otherwise the
+    engine runs with the test as its stop hook and ends at the first
+    leads that prove it, with nothing cached or observed; a run that
+    finishes is cached and observed as Ideal._divisors would, so input
+    that is not a complete intersection pays for nothing twice.  A
+    ceiling raises ResourceLimitError, as the basis would."""
+    ring, c = I.ring, len(I.gens)
+    n = ring.n
+    if not 0 < c <= n or not all(g.is_homogeneous() for g in I.gens):
+        return False
+
+    def proves(leads: list) -> bool:
+        return _lead_dim([a for _, a in leads], n) == n - c
+
+    if I._div is None and I._basis is None:
+        div = _divisor_basis([_rank1(g.terms) for g in I.gens], ring, limits, True, stop=proves)
+        if div is None:
+            return True
+        I._publish(div, limits)
+    return proves(I._divisors(limits).leads())
+
+
 def ideals_equal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> bool:
     """Equality via the canonical reduced bases."""
     _same_ring(I.ring, J.ring)
@@ -845,10 +913,9 @@ def ideals_equal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> b
 def maximal_ideal(ring: PolyRing, point=None) -> Ideal:
     """The maximal ideal (x1 - a1, ..., xn - an); origin by default.
     Each generator is built from its terms: x_k, then -a_k mod p when it
-    is nonzero."""
-    coords = (0,) * ring.n if point is None else (
-        point.coords if hasattr(point, "coords") else tuple(point)
-    )
+    is nonzero.  A point of the wrong length raises ValueError, and a
+    RationalPoint of another ring RingMismatchError."""
+    coords = (0,) * ring.n if point is None else _coords(ring, point)
     n, p, one = ring.n, ring.p, ring.zero_mono()
     gens = []
     for k in range(n):

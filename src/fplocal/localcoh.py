@@ -16,6 +16,13 @@ check's body on that instance and writes the CheckReport.  A ceiling
 blank data plus limit_kind and limit.  Nothing else is caught, so a
 cancellation or a usage error reaches the caller.  q1 and topvan share
 stage 0, _torsion: I : m^infinity, compared with I.
+
+One proof serves two checks.  When the leads of I's basis prove that c
+homogeneous generators are a complete intersection
+(groebner._complete_intersection), Buchberger stops there, and:
+stage 0 finds no torsion when c < n, since R/I is then unmixed; and pd
+is c, since the Koszul complex resolves R/I.  No saturation loop,
+equality test or resolution runs on such an instance.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .frobenius import (
 )
 from .groebner import (
     Ideal,
+    _complete_intersection,
     _lead_dim,
     _rank1,
     _reduce,
@@ -191,7 +199,12 @@ def _frame(
 
 def _torsion(x: _Instance) -> Optional[Ideal]:
     """Stage 0: I : m^infinity, or None when it is I, that is when R/I
-    has no m-torsion."""
+    has no m-torsion.  None at once when c < n generators are proved a
+    complete intersection: every associated prime of R/I then has height
+    c, below ht m = n (_complete_intersection).  Otherwise the saturation
+    loop runs and its result is compared with I."""
+    if len(x.ideal.gens) < x.ring.n and _complete_intersection(x.ideal, x.limits):
+        return None
     S = saturation(x.ideal, maximal_ideal(x.ring), x.limits)
     return None if ideals_equal(S, x.ideal, x.limits) else S
 
@@ -267,15 +280,22 @@ def top_lc_vanishing_certificate(
 
 
 def _pd_off_leads(I: Ideal, limits: EngineLimits) -> Optional[int]:
-    """pd(R/I) when the leads of I's reduced basis decide it, else None.
+    """pd(R/I) when leads decide it, else None.
 
-    One non-constant element gives 1.  Otherwise the leads are divided by
-    their monomial gcd u, and with D = dim R/(quotients) and c the number
-    of I's nonzero generators the read is n - a when the a variables that
-    no quotient holds number D, c when n - D = c, and None otherwise.  A
-    ceiling in the basis declines too (see pd_bound_check)."""
+    c, the number of I's nonzero generators, when they are proved a
+    complete intersection (_complete_intersection), read off the leads
+    found before I's basis is finished.  Otherwise the leads of the
+    reduced basis are read.  One non-constant element gives 1.  Otherwise
+    the leads are divided by their monomial gcd u, and with
+    D = dim R/(quotients) the read is n - a when the a variables that no
+    quotient holds number D, c when n - D = c, and None otherwise.  At
+    u = 1 the c rule repeats the certificate, which has declined, so only
+    quotients by u != 1 can meet it.  A ceiling in the basis declines too
+    (see pd_bound_check)."""
     n, c = I.ring.n, len(I.gens)
     try:
+        if _complete_intersection(I, limits):
+            return c
         leads = [a for _, a in I._divisors(limits).leads()]
     except ResourceLimitError:
         return None
@@ -300,10 +320,14 @@ def pd_bound_check(
     The report also carries depth(R/I) = n - pd for the companion bound
     depth >= n - sum deg(f_i).
 
-    pd is read off the leads of I's reduced basis when they decide it
-    (_pd_off_leads), and is otherwise the length of the minimal
-    resolution of R/I, whose ceilings are reported.  The read:
+    pd is read off leads when they decide it (_pd_off_leads), and is
+    otherwise the length of the minimal resolution of R/I, whose ceilings
+    are reported.  The read, in order:
 
+    - When the leads found so far prove that the c generators are a
+      complete intersection, pd = c, and I's basis is never finished
+      (_complete_intersection has the proof).  Otherwise the basis is
+      finished and its leads are read.
     - A reduced basis of one non-constant element means I = (g), and
       pd(R/I) = 1.
     - Otherwise the leads are divided by their monomial gcd u.  I is

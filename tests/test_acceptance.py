@@ -6,9 +6,12 @@ so the gate is readable without decoding pytest output.
 
 Criteria 4 through 7 pass a shared EngineLimits whose on_basis observer
 pools every reduced basis the ideal engine produces; criterion 8 replays
-an independent confluence check over the whole pool.  Colon and
-saturation bases are module bases, checked in test_module_confluence.  The pool is module state, so these tests must run in file
-order (pytest's default).
+an independent confluence check over the whole pool.  A check whose
+instance is proved a complete intersection stops Buchberger early and
+finishes no basis, so criteria 6 and 7 also ask each instance's ideal
+for its basis.  Colon and saturation bases are module bases, checked in
+test_module_confluence.  The pool is module state, so these tests must
+run in file order (pytest's default).
 """
 
 import json
@@ -201,6 +204,7 @@ def test_criterion_6_q1_campaign(capsys):
                     for k in range(per_pattern):
                         gens = random_instance(cfg, k)
                         rep = question_q_check(gens, None, OBS)
+                        Ideal(gens[0].ring, gens).groebner_basis(OBS)  # for criterion 8
                         assert rep.outcome != "resource-limit"
                         assert rep.hypothesis_ok is True
                         count += 1
@@ -239,6 +243,7 @@ def test_criterion_7_pd_bound_campaign(capsys):
                     for k in range(10):
                         gens = random_instance(cfg, k)
                         rep = pd_bound_check(gens, OBS)
+                        Ideal(gens[0].ring, gens).groebner_basis(OBS)  # for criterion 8
                         assert rep.outcome == "pass"
                         assert rep.data["pd"] <= rep.data["bound"]
                         assert rep.data["pd"] <= n

@@ -34,6 +34,7 @@ from fplocal.localcoh import question_q_check
 from fplocal.polycore import (
     Polynomial,
     PolyRing,
+    RationalPoint,
     mono_div,
     mono_lcm,
     monomials_of_degree,
@@ -665,16 +666,18 @@ def test_quotient_by_the_last_variable_makes_no_engine_colon(monkeypatch):
 
 
 def test_q1_on_a_complete_intersection_makes_no_colon(monkeypatch):
-    # x4 and x5 divide no lead of I's reduced basis (x3^4, x1*x3^2, x1^2,
-    # x1*x2): the one round reads I : m = I off the leads, and the steps
-    # are those of I's basis
+    # the input leads x1^2 and x1*x2 share x1, and so does the next lead,
+    # x1*x3^2; the one after, x3^4, gives dim R/L = 3 = n - c: the two
+    # quadrics are a complete intersection, so stage 0 stops Buchberger
+    # there, after 3 of the 13 steps that I's whole basis (x3^4, x1*x3^2,
+    # x1^2, x1*x2) takes, and runs no saturation
     R = PolyRing(3, 5)
     f = [parse_poly(R, "x1*x2 + x3^2 + x4*x5"), parse_poly(R, "x1^2 + x2*x4 + 2*x5^2")]
     colons = count_calls(monkeypatch, groebner, "_syzygies_raw")
     steps = count_steps(monkeypatch)
     report = question_q_check(f)
     assert report.outcome == "pass"
-    assert (len(colons), steps[0]) == (0, 13)
+    assert (len(colons), steps[0]) == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,14 +1085,17 @@ def count_saturation_colons(monkeypatch):
 def test_staircase_hits_in_one_bench_round(monkeypatch):
     # seed 1: the finite family of torsion-certificates saturates to R^r
     # in all 48 of its saturations (24 module_h0m in propvan, 24 _torsion
-    # in topvan); no q1 saturation has a finite staircase.  The ideal
-    # saturations take 84 and 80 colons, one a round.
+    # in topvan); no q1 saturation has a finite staircase.  Stage 0 runs
+    # no saturation on a complete intersection with c < n: not on the 24
+    # topvan instances of the paper family, nor on the 64 random q1
+    # pairs, so 8 q1 saturations are left, those of g*m + (h).  The ideal
+    # saturations take 60 and 16 colons, one a round.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
     for workload, want, rounds in (
-        ("torsion-certificates", [144, 48], 84),
-        ("q1-saturation", [72, 0], 80),
+        ("torsion-certificates", [120, 48], 60),
+        ("q1-saturation", [8, 0], 16),
     ):
         with monkeypatch.context() as m:
             tally = count_shortcuts(m)
@@ -1109,6 +1115,20 @@ def test_maximal_ideal_frozen():
     assert m.gens == (parse_poly(R, "x1"), parse_poly(R, "x2"))
     ma = maximal_ideal(R, (1, 2))
     assert ma.gens == (parse_poly(R, "x1 + 2"), parse_poly(R, "x2 + 1"))
+
+
+def test_maximal_ideal_checks_the_point():
+    # a point of another length or of another ring is refused, not cut or
+    # padded; a RationalPoint of the ring itself is taken
+    R = PolyRing(3, 2)
+    for point in ((1, 2, 5), (1,), ()):
+        with pytest.raises(ValueError, match="coordinates"):
+            maximal_ideal(R, point)
+    for S in (PolyRing(3, 3), PolyRing(5, 2)):
+        with pytest.raises(RingMismatchError):
+            maximal_ideal(R, RationalPoint(S, (1,) * S.n))
+    assert maximal_ideal(R, RationalPoint(R, (1, 2))).gens == maximal_ideal(R, (1, 2)).gens
+    assert maximal_ideal(R, (4, -1)).gens == maximal_ideal(R, (1, 2)).gens
 
 
 def test_maximal_ideal_membership_is_vanishing():

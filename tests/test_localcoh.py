@@ -542,15 +542,17 @@ def test_pd_read_answers_where_the_resolution_hits_a_ceiling():
 
 
 def test_pd_read_ceiling_falls_through_to_the_resolution(monkeypatch):
-    """A ceiling inside the read decides nothing: the resolution answers,
-    or reports its own ceiling (test_pd_bound_resource_limit)."""
+    """A ceiling inside the read, in the complete intersection certificate
+    or in I's basis, decides nothing: the resolution answers, or reports
+    its own ceiling (test_pd_bound_resource_limit)."""
     R = PolyRing(3, 4)
     f = [P(R, s) for s in SQUARES_PLUS_LOWER]
 
-    def capped(self, limits):
+    def capped(*args):
         raise ResourceLimitError("basis size", 1)
 
     monkeypatch.setattr(Ideal, "_divisors", capped)
+    monkeypatch.setattr(localcoh, "_complete_intersection", capped)
     rep = pd_bound_check(f)
     assert rep.data == {"pd": 3, "depth": 1, "bound": 6}
 
@@ -671,8 +673,9 @@ def test_pd_read_through_the_content_hand_cases():
 def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeypatch):
     """seed 1: 8 random-3-5, 2 random-2-6, 12 regular and 12 times-linear
     instances; the times-linear ones, l*J, are read off the leads divided
-    by lead(l).  Each instance computes one basis, I's, and nothing else:
-    no syzygy and no resolution."""
+    by lead(l).  Each instance runs the engine once, on I's generators,
+    and nothing else: no syzygy and no resolution.  The run stops early
+    on a complete intersection and finishes I's basis otherwise."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
@@ -698,6 +701,155 @@ def test_every_pd_instance_answers_with_no_resolution_in_one_bench_round(monkeyp
         assert op.check(op.call(op.limits)) is None, op.label
         assert calls["_divisor_basis"] == before + 1, op.label
     assert calls == Counter(_divisor_basis=34)
+
+
+# ---------------------------------------------------------------------------
+# complete intersections proved off the leads found so far
+
+
+def below_square(R, k, rng):
+    """x_k^2 plus random terms below it: its lead is x_k^2."""
+    top = tuple(2 * (i == k) for i in range(1, R.n + 1))
+    terms = {top: 1}
+    for m in monomials_of_degree(R.n, 2):
+        if R.key(m) < R.key(top) and rng.random() < 0.4:
+            terms[m] = rng.randrange(1, R.p)
+    return Polynomial(R, terms)
+
+
+def certificate_families(R, rng):
+    """Generator lists of R, each with whether it is a complete
+    intersection, or None where only the resolution knows: c <= n random
+    forms, mostly regular sequences; a common factor g*(h1, h2) and a
+    repeated generator (h1, h1), of height 1 with c = 2; n forms with
+    leads x_k^2, m-primary; and the random forms plus a constant on the
+    first, inhomogeneous."""
+    n = R.n
+    forms = [random_polynomial(R, rng.randint(1, 2), rng, density=0.6)
+             for _ in range(rng.randint(1, n))]
+    g = random_polynomial(R, 1, rng)
+    h1, h2 = (random_polynomial(R, rng.randint(1, 2), rng) for _ in range(2))
+    return [
+        (forms, None),
+        ([g * h1, g * h2], False),
+        ([h1, h1], False),
+        ([below_square(R, k, rng) for k in range(1, n + 1)], True),
+        ([forms[0] + Polynomial.one(R)] + forms[1:], False),
+    ]
+
+
+def loop_is_ci(I):
+    """Whether ht I equals the number of I's generators, read off I's whole
+    reduced basis: n - dim R/in(I) = c."""
+    leads = [g.leading_monomial() for g in I.groebner_basis()]
+    return I.ring.n - groebner._lead_dim(leads, I.ring.n) == len(I.gens)
+
+
+def test_complete_intersection_reads_agree_with_the_loop_and_the_resolution():
+    """The certificate holds exactly on homogeneous regular sequences,
+    which a finished basis decides too.  Where it holds, q1 passes with
+    no saturation when c < n, and pd is c with no resolution; both agree
+    with the routes that prove nothing, the saturation loop and the
+    length of the minimal resolution.  At c = n the certificate holds and
+    q1 still fails, with a witness outside I."""
+    rng = random.Random(SEED + 31)
+    seen = Counter()
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            R = PolyRing(p, n)
+            for _ in range(5):
+                for gens, known in certificate_families(R, rng):
+                    I = Ideal(R, gens)
+                    c = len(I.gens)
+                    homogeneous = all(g.is_homogeneous() for g in gens)
+                    ci = groebner._complete_intersection(Ideal(R, gens), EngineLimits())
+                    assert ci == (homogeneous and loop_is_ci(I)), [str(g) for g in gens]
+                    if known is not None:
+                        assert ci == known, [str(g) for g in gens]
+                    if homogeneous:
+                        pd = resolved_pd(gens)
+                        assert pd_bound_check(gens).data["pd"] == pd
+                        assert not ci or pd == c
+                    report = question_q_check(gens)
+                    S = saturation(I, maximal_ideal(R))
+                    assert (report.outcome == "pass") == groebner.ideals_equal(S, I)
+                    if report.outcome == "fail":
+                        witness = P(R, report.data["witness"])
+                        assert S.contains(witness) and not I.contains(witness)
+                    if ci:
+                        assert report.outcome == ("pass" if c < n else "fail")
+                    seen[ci, c < n, homogeneous] += 1
+    # every kind occurs often
+    for key in ((True, True, True), (True, False, True), (False, True, True),
+                (False, True, False)):
+        assert seen[key] >= 10, seen
+
+
+def test_complete_intersection_declines_on_what_it_cannot_prove():
+    R = PolyRing(3, 3)
+    lim = EngineLimits()
+    ci = groebner._complete_intersection
+    # leads x2^2 and x3 of (x1 + x2^2, x3) have dim R/L = 1 = n - c, but the
+    # input is inhomogeneous; the homogeneous (x1*x3 + x2^2, x3) has the
+    # same leads and is proved
+    assert not ci(Ideal(R, ["x1 + x2^2", "x3"]), lim)
+    assert ci(Ideal(R, ["x1*x3 + x2^2", "x3"]), lim)
+    # height 1 with c = 2: a common factor, a repeated generator
+    assert not ci(Ideal(R, ["x1^2", "x1*x2"]), lim)
+    assert not ci(Ideal(R, ["x1*x2 + x3^2", "x1*x2 + x3^2"]), lim)
+    assert lead_read([P(R, "x1*x2 + x3^2"), P(R, "x1*x2 + x3^2")]) == 1
+    # c > n, c = 0 and the unit ideal
+    assert not ci(Ideal(R, ["x1", "x2", "x3", "x1 + x2"]), lim)
+    assert not ci(Ideal(R, []), lim)
+    assert not ci(Ideal(R, ["1", "x1"]), lim)
+    # c = n: proved, but m-primary, so q1 still fails
+    f = [P(R, s) for s in ("x1^2", "x2^2 + x1*x3", "x3^2")]
+    assert ci(Ideal(R, f), lim)
+    assert question_q_check(f).outcome == "fail"
+
+
+def test_a_stopped_run_caches_and_observes_nothing(monkeypatch):
+    R = PolyRing(3, 5)
+    f = ["x1*x2 + x3^2 + x4*x5", "x1^2 + x2*x4 + 2*x5^2"]
+    seen = []
+    lim = EngineLimits(on_basis=lambda ring, basis: seen.append(basis))
+    I = Ideal(R, f)
+    assert groebner._complete_intersection(I, lim)
+    assert (I._div, I._gb, seen) == (None, None, [])
+    assert I.groebner_basis(lim) == Ideal(R, f).groebner_basis()
+    assert seen == [I.groebner_basis()]
+    # a finished run is cached and observed once, and read again as cached
+    runs = []
+    packed_basis = groebner._packed_basis
+    monkeypatch.setattr(groebner, "_packed_basis", lambda *a: runs.append(1) or packed_basis(*a))
+    J = Ideal(R, ["x1^2", "x1*x2"])
+    seen.clear()
+    assert not groebner._complete_intersection(J, lim)
+    assert J._div is not None and len(seen) == 1
+    assert not groebner._complete_intersection(J, lim)
+    assert J.groebner_basis(lim) == (P(R, "x1^2"), P(R, "x1*x2"))
+    assert (len(runs), len(seen)) == (1, 1)
+    # a cached basis is read, and a derived one is derived: no engine run
+    runs.clear()
+    assert groebner._complete_intersection(I, lim)
+    Iq = bracket_power(I, FrobeniusLevel(3, 1))
+    assert Iq._basis is not None and Iq._div is None
+    assert groebner._complete_intersection(Iq, lim)
+    assert runs == []
+
+
+def test_a_ceiling_in_the_certificate_is_reported():
+    # the certificate run on these quadrics takes 3 steps: with a ceiling
+    # of 2, q1 and topvan report it, and pd falls back to the resolution,
+    # which hits it too
+    R = PolyRing(3, 5)
+    f = [P(R, "x1*x2 + x3^2 + x4*x5"), P(R, "x1^2 + x2*x4 + 2*x5^2")]
+    lim = EngineLimits(max_reductions=2)
+    want = {"limit_kind": "reductions", "limit": 2}
+    assert question_q_check(f, None, lim).data == {"witness": None, **want}
+    assert top_lc_vanishing_certificate(f, None, 1, lim).data == {"stage": None, **want}
+    assert pd_bound_check(f, lim).outcome == "resource-limit"
+    assert question_q_check(f, None, EngineLimits(max_reductions=3)).outcome == "pass"
 
 
 # ---------------------------------------------------------------------------

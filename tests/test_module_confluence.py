@@ -261,8 +261,8 @@ def observe_seeded(monkeypatch):
     log = []
     packed_basis = groebner._packed_basis
 
-    def watch(G, lay, p, limits, ideal, known=0):
-        basis = packed_basis(G, lay, p, limits, ideal, known)
+    def watch(G, lay, p, limits, ideal, known=0, stop=None):
+        basis = packed_basis(G, lay, p, limits, ideal, known, stop)
         if known:
             log.append((p, [
                 dict([(lay.unpack(lead), 1)] + [(lay.unpack(t), w) for t, w in tail])
