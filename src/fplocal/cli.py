@@ -6,6 +6,10 @@ fails or stays inconclusive, 2 for usage errors and resource ceilings.
 Reports contain no timestamps; timing is opt-in via --timings, on the
 four subcommands whose reports carry millis (pd, check-q1, check-topvan
 and campaign), so that identical inputs produce identical bytes.
+
+Each subcommand takes only the engine ceilings its code reads, as flags
+and as FPLOCAL_* variables (see `add` in _build_parser).  Any other
+ceiling flag is a usage error, and any other variable is ignored.
 """
 
 from __future__ import annotations
@@ -41,16 +45,20 @@ _OUTCOME_EXIT = {
 
 
 _CEILING_HELP = {
-    "max_length": "ceiling on the count of standard monomials of a finite-length "
-                  "module, and on td-check's component box size q^n",
+    "max_length": "ceiling on the standard monomials counted in a torsion length "
+                  "(check-propvan), or on the component box size q^n (td-check)",
 }
 
+# The ceilings a subcommand's code reads, for `add` in _build_parser.
+_BASIS = ("max_reductions", "max_basis")
+_SATURATE = _BASIS + ("max_rounds",)
 
-def _common_flags(sp) -> None:
+
+def _common_flags(sp, ceilings) -> None:
     # An FPLOCAL_* value is a str default, which argparse converts with
     # `type` only when the flag is absent: a bad value is a usage error
     # (exit 2), and an explicit flag wins.  An empty variable counts as unset.
-    for name in CEILINGS:
+    for name in ceilings:
         sp.add_argument("--" + name.replace("_", "-"), type=int,
                         default=os.environ.get("FPLOCAL_" + name.upper())
                         or getattr(DEFAULT_LIMITS, name),
@@ -66,7 +74,9 @@ def _ring_flags(sp, order: bool) -> None:
 
 
 def _limits(args) -> EngineLimits:
-    return EngineLimits(**{name: getattr(args, name) for name in CEILINGS})
+    # a ceiling the subcommand offers no flag for stays at its default
+    given = vars(args)
+    return EngineLimits(**{name: given[name] for name in CEILINGS if name in given})
 
 
 def _ring(args) -> PolyRing:
@@ -284,27 +294,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, order=True, timings=False):
+    def add(name, fn, help_text, ceilings=(), order=True, timings=False):
+        # ceiling flags only for the ceilings the subcommand's code reads;
         # --order only where the subcommand builds its ring from it:
         # campaign rings are always grevlex; --timings only where the
         # report carries millis
         sp = sub.add_parser(name, help=help_text)
         _ring_flags(sp, order)
-        _common_flags(sp)
+        _common_flags(sp, ceilings)
         if timings:
             sp.add_argument("--timings", action="store_true",
                             help="include wall-clock millis in the report")
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("gb", _cmd_gb, "reduced Groebner basis of an ideal")
+    sp = add("gb", _cmd_gb, "reduced Groebner basis of an ideal", _BASIS)
     sp.add_argument("--gens", required=True, help="comma-separated generators")
 
-    sp = add("nf", _cmd_nf, "normal form of a polynomial mod an ideal")
+    sp = add("nf", _cmd_nf, "normal form of a polynomial mod an ideal", _BASIS)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--poly", required=True)
 
-    sp = add("saturate", _cmd_saturate, "saturation of I by J (default: the maximal ideal)")
+    sp = add("saturate", _cmd_saturate, "saturation of I by J (default: the maximal ideal)",
+             _SATURATE)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--by", default=None, help="generators of J; defaults to x1,...,xn")
 
@@ -320,41 +332,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens", required=True)
     sp.add_argument("--t", type=int, default=1)
 
-    sp = add("cohomology", _cmd_cohomology, "presentation of Koszul cohomology H^i")
+    sp = add("cohomology", _cmd_cohomology, "presentation of Koszul cohomology H^i", _BASIS)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--t", type=int, default=1)
     sp.add_argument("--i", type=int, required=True)
 
-    sp = add("resolve", _cmd_resolve, "free resolution of R/I")
+    sp = add("resolve", _cmd_resolve, "free resolution of R/I", _BASIS)
     sp.add_argument("--gens", required=True)
 
-    sp = add("pd", _cmd_pd, "projective dimension bound check for R/I", timings=True)
+    sp = add("pd", _cmd_pd, "projective dimension bound check for R/I", _BASIS,
+             timings=True)
     sp.add_argument("--gens", required=True)
 
     sp = add("check-q1", _cmd_check_q1, "torsion-freeness of R/I at a rational point",
-             timings=True)
+             _SATURATE, timings=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--point", default=None, help="comma-separated coordinates")
 
     sp = add("check-topvan", _cmd_check_topvan, "top local cohomology torsion certificate",
-             timings=True)
+             _SATURATE, timings=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--point", default=None)
     sp.add_argument("--e-max", type=int, default=3)
 
-    sp = add("check-propvan", _cmd_check_propvan, "Koszul cohomology torsion kill certificate")
+    sp = add("check-propvan", _cmd_check_propvan, "Koszul cohomology torsion kill certificate",
+             CEILINGS)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--point", default=None)
     sp.add_argument("--level", type=int, default=None)
 
-    sp = add("td-check", _cmd_td_check, "box-wide component round trip for h*g")
+    sp = add("td-check", _cmd_td_check, "box-wide component round trip for h*g",
+             ("max_length",))
     sp.add_argument("--hpoly", required=True)
     sp.add_argument("--gpoly", required=True)
     sp.add_argument("--l", type=int, required=True)
 
-    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign", order=False,
-             timings=True)
+    sp = add("campaign", _cmd_campaign, "seeded random-instance campaign", _SATURATE,
+             order=False, timings=True)
     sp.add_argument("--degrees", required=True, help="comma-separated generator degrees")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", required=True)

@@ -16,7 +16,7 @@ import pytest
 from fplocal import campaign
 from fplocal.campaign import CampaignConfig
 from fplocal.cli import main
-from fplocal.config import EngineLimits
+from fplocal.config import CEILINGS, EngineLimits
 
 
 def run(capsys, *argv):
@@ -425,7 +425,7 @@ def test_env_ceiling(monkeypatch, capsys):
 def test_malformed_env_ceiling_is_a_usage_error(monkeypatch, capsys, var):
     monkeypatch.setenv(var, "abc")
     with pytest.raises(SystemExit) as ei:
-        main(["gb", "--p", "2", "--n", "2", "--gens", "x1"])
+        main(["check-propvan", "--p", "2", "--n", "2", "--gens", "x1", "--i", "1"])
     assert ei.value.code == 2
     captured = capsys.readouterr()
     assert "invalid int value: 'abc'" in captured.err
@@ -453,7 +453,8 @@ CEILING_FLAGS = ["--max-reductions", "--max-basis", "--max-rounds", "--max-lengt
 
 @pytest.mark.parametrize("flag", CEILING_FLAGS)
 def test_negative_ceiling_is_a_usage_error(capsys, flag):
-    code = main(["check-q1", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2", flag, "-1"])
+    code = main(["check-propvan", "--p", "2", "--n", "2", "--gens", "x1^2, x1*x2",
+                 "--i", "2", flag, "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and "must be >= 0" in captured.err
@@ -494,9 +495,98 @@ def test_negative_campaign_ceiling_fails_before_any_trial(monkeypatch, capsys):
         CampaignConfig(p=2, n=3, degrees=(1, 1), trials=1, seed="s",
                        limits=EngineLimits(max_rounds=-1))
     code = main(["campaign", "--p", "2", "--n", "3", "--degrees", "1,1", "--trials", "2",
-                 "--seed", "demo", "--max-length", "-5"])
+                 "--seed", "demo", "--max-rounds", "-5"])
     captured = capsys.readouterr()
-    assert code == 2 and "max_length must be >= 0" in captured.err and captured.out == ""
+    assert code == 2 and "max_rounds must be >= 0" in captured.err and captured.out == ""
+
+
+# The ceilings each subcommand's code reads, and so offers as flags and
+# FPLOCAL_* variables: 28 flags across the 14 subcommands.
+BASIS = ("max_reductions", "max_basis")
+SATURATE = BASIS + ("max_rounds",)
+ALL_CEILINGS = SATURATE + ("max_length", "level_cap")
+READ_CEILINGS = {
+    "gb": BASIS, "nf": BASIS, "cohomology": BASIS, "resolve": BASIS, "pd": BASIS,
+    "saturate": SATURATE, "check-q1": SATURATE, "check-topvan": SATURATE,
+    "campaign": SATURATE,
+    "check-propvan": ALL_CEILINGS,
+    "td-check": ("max_length",),
+    "koszul": (), "frobpow": (), "frobdecomp": (),
+}
+
+F2 = ("--p", "2", "--n", "2")
+REDUCING = ("--gens", "x1^2 + x2, x1*x2")  # takes reduction steps and basis elements
+DEEP = ("--gens", "x1^2, x1*x2")  # takes a saturation round
+
+# (argv, the ceilings whose value 0 changes its exit code or stdout); the
+# first row of each subcommand is its input for the unread flags
+FIRING = [
+    (("gb", *F2, *REDUCING), BASIS),
+    (("nf", *F2, *REDUCING, "--poly", "x1^3"), BASIS),
+    (("cohomology", *F2, *REDUCING, "--i", "1"), BASIS),
+    (("resolve", *F2, *REDUCING), BASIS),
+    (("pd", *F2, "--gens", "x1^2, x1*x2 + x2^2"), BASIS),
+    (("saturate", *F2, *REDUCING), BASIS),
+    (("saturate", *F2, *DEEP), ("max_rounds",)),
+    (("check-q1", *F2, *REDUCING), BASIS),
+    (("check-q1", *F2, *DEEP), ("max_rounds",)),
+    (("check-topvan", *F2, *REDUCING), BASIS),
+    (("check-topvan", *F2, *DEEP), ("max_rounds",)),
+    (("check-propvan", *F2, *DEEP, "--i", "2"), ALL_CEILINGS),
+    (("td-check", *F2, "--hpoly", "x1", "--gpoly", "x2", "--l", "1"), ("max_length",)),
+    (("campaign", "--p", "2", "--n", "3", "--degrees", "2,1", "--trials", "4",
+      "--seed", "demo"), SATURATE),
+    (("koszul", *F2, "--gens", "x1, x2"), ()),
+    (("frobpow", *F2, "--gens", "x1, x2", "--l", "1"), ()),
+    (("frobdecomp", *F2, "--poly", "x1^3 + x1*x2", "--l", "1"), ()),
+]
+BASE_ARGV = {argv[0]: argv for argv, _ in reversed(FIRING)}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _observed(capsys, argv):
+    code, out = run(capsys, *argv)
+    if argv[0] == "campaign":
+        # the config echoes every ceiling, so only the outcomes count
+        doc = json.loads(out)
+        return code, doc["summary"], doc["trials"]
+    return code, out
+
+
+def test_read_ceilings_cover_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert sorted(listed) == sorted(READ_CEILINGS)
+    assert ALL_CEILINGS == CEILINGS
+    assert sum(len(names) for names in READ_CEILINGS.values()) == 28
+    for sub, names in READ_CEILINGS.items():
+        fired = {name for argv, row in FIRING if argv[0] == sub for name in row}
+        assert fired == set(names), sub
+
+
+@pytest.mark.parametrize("argv, name", [(argv, name) for argv, row in FIRING for name in row],
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_read_ceiling_changes_the_answer(capsys, argv, name):
+    assert _observed(capsys, argv + (_flag(name), "0")) != _observed(capsys, argv)
+
+
+@pytest.mark.parametrize("sub, name", [(sub, name) for sub, names in READ_CEILINGS.items()
+                                       for name in ALL_CEILINGS if name not in names])
+def test_unread_ceiling_is_refused_as_a_flag_and_ignored_as_a_variable(
+        monkeypatch, capsys, sub, name):
+    argv = BASE_ARGV[sub]
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, _flag(name), "0"])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2
+    assert _flag(name) in captured.err and captured.out == ""
+    expected = _observed(capsys, argv)
+    monkeypatch.setenv("FPLOCAL_" + name.upper(), "abc")
+    assert _observed(capsys, argv) == expected
 
 
 def test_parse_error_exit2(capsys):
