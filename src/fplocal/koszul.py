@@ -67,6 +67,7 @@ from .polycore import (
     _ring_of,
     _sum_deg,
     _times_mod,
+    _translate,
     _vanishes,
 )
 
@@ -355,7 +356,7 @@ def verify_prop_van(
     total = _sum_deg(f)
     hypothesis_ok = total < ring.n
     pt = _normalize_point(ring, point)
-    fs = tuple(g.translate(pt) for g in f) if pt is not None else f
+    fs = _translate(f, pt) if pt is not None else f
     k1 = build_koszul(fs, 1)
     ker, pres, rels, basis_1 = _cohomology_data(k1, i, lim)
     tors = _torsion(rels, pres.rank, lim)

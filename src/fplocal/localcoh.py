@@ -61,6 +61,7 @@ from .polycore import (
     _ring_of,
     _sum_deg,
     _times_mod,
+    _translate,
     mono_div,
 )
 
@@ -177,7 +178,7 @@ def _frame(
     lim = resolve_limits(limits)
     t0 = time.monotonic()
     pt = _normalize_point(ring, point)
-    gens = tuple(g.translate(pt) for g in f) if pt is not None else tuple(f)
+    gens = _translate(f, pt) if pt is not None else tuple(f)
     total = _sum_deg(f)
     try:
         outcome, data = body(_Instance(ring, gens, Ideal(ring, gens), pt, total, lim))
@@ -224,7 +225,7 @@ def question_q_check(
             return "pass", {"witness": None}
         for g in S.gens:
             if x.ideal.normal_form(g, x.limits):
-                witness = g.translate(-x.point) if x.point is not None else g
+                witness = _translate((g,), -x.point)[0] if x.point is not None else g
                 return "fail", {"witness": str(witness)}
         raise AssertionError("saturation differs from I but all generators reduce to 0")
 

@@ -64,6 +64,7 @@ from .polycore import (
     _mul_acc,
     _normalize_point,
     _product_layout,
+    _translate,
     _vanishes,
     mono_divides,
 )
@@ -613,15 +614,20 @@ def module_h0m(
     ring = pres.ring
     lim = resolve_limits(limits)
     pt = _normalize_point(ring, point)
+    rank = pres.rank
     cols = pres.relations.columns
     if pt is not None:
-        cols = [tuple(g.translate(pt) for g in col) for col in cols]
-    tors = _torsion(_divisor_basis([_vec_from_free(c) for c in cols], ring, lim), pres.rank, lim)
+        cols = _split(_translate([g for col in cols for g in col], pt), rank)
+    tors = _torsion(_divisor_basis([_vec_from_free(c) for c in cols], ring, lim), rank, lim)
     if pt is None:
         return tors
-    back = -pt
-    gens = tuple(tuple(g.translate(back) for g in col) for col in tors.generators)
-    return TorsionData(tors.presentation, gens, tors.finite, tors.length)
+    gens = _split(_translate([g for col in tors.generators for g in col], -pt), rank)
+    return TorsionData(tors.presentation, tuple(gens), tors.finite, tors.length)
+
+
+def _split(flat: tuple, rank: int) -> list:
+    """The consecutive length-`rank` vectors of a flat tuple."""
+    return [flat[k:k + rank] for k in range(0, len(flat), rank)]
 
 
 def _torsion(ngb: _Divisors, rank: int, lim: EngineLimits) -> TorsionData:

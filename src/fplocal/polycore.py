@@ -20,12 +20,13 @@ dict_mul packs each operand once, multiplies with _mul_acc, which adds
 packs and leaves the coefficient sums unreduced, and unpacks the result
 once, reducing mod p.  Its fields are sized from deg A + deg B, which
 bounds every exponent of the product, so no field can carry.
-Polynomial.translate runs the same kernel on each term's binomial
-factors, and so does PolyMatrix.apply in modres, with every matrix
-entry packed once per call and each output entry accumulated in one
-packed dict.  Polynomial.__pow__ packs its base once, in a layout
-sized for the final degree, so its Frobenius steps scale packs by p and
-its squarings stay packed until the one unpack at the end.  The
+_translate runs the same kernel on binomial factors, each monomial's
+expansion computed once per call for the whole generator list, and so
+does PolyMatrix.apply in modres, with every matrix entry packed once
+per call and each output entry accumulated in one packed dict.
+Polynomial.__pow__ packs its base once, in a layout sized for the
+final degree, so its Frobenius steps scale packs by p and its
+squarings stay packed until the one unpack at the end.  The
 Frobenius walks of frobenius and koszul keep their packs in one layout
 from the first level to the last, and exact identities, sums of
 products that must vanish, are decided on packs by _vanishes: the
@@ -38,8 +39,8 @@ which shares no code with the engine.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, partial
+from operator import mul, neg
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, RingMismatchError
@@ -161,7 +162,7 @@ def _lex_key(a: tuple) -> tuple:
 
 
 def _grevlex_key(a: tuple):
-    return (sum(a), tuple(-e for e in reversed(a)))
+    return (sum(a), tuple(map(neg, reversed(a))))
 
 
 class PolyRing:
@@ -365,6 +366,62 @@ def dict_mul(A: Mapping, B: Mapping, p: int) -> dict:
     return lay.unpack_terms(acc, p)
 
 
+# ---------------------------------------------------------------------------
+# monomial text: one bounded table for the whole process
+
+# Most entries one order's table holds.  A polynomial whose monomials do
+# not all fit is printed from a fresh batch and not stored, so one large
+# print neither pays for the table nor empties it.
+_TEXT_CAP = 4096
+
+# order -> {exponent tuple: (order key, text)}.  The entries depend on
+# nothing but the order and the exponents, so every ring of an order
+# shares them.  A batch that would overflow a table empties it first.
+_MONOMIAL_TEXT: dict = {"grevlex": {}, "lex": {}, "elim-grevlex": {}, "elim-lex": {}}
+
+
+def _monomial_texts(monos) -> Iterator[str]:
+    """Each monomial's text, "" for 1, computed for the whole batch: each
+    variable's column of exponents maps to its power strings, and each
+    row joins the nonempty ones."""
+    columns = []
+    for i, col in enumerate(zip(*monos)):
+        name = f"x{i + 1}"
+        power = {e: f"{name}^{e}" for e in set(col)}
+        power[0] = ""
+        power[1] = name
+        columns.append(map(power.__getitem__, col))
+    return map("*".join, map(partial(filter, None), zip(*columns)))
+
+
+def _ordered_texts(ring: PolyRing, terms: dict) -> Iterable[tuple]:
+    """(monomial text, coefficient) of every term, in descending order.
+
+    When the table holds every monomial, the terms sort on the order keys
+    it holds.  Otherwise the bare monomials sort on ring.key and their
+    texts are computed together, in that order; the batch is stored, its
+    keys computed again, when it fits.  The miss path sorts bare
+    monomials, not (key, text) rows: on a print larger than the table,
+    comparing rows would cost more than the batch saves.
+    """
+    table = _MONOMIAL_TEXT[ring.order]
+    if terms.keys() <= table.keys():
+        rows = zip(map(table.__getitem__, terms), terms.values())
+        return [(text, c) for (_, text), c in sorted(rows, key=_entry_key, reverse=True)]
+    ordered = sorted(terms, key=ring.key, reverse=True)
+    texts = list(_monomial_texts(ordered))
+    if len(texts) <= _TEXT_CAP:
+        if len(table) + len(texts) > _TEXT_CAP:
+            table.clear()
+        table.update(zip(ordered, zip(map(ring.key, ordered), texts)))
+    return zip(texts, map(terms.__getitem__, ordered))
+
+
+def _entry_key(row: tuple):
+    """The order key of a ((order key, text), coefficient) row."""
+    return row[0][0]
+
+
 class Polynomial:
     """Immutable sparse polynomial.  Treat .terms as read-only."""
 
@@ -426,7 +483,7 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return MINUS_INF
-        return max(sum(a) for a in self.terms)
+        return max(map(sum, self.terms))
 
     def leading_monomial(self) -> tuple:
         if not self.terms:
@@ -440,8 +497,7 @@ class Polynomial:
         return not self.terms or set(self.terms) == {self.ring.zero_mono()}
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -519,7 +575,7 @@ class Polynomial:
         ring = self.ring
         if not e:
             return Polynomial.one(ring)
-        if not self.terms:
+        if e == 1 or not self.terms:
             return self
         p = ring.p
         lay = _product_layout(ring.n, e * max(map(sum, self.terms)))
@@ -553,43 +609,8 @@ class Polynomial:
         return total
 
     def translate(self, point) -> "Polynomial":
-        """g(x + a): shift coordinates by the rational point a.
-
-        Each term expands as a product of binomial powers (x_i + a_i)^e,
-        on packed terms: no term of g(x + a) has a larger degree than g.
-        """
-        coords = _coords(self.ring, point)
-        if not any(coords):
-            return self
-        ring = self.ring
-        p = ring.p
-        lay = _product_layout(ring.n, max(map(sum, self.terms), default=0))
-        units = lay.units
-        cache: dict = {}
-        out: dict = {}
-        for mono, c in self.terms.items():
-            term = {0: c}
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                a = coords[i]
-                if a == 0:
-                    shift = e * units[i]
-                    term = {m + shift: v for m, v in term.items()}
-                    continue
-                factor = cache.get((i, e))
-                if factor is None:
-                    factor = cache[(i, e)] = {
-                        k * units[i]: cc
-                        for k in range(e + 1)
-                        if (cc := math.comb(e, k) * pow(a, e - k, p) % p)
-                    }
-                prod: dict = {}
-                _mul_acc(prod, term, factor)
-                term = prod
-            for m, v in term.items():
-                out[m] = out.get(m, 0) + v
-        return Polynomial(ring, lay.unpack_terms(out, p), _raw=True)
+        """g(x + a): shift coordinates by the rational point a."""
+        return _translate((self,), point)[0]
 
     # -- comparison and text
 
@@ -604,18 +625,10 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for mono in sorted(self.terms, key=self.ring.key, reverse=True):
-            c = self.terms[mono]
-            factors = []
-            if c != 1 or not any(mono):
-                factors.append(str(c))
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join([
+            (text if c == 1 else f"{c}*{text}") if text else str(c)
+            for text, c in _ordered_texts(self.ring, self.terms)
+        ])
 
     def __repr__(self):
         return str(self)
@@ -664,6 +677,55 @@ def _coords(ring: PolyRing, point) -> tuple:
     if len(coords) != ring.n:
         raise ValueError(f"point needs {ring.n} coordinates, got {len(coords)}")
     return coords
+
+
+def _translate(gens: Sequence[Polynomial], point) -> tuple:
+    """g(x + a) for every g in the generator list, in one kernel.
+
+    Every monomial x^m expands once per call, as the product of the
+    binomial powers (x_i + a_i)^e, and each binomial power expands once
+    per call: generators that share monomials share their expansions.
+    All of it runs on packed terms in one product layout, sized for the
+    largest degree, since no term of g(x + a) has a larger degree than g.
+    At the origin the generators come back as they are.
+    """
+    if not gens:
+        return ()
+    ring = _ring_of(gens)
+    coords = _coords(ring, point)
+    if not any(coords):
+        return tuple(gens)
+    p = ring.p
+    lay = _product_layout(ring.n, max((sum(m) for g in gens for m in g.terms), default=0))
+    units = lay.units
+    powers: dict = {}  # (i, e) -> packed (x_i + a_i)^e
+    one = {0: 1}
+    expansions: dict = {}  # m -> packed (x + a)^m
+    out = []
+    for g in gens:
+        acc: dict = {}
+        get = acc.get
+        for mono, c in g.terms.items():
+            ex = expansions.get(mono)
+            if ex is None:
+                ex = one
+                for i, e in enumerate(mono):
+                    if not e:
+                        continue
+                    factor = powers.get((i, e))
+                    if factor is None:
+                        a = coords[i]
+                        factor = powers[(i, e)] = {
+                            k * units[i]: cc
+                            for k in range(e + 1)
+                            if (cc := math.comb(e, k) * pow(a, e - k, p) % p)
+                        }
+                    ex = factor if ex is one else _times_mod(ex, factor, p)
+                expansions[mono] = ex
+            for t, v in ex.items():
+                acc[t] = get(t, 0) + c * v
+        out.append(Polynomial(ring, lay.unpack_terms(acc, p), _raw=True))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,11 @@ from fplocal.polycore import (
     mono_mul,
     monomials_of_degree,
     monomials_up_to_degree,
+    _MONOMIAL_TEXT,
+    _TEXT_CAP,
     _bits,
     _is_prime,
+    _translate,
     _width,
     parse_poly,
 )
@@ -718,3 +721,135 @@ def test_translate_against_schoolbook_expansion(n):
         for d in (3, 255, 256):
             g = poly_of_degree(R, rng, d, terms=3)
             assert g.translate(coords).terms == schoolbook_translate(g, coords)
+
+
+def test_translate_list_shares_expansions_against_schoolbook():
+    rng = random.Random("translate-list")
+    for p in (2, 3, 7, P64):
+        for n in (1, 3, 6):
+            R = PolyRing(p, n)
+            shared = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(5)]
+            gens = []
+            for d in (1, 4, 9, 0):  # mixed degrees and a constant; the zero polynomial follows
+                if d:
+                    g = poly_of_degree(R, rng, d, terms=4)
+                else:
+                    g = Polynomial.constant(R, rng.randrange(1, p))
+                gens.append(g + Polynomial(R, {m: rng.randrange(1, p) for m in shared}))
+            gens.append(Polynomial.zero(R))
+            coords = [rng.randrange(p) if k % 3 else 0 for k in range(n)]  # zero coordinates too
+            if not any(coords):
+                coords[-1] = 1
+            moved = _translate(gens, coords)
+            assert len(moved) == len(gens)
+            for g, h in zip(gens, moved):
+                assert h.ring == R
+                assert h.terms == schoolbook_translate(g, coords)
+                assert h == g.translate(RationalPoint(R, coords))
+
+
+def test_translate_list_at_origin_returns_the_inputs():
+    R = PolyRing(5, 3)
+    gens = (parse_poly(R, "x1^2 + x2*x3 + 4"), parse_poly(R, "x3^3 + x1"), Polynomial.zero(R))
+    for origin in ((0, 0, 0), (5, 10, -5), RationalPoint.origin(R)):
+        moved = _translate(gens, origin)
+        assert all(h is g for g, h in zip(gens, moved)) and len(moved) == len(gens)
+    assert _translate([], (1, 2, 3)) == ()
+
+
+def test_translate_list_rejects_foreign_points():
+    R = PolyRing(5, 3)
+    gens = [parse_poly(R, "x1^2 + x2"), parse_poly(R, "x3")]
+    with pytest.raises(ValueError):
+        _translate(gens, (1, 2))
+    with pytest.raises(ValueError):
+        _translate(gens, (1, 2, 3, 4))
+    for other in (PolyRing(5, 2), PolyRing(7, 3)):
+        with pytest.raises(RingMismatchError):
+            _translate(gens, RationalPoint(other, (1,) * other.n))
+    with pytest.raises(RingMismatchError):
+        _translate([gens[0], parse_poly(PolyRing(7, 3), "x1")], (1, 2, 3))
+
+
+def test_pow_one_returns_the_base():
+    R = PolyRing(3, 2)
+    g = parse_poly(R, "x1^2 + 2*x1*x2 + 1")
+    assert g**1 is g
+
+
+# ---------------------------------------------------------------------------
+# text: the table-backed __str__ against the term-by-term text it replaced
+
+
+def schoolbook_str(g):
+    if not g.terms:
+        return "0"
+    parts = []
+    for mono in sorted(g.terms, key=g.ring.key, reverse=True):
+        c = g.terms[mono]
+        factors = []
+        if c != 1 or not any(mono):
+            factors.append(str(c))
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def text_cases(rng, count):
+    """Seeded polynomials in every order, n up to 12, with exponents of
+    two digits, constants, unit coefficients and zero."""
+    for _ in range(count):
+        order = rng.choice(ORDERS)
+        n = rng.choice((1, 2, 5, 9, 10, 12))
+        p = rng.choice((2, 3, 101, P64))
+        R = PolyRing(p, n, order)
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            mono = tuple(rng.choice((0, 0, 0, 1, 2, 10, 11, 99, 1000)) for _ in range(n))
+            terms[mono] = rng.choice((1, 1, p - 1, rng.randrange(p)))
+        if rng.random() < 0.3:
+            terms[(0,) * n] = rng.choice((1, rng.randrange(1, p)))
+        yield Polynomial(R, terms)
+
+
+def assert_text(g):
+    text = str(g)
+    assert text == schoolbook_str(g)
+    assert parse_poly(g.ring, text) == g
+
+
+def test_str_matches_schoolbook_text():
+    rng = random.Random("str")
+    cases = list(text_cases(rng, 400))
+    cases += [Polynomial.zero(PolyRing(3, 12)), Polynomial.one(PolyRing(3, 12, "lex"))]
+    cases.append(parse_poly(PolyRing(5, 12, "elim-lex"), "x12^10*x1 + 4*x10^11 + x11 + 3"))
+    for g in cases:
+        assert_text(g)
+    for g in cases:  # the same monomials again, now read from the table
+        assert_text(g)
+
+
+def test_str_after_the_table_overflows():
+    rng = random.Random("str-overflow")
+    R = PolyRing(7, 12)
+    first = list(text_cases(rng, 50))
+    for g in first:
+        assert_text(g)
+    printed = 0
+    while printed <= 3 * _TEXT_CAP:  # more distinct monomials than the table holds
+        g = Polynomial(R, {tuple(rng.randrange(30) for _ in range(12)): rng.randrange(1, 7)
+                           for _ in range(200)})
+        assert_text(g)
+        printed += len(g.terms)
+    assert all(len(table) <= _TEXT_CAP for table in _MONOMIAL_TEXT.values())
+    for g in first:
+        assert_text(g)
+    # one print larger than the table is computed whole and stored nowhere
+    big = Polynomial(R, {tuple(rng.randrange(30) for _ in range(12)): rng.randrange(1, 7)
+                         for _ in range(_TEXT_CAP + 10)})
+    before = {order: dict(table) for order, table in _MONOMIAL_TEXT.items()}
+    assert_text(big)
+    assert _MONOMIAL_TEXT == before
