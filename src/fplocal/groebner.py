@@ -46,6 +46,16 @@ start, so a restart changes no result and no step count.  Terms are
 packed where they enter the engine and unpacked where they leave it;
 _divisor_basis hands a basis over still packed, as divisors for
 _reduce.  The layout is polycore's, shared with the product kernel.
+A membership test leaves no packs at all: _reduces_to_zero, the one
+membership entry, takes a dividend already packed, in an engine layout
+or in a polycore product layout, moves it into the engine's layout by
+polycore._conversion when it is not there, divides it under the
+caller's budget, restarting wider as _reduce does, and answers from the
+packed remainder, which it never unpacks.  Its callers form their
+products on packs: the Koszul images and the topvan stages in the
+walk's product layout, and _colon's h*g on h's and Q's packs; vectors
+go in through _dividends.  _reduce stays for the callers that need the
+remainder itself.
 
 Division is heap-ordered (Monagan and Pearce, "Sparse polynomial
 division using a heap", JSC 2011): _divide, the one division loop, keeps
@@ -94,7 +104,8 @@ loop runs as before.
 
 The ideal entries run on an ideal's reduced basis as the engine's
 divisors (Ideal._divisors): membership reduces by its packs, made once
-per field width, equality compares it, a colon is _colon at rank 1, and
+per field width, through _reduces_to_zero, equality compares it, a
+colon is _colon at rank 1, and
 saturation wraps only the loop's result in an Ideal.  Each entry raises
 RingMismatchError on an argument from another ring.
 
@@ -109,7 +120,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import Budget, EngineLimits, resolve_limits
 from .errors import ResourceLimitError, RingMismatchError
@@ -117,14 +128,16 @@ from .polycore import (
     Polynomial,
     PolyRing,
     _Layout,
+    _bits,
+    _conversion,
     _coords,
     _layout,
+    _mul_acc,
     _width,
     add_scaled,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     parse_poly,
 )
 
@@ -328,6 +341,44 @@ def _reduce(v: dict, divisors: _Divisors, ring: PolyRing, budget: Budget) -> dic
         return lay.unpack_vec(_divide(lay.pack_vec(v), divisors.at(lay), lay, p, budget))
 
     return _retry(run, max(divisors.bits, _width(a for _, a in v)))
+
+
+def _reduces_to_zero(
+    h: Mapping, src: _Layout, deg: int, divisors: _Divisors, ring: PolyRing, budget: Budget
+) -> bool:
+    """Whether the packed dividend `h` reduces to zero against `divisors`:
+    membership in their span when they are a reduced basis.  The one
+    membership entry, for dividends that are already packed.
+
+    h holds packed terms of `src`, an engine layout of `ring` or a
+    polycore product layout, with coefficients not yet reduced mod p, as
+    _mul_acc leaves them; `deg` is its largest degree.  It is not
+    consumed.  The division runs at the width _reduce would pick for h
+    unpacked, which holds four times `deg`, on h moved into that layout
+    by polycore._conversion (a copy when it is `src`), restarting at
+    double width with the budget as it was on entry.  So the answer and
+    the steps spent are _reduce's, and the remainder is read on packs:
+    nothing is unpacked."""
+    p = ring.p
+    left = budget.left
+
+    def run(bits: int) -> bool:
+        budget.left = left  # a restart redoes the same steps
+        lay = _layout(ring.n, ring.order, bits)
+        return not _divide(_conversion(src, lay)(h, p), divisors.at(lay), lay, p, budget)
+
+    return _retry(run, max(divisors.bits, _bits(4 * deg)))
+
+
+def _dividends(vecs: Iterable[dict], divisors: _Divisors) -> Iterator[tuple]:
+    """(packed vector, engine layout, degree) of each vector, packed at
+    the width _reduce would pick for it against `divisors`: dividends for
+    _spans_all."""
+    ring = divisors.ring
+    for v in vecs:
+        deg = max((sum(a) for _, a in v), default=0)
+        lay = _layout(ring.n, ring.order, max(divisors.bits, _bits(4 * deg)))
+        yield lay.pack_vec(v), lay, deg
 
 
 def _monic(v: dict, lead, p: int) -> dict:
@@ -584,10 +635,9 @@ def _colon(
         Q = _colon_by(hs[0], N, rank, ring, limits)
     if Q.vecs == N.vecs:
         return N
-    p = ring.p
     quots = []
     for i, h in enumerate(hs):
-        if i == first or _spans_all(N, (_times_vec(h, g, p) for g in Q.vecs), ring, limits):
+        if i == first or _spans_all(N, _products(h, Q, N), ring, limits):
             continue
         q = _colon_by(h, N, rank, ring, limits)
         if q.vecs == N.vecs:
@@ -604,14 +654,21 @@ def _colon_by(h: dict, N: _Divisors, rank: int, ring: PolyRing, limits: EngineLi
     return _syzygies_raw(cols, rank, ring, limits, N)
 
 
-def _times_vec(h: dict, v: dict, p: int) -> dict:
-    """h * v, h {monomial: coeff} and v {(component, monomial): coeff}."""
-    out: dict = {}
-    for b, u in h.items():
-        for (c, a), w in v.items():
-            m = (c, mono_mul(a, b))
-            out[m] = (out.get(m, 0) + u * w) % p
-    return {m: w for m, w in out.items() if w}
+def _products(h: dict, Q: _Divisors, N: _Divisors) -> Iterator[tuple]:
+    """(h*g, layout, degree) for each g of Q's basis, dividends for
+    _spans_all by N: formed on packs with _mul_acc, h's and Q's at one
+    engine width, which holds four times the largest degree of an h*g
+    and is at least N's, so no field can carry."""
+    ring = N.ring
+    deg = max(map(sum, h)) + max((sum(a) for v in Q.vecs for _, a in v), default=0)
+    lay = _layout(ring.n, ring.order, max(N.bits, _bits(4 * deg)))
+    hp = lay.pack_terms(h)
+    for lead, tail in Q.at(lay):
+        g = dict(tail)
+        g[lead] = 1
+        acc: dict = {}
+        _mul_acc(acc, hp, g)
+        yield acc, lay, deg
 
 
 def _staircase_corners(N: _Divisors, rank: int) -> Optional[list]:
@@ -686,7 +743,7 @@ def _saturate(N: _Divisors, hs: Sequence[dict], rank: int, limits: EngineLimits)
         corners = _staircase_corners(N, rank)
         if corners == []:
             return N  # N = R^rank
-        if corners and _spans_all(N, corners, ring, limits):
+        if corners and _spans_all(N, _dividends(corners, N), ring, limits):
             whole = _Divisors([{(c, zero): 1} for c in range(rank)], ring)
             whole.reduced = True
             return whole
@@ -798,7 +855,11 @@ class Ideal:
         return Polynomial(self.ring, _terms(r), _raw=True)
 
     def contains(self, g: Polynomial, limits: Optional[EngineLimits] = None) -> bool:
-        return not self.normal_form(g, limits)
+        """Whether g reduces to zero by the reduced basis, decided on packs."""
+        _same_ring(self.ring, g.ring)
+        lim = resolve_limits(limits)
+        div = self._divisors(lim)
+        return _spans_all(div, _dividends([_rank1(g.terms)], div), self.ring, lim)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -940,13 +1001,15 @@ def ideal_quotient(I: Ideal, h: Polynomial, limits: Optional[EngineLimits] = Non
 
 
 def _spans_all(
-    divisors: _Divisors, vecs: Iterable[dict], ring: PolyRing, limits: EngineLimits
+    divisors: _Divisors, dividends: Iterable[tuple], ring: PolyRing, limits: EngineLimits
 ) -> bool:
-    """Whether every vector reduces to zero against `divisors`, a reduced
-    basis: membership in its span.  One budget covers the whole test,
-    which stops at the first vector that does not reduce to zero."""
+    """Whether every packed dividend (terms, layout, degree) reduces to
+    zero against `divisors`, a reduced basis: membership in its span, by
+    _reduces_to_zero.  One budget covers the whole test, which stops at
+    the first dividend that does not reduce to zero; vectors go in
+    through _dividends."""
     budget = Budget(limits)
-    return not any(_reduce(v, divisors, ring, budget) for v in vecs)
+    return all(_reduces_to_zero(h, src, deg, divisors, ring, budget) for h, src, deg in dividends)
 
 
 def ideal_quotient_ideal(I: Ideal, J: Ideal, limits: Optional[EngineLimits] = None) -> Ideal:

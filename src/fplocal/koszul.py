@@ -36,16 +36,23 @@ p once).  The first is multiplied out on one entry per nonempty subset
 T, 2^s - 1 of the s * 2^(s-1) entries, after every entry of d_q is
 compared with F^e(d_1); R is a domain, so these force the multipliers
 to be M_() * prod f_a^{q-1}, which satisfy every entry
-(_check_chain_map has the proof).  Only the images phi(rep) of the
-torsion representatives are unpacked, for the membership test.  The
-reduced basis of im d_q is that of im d_1, scaled
+(_check_chain_map has the proof).  The images phi(rep) of the torsion
+representatives stay packed too: each is multiplied out with _mul_acc
+straight off the walk's multipliers, its entries placed at their
+components in the walk's layout, and handed to the membership entry
+groebner._reduces_to_zero, which moves it into the engine's layout and
+decides it on packs, at the width its degree deg rep + (q-1) * deg M_T
+asks for; nothing of the image is unpacked.  The reduced basis of im d_q
+is that of im d_1, scaled
 (groebner._Divisors.scaled), and the basis of im d_1 is the one that
 presenting H^i was computed modulo (modres._subquotient): no level runs
 Buchberger on the image.  The torsion is taken on that presentation's
 relation basis (modres._torsion), which is not built again; at i = s,
 where ker d^s is spanned by the unit vector, that relation basis is im
-d_{s-1}'s basis itself (modres._presentation_raw).  phi_chain_map is
-the same walk and check, unpacked into matrices.
+d_{s-1}'s basis itself (modres._presentation_raw).  Below i = s, ker
+d^i's generators are the reduced basis of the syzygies of d^i, and
+_subquotient checks the image against that basis, not a second one.
+phi_chain_map is the same walk and check, unpacked into matrices.
 """
 
 from __future__ import annotations
@@ -56,17 +63,24 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .config import Budget, EngineLimits, resolve_limits
 from .frobenius import FrobeniusLevel, _check_level, frobenius_walk, level_for_degree
-from .groebner import _reduce
-from .modres import ModulePresentation, PolyMatrix, _subquotient, _torsion, syzygies
+from .groebner import _reduces_to_zero, _syzygies_raw
+from .modres import (
+    ModulePresentation,
+    PolyMatrix,
+    _free_from_vec,
+    _subquotient,
+    _torsion,
+    _vec_from_free,
+)
 from .polycore import (
     Polynomial,
     PolyRing,
     _Layout,
+    _mul_acc,
     _normalize_point,
     _product_layout,
     _ring_of,
     _sum_deg,
-    _times_mod,
     _translate,
     _vanishes,
 )
@@ -252,21 +266,24 @@ def phi_chain_map(f: Sequence[Polynomial], lvl: FrobeniusLevel) -> tuple:
 
 def _cohomology_data(kx: KoszulComplex, i: int, lim: EngineLimits) -> tuple:
     """(kernel generators, presentation, relation basis, image basis):
-    ker d^i and modres._subquotient of it by im d^{i-1}."""
+    ker d^i and modres._subquotient of it by im d^{i-1}.  Below i = s the
+    kernel generators are the engine's reduced basis of the syzygies of
+    d^i, and that basis goes to _subquotient, which checks the image
+    against it: no basis of ker d^i is built twice."""
     s = kx.s
     if i < 0 or i > s:
         raise ValueError(f"cohomological degree {i} outside [0, {s}]")
     ring = kx.ring
     rank = kx.rank(i)
-    if i < s:
-        ker = syzygies(ring, kx.diffs[i].columns, lim)
-    else:
-        zero = Polynomial.zero(ring)
-        one = Polynomial.one(ring)
-        ker = tuple(
-            tuple(one if r == u else zero for r in range(rank)) for u in range(rank)
-        )
     im = kx.diffs[i - 1].columns if i > 0 else ()
+    if i < s:
+        cols = [_vec_from_free(c) for c in kx.diffs[i].columns]
+        basis = _syzygies_raw(cols, kx.rank(i + 1), ring, lim)
+        ker = tuple(_free_from_vec(v, rank, ring) for v in basis.vecs)
+        return (ker,) + _subquotient(ring, ker, im, lim, basis)
+    zero = Polynomial.zero(ring)
+    one = Polynomial.one(ring)
+    ker = tuple(tuple(one if r == u else zero for r in range(rank)) for u in range(rank))
     return (ker,) + _subquotient(ring, ker, im, lim)
 
 
@@ -344,7 +361,7 @@ def verify_prop_van(
     The walk stays on packs from level 1 to the cap (see the module
     docstring): each level tried checks d_q o phi = phi o d_1 (on one
     entry per subset, which implies the rest) and d_q o d_q = 0 exactly,
-    and only the images phi(rep) are unpacked.
+    and the images phi(rep) are tested for membership on packs.
     An explicit `level` above `limits.level_cap` raises ValueError: no
     level could be tried.
     """
@@ -405,19 +422,35 @@ def verify_prop_van(
         return finish("inconclusive", None, 0, ())
     p = ring.p
     targets = k1.index_maps[i]
+    fdeg = [g.total_degree() for g in k1.f]
     retries = 0
     verdicts: list = []
+    packed_in = None
     for l, lay, mults in _chain_maps(k1, l0, lim.level_cap, dmax):
-        basis = basis_1.scaled(p ** l)
+        q = p ** l
+        basis = basis_1.scaled(q)
+        if lay is not packed_in:  # each representative's entries, at their components
+            packed = [
+                [
+                    (T, lay.pack_vec({(c, a): w for a, w in g.terms.items()}))
+                    for c, (T, g) in enumerate(zip(targets, rep))
+                    if g
+                ]
+                for rep in reps
+            ]
+            packed_in = lay
         verdicts = []
-        pack, unpack = lay.pack_terms, lay.unpack_terms
-        for rep in reps:
-            image = {
-                (c, a): w
-                for c, (T, g) in enumerate(zip(targets, rep))
-                for a, w in unpack(_times_mod(pack(g.terms), mults[T], p), p).items()
-            }
-            verdicts.append(not _reduce(image, basis, ring, Budget(lim)))
+        for rep, entries in zip(reps, packed):
+            image: dict = {}
+            for T, g in entries:
+                _mul_acc(image, g, mults[T])  # the entry is the smaller operand
+            # R is a domain: M_T * g has degree deg g + (q-1) * sum of deg f_a over T
+            deg = max(
+                g.total_degree() + (q - 1) * sum(fdeg[a - 1] for a in T)
+                for T, g in zip(targets, rep)
+                if g
+            )
+            verdicts.append(_reduces_to_zero(image, lay, deg, basis, ring, Budget(lim)))
         if all(verdicts):
             return finish("pass", l, retries, verdicts)
         retries += 1

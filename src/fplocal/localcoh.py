@@ -45,8 +45,7 @@ from .groebner import (
     Ideal,
     _complete_intersection,
     _lead_dim,
-    _rank1,
-    _reduce,
+    _reduces_to_zero,
     ideals_equal,
     maximal_ideal,
     saturation,
@@ -57,10 +56,10 @@ from .polycore import (
     Polynomial,
     PolyRing,
     RationalPoint,
+    _mul_acc,
     _normalize_point,
     _ring_of,
     _sum_deg,
-    _times_mod,
     _translate,
     mono_div,
 )
@@ -252,10 +251,12 @@ def top_lc_vanishing_certificate(
     The multipliers come from frobenius_walk on prod f, laid out with
     room for one more factor of the generators' degree, and stay packed:
     each membership multiplies the multiplier by the packed generator in
-    that layout, and only the product is unpacked, to be reduced by the
-    bracket power's divisors under one Budget, as Ideal.normal_form
-    would.  Each bracket power's basis is I's, scaled (bracket_power): no
-    stage runs Buchberger.
+    that layout, and the product, still packed, is decided by the
+    membership entry groebner._reduces_to_zero against the bracket
+    power's divisors under one Budget, at the width its degree
+    deg h + (q-1) * deg prod f asks for; nothing is unpacked.  Each
+    bracket power's basis is I's, scaled (bracket_power): no stage runs
+    Buchberger.
     """
     if e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -266,13 +267,16 @@ def top_lc_vanishing_certificate(
             return "pass", {"stage": 0, "memberships": None}
         ring, p = x.ring, x.ring.p
         g = prod(x.gens, start=Polynomial.one(ring))
-        hmax = max(max(map(sum, h.terms), default=0) for h in S.gens)
-        for e, lay, mults in frobenius_walk({(): g}, 1, e_max, hmax):
+        dg = max(map(sum, g.terms), default=0)
+        hdeg = [max(map(sum, h.terms)) for h in S.gens]
+        for e, lay, mults in frobenius_walk({(): g}, 1, e_max, max(hdeg)):
             div = bracket_power(x.ideal, FrobeniusLevel(p, e))._divisors(x.limits)
             verdicts = []
-            for h in S.gens:
-                image = lay.unpack_terms(_times_mod(lay.pack_terms(h.terms), mults[()], p), p)
-                verdicts.append(not _reduce(_rank1(image), div, ring, Budget(x.limits)))
+            for h, dh in zip(S.gens, hdeg):
+                image: dict = {}
+                _mul_acc(image, lay.pack_terms(h.terms), mults[()])
+                deg = dh + (p ** e - 1) * dg  # R is a domain
+                verdicts.append(_reduces_to_zero(image, lay, deg, div, ring, Budget(x.limits)))
             if all(verdicts):
                 return "pass", {"stage": e, "memberships": verdicts}
         return "inconclusive", {"stage": None, "memberships": None, "stages_tried": e_max}

@@ -17,11 +17,13 @@ _syzygies_raw, and the m-torsion from its saturation loop; each syzygy
 is an exact certificate, and tests verify them by substitution.  A
 submodule goes to the engine as its reduced basis only, so each layer
 hands on the basis it holds: _subquotient presents modulo the image's
-basis and returns it with the relation basis, and _torsion saturates
-the relation basis and presents the torsion modulo it.  The unit
-vectors modulo a basis are presented by that basis, with no engine call
-(_presentation_raw).  module_h0m and subquotient_presentation are thin
-wrappers over these two bodies, which koszul's verifier calls directly.
+basis and returns it with the relation basis, checking the image
+against the kernel's basis when its caller holds one, and _torsion
+saturates the relation basis and presents the torsion modulo it.  The
+unit vectors modulo a basis are presented by that basis, with no engine
+call (_presentation_raw).  module_h0m and subquotient_presentation are
+thin wrappers over these two bodies, which koszul's verifier calls
+directly.
 
 Resolutions iterate syzygies until a kernel vanishes, in one pass that
 yields the minimal graded resolution.  Constant entries of the
@@ -48,6 +50,7 @@ from .config import Budget, EngineLimits, resolve_limits
 from .errors import NonHomogeneousError, ResourceLimitError, RingMismatchError
 from .groebner import (
     Ideal,
+    _dividends,
     _divisor_basis,
     _Divisors,
     _monic,
@@ -331,13 +334,17 @@ def _subquotient(
     ker_gens: Sequence[Sequence[Polynomial]],
     im_gens: Sequence[Sequence[Polynomial]],
     lim: EngineLimits,
+    ker_basis: Optional[_Divisors] = None,
 ) -> tuple:
     """(presentation, relation basis, image basis) of
     span(ker_gens)/span(im_gens): subquotient_presentation's answer, the
     engine's reduced basis of its relations, and that of span(im_gens),
     which the presentation is computed modulo.
 
-    The inclusion im <= span(ker) is checked wherever it can fail: when
+    The inclusion im <= span(ker) is checked wherever it can fail, by
+    reducing the image vectors by the reduced basis of span(ker_gens):
+    `ker_basis` when the caller holds it, as koszul does for the
+    syzygies it took ker_gens from, and otherwise one built here.  When
     ker_gens are the unit vectors of the common rank, as for H^s of a
     Koszul complex, they span all of R^rank, so no basis of them is
     built and no image vector is reduced."""
@@ -345,10 +352,11 @@ def _subquotient(
     iv = [v for v in map(_vec_from_free, im_gens) if v]
     if kv:
         rank = _common_rank(list(ker_gens) + list(im_gens))
-        if not _are_units(kv, rank, ring) and not _spans_all(
-            _divisor_basis(kv, ring, lim), iv, ring, lim
-        ):
-            raise ValueError("image generators do not lie in the kernel span")
+        if not _are_units(kv, rank, ring):
+            if ker_basis is None:
+                ker_basis = _divisor_basis(kv, ring, lim)
+            if not _spans_all(ker_basis, _dividends(iv, ker_basis), ring, lim):
+                raise ValueError("image generators do not lie in the kernel span")
     elif iv:
         raise ValueError("image generators do not lie in the kernel span")
     else:
@@ -508,7 +516,7 @@ def _prune_generators(vecs: list, ring: PolyRing, lim: EngineLimits) -> list:
         others = out[:i] + out[i + 1:]
         if others:
             gb = _divisor_basis(others, ring, lim)
-            if not _reduce(out[i], gb, ring, Budget(lim)):
+            if _spans_all(gb, _dividends([out[i]], gb), ring, lim):
                 out.pop(i)
                 continue
         i += 1

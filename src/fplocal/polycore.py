@@ -31,9 +31,12 @@ Frobenius walks of frobenius and koszul keep their packs in one layout
 from the first level to the last, and exact identities, sums of
 products that must vanish, are decided on packs by _vanishes: the
 Koszul d compose d and chain-map checks and the composite check of a
-resolution use it, and nothing is unpacked for them.  add_scaled
-stays on exponent tuples: it serves sums and the confluence verifier,
-which shares no code with the engine.
+resolution use it, and nothing is unpacked for them.  A product
+whose membership the engine decides is not unpacked either:
+_conversion moves packed terms from one layout to another, product or
+engine, by an expression written out once per pair of layouts.
+add_scaled stays on exponent tuples: it serves sums and the confluence
+verifier, which shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 from operator import mul, neg
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, RingMismatchError
 
@@ -50,7 +53,6 @@ __all__ = [
     "PolyRing",
     "Polynomial",
     "RationalPoint",
-    "mono_mul",
     "mono_div",
     "mono_divides",
     "mono_lcm",
@@ -121,10 +123,6 @@ MINUS_INF = _MinusInfinity()
 
 # ---------------------------------------------------------------------------
 # monomials: plain exponent tuples
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """Exact quotient a / b; raises ArithmeticError on a negative exponent."""
@@ -289,6 +287,31 @@ class _Layout:
 @lru_cache(maxsize=None)  # one entry per (n, order, width) in use
 def _layout(n: int, order: str, bits: int) -> _Layout:
     return _Layout(n, order, bits)
+
+
+@lru_cache(maxsize=None)  # one entry per pair of layouts in use
+def _conversion(src: _Layout, dst: _Layout) -> Callable[[Mapping, int], dict]:
+    """terms, p -> the packed terms of `src` as packs of `dst`, in the
+    same variables, coefficients reduced mod p and zeros dropped.
+
+    Every layout holds each variable's exponent in a field of its own
+    (the offsets), and the component above them, so a term moves by
+    reading each of those fields and adding it times the variable's unit
+    in `dst`.  The expression is written out once per pair, one shift,
+    mask and product per variable, so no exponent tuple is built per
+    term.  `dst` must be wide enough for the terms, as a product layout
+    sized for their degree is and an engine layout of width
+    groebner._width is."""
+    if src is dst:
+        return _mod_terms
+    fields = "".join(f" + (t >> {o} & {src.mask}) * {u}" for o, u in zip(src.offsets, dst.units))
+    comp = f"(t >> {src.S} << {dst.S})"  # the negated component, moved up or down
+    return eval(f"lambda terms, p: {{{comp}{fields}: w for t, c in terms.items() if (w := c % p)}}")
+
+
+def _mod_terms(terms: Mapping, p: int) -> dict:
+    """A copy of packed terms, coefficients reduced mod p, zeros dropped."""
+    return {t: w for t, c in terms.items() if (w := c % p)}
 
 
 def _bits(d: int) -> int:

@@ -24,11 +24,20 @@ import random
 
 import pytest
 
-from fplocal.config import EngineLimits
+from fplocal import groebner
+from fplocal.config import Budget, EngineLimits
 from fplocal.errors import ResourceLimitError
 from fplocal.groebner import Ideal, verify_confluence
 from fplocal.modres import _free_from_vec, syzygies
-from fplocal.polycore import Polynomial, PolyRing, parse_poly
+from fplocal.polycore import (
+    Polynomial,
+    PolyRing,
+    _layout,
+    _mul_acc,
+    _product_layout,
+    _width,
+    parse_poly,
+)
 from support import engine_nf
 
 SEED = 20261018
@@ -349,3 +358,104 @@ def test_exponents_past_2_to_the_40_match_max_scan_reference(ring):
         assert verify_confluence(ring, gb)
         small = Ideal(ring, gens).groebner_basis()
         assert gb == tuple(Polynomial(ring, scaled(g.terms, BIG)) for g in small)
+
+
+# ---------------------------------------------------------------------------
+# the membership entry: dividends that are already packed
+#
+# groebner._reduces_to_zero takes a dividend packed in a product layout or
+# in an engine layout, its coefficients not yet reduced mod p, and answers
+# from the packed remainder.  It must agree with _reduce on the unpacked
+# dividend: zero or not, and the budget steps spent, to the step.
+
+ENTRY_ORDERS = ("grevlex", "lex", "elim-grevlex", "elim-lex")
+
+
+def random_vec(rng, n, p, rank, count, deg):
+    return {(rng.randrange(rank), a): c for a, c in random_terms(rng, n, p, count, deg).items()}
+
+
+def packed_dividends(rng, R, rank, basis):
+    """(packed terms, layout, degree, the dividend unpacked), each twice:
+    sum of a_j * b_j over some basis vectors b_j and random a_j, often
+    plus a random vector, accumulated by _mul_acc in a product layout
+    with its coefficients unreduced, and the same vector packed in the
+    engine layout, every coefficient raised by a multiple of p."""
+    n, p = R.n, R.p
+    for _ in range(10):
+        chosen = rng.sample(basis.vecs, min(len(basis.vecs), rng.randint(1, 3)))
+        cofactors = [random_terms(rng, n, p, rng.randint(1, 3), 2) for _ in chosen]
+        noise = random_vec(rng, n, p, rank, rng.randint(1, 3), 3) if rng.random() < 0.5 else {}
+        top = max(sum(a) for v in chosen for _, a in v) + 2
+        lay = _product_layout(n, max(top, 3))
+        acc = {}
+        for a, v in zip(cofactors, chosen):
+            _mul_acc(acc, lay.pack_terms(a), lay.pack_vec(v))
+        for (c, a), w in noise.items():
+            t = lay.pack(c, a)
+            acc[t] = acc.get(t, 0) + w
+        v = lay.unpack_vec({t: w for t, c in acc.items() if (w := c % p)})
+        deg = max((sum(a) for _, a in v), default=0)
+        yield acc, lay, deg, v
+        eng = _layout(n, R.order, max(basis.bits, _width(a for _, a in v)))
+        yield {t: w + p * rng.randint(0, 3) for t, w in eng.pack_vec(v).items()}, eng, deg, v
+
+
+@pytest.mark.parametrize("order", ENTRY_ORDERS)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_membership_entry_agrees_with_reduce(order, rank):
+    R = PolyRing(3, 3, order)
+    rng = random.Random(f"{SEED}:entry:{order}:{rank}")
+    lim = EngineLimits()
+    answers = []
+    for _ in range(6):
+        count = rng.randint(2, 4)
+        gens = [random_vec(rng, R.n, R.p, rank, rng.randint(1, 3), 2) for _ in range(count)]
+        basis = groebner._divisor_basis(gens, R, lim)
+        if not basis.vecs:
+            continue
+        for h, src, deg, v in packed_dividends(rng, R, rank, basis):
+            before = dict(h)
+            b1, b2 = Budget(lim), Budget(lim)
+            want = not groebner._reduce(v, basis, R, b1)
+            got = groebner._reduces_to_zero(h, src, deg, basis, R, b2)
+            assert got == want and b2.left == b1.left
+            assert h == before  # the dividend is not consumed
+            answers.append(got)
+    assert answers.count(True) >= 10 and answers.count(False) >= 10, answers.count(True)
+
+
+def test_membership_entry_restarts_at_double_width(monkeypatch):
+    # lex on F_3[x1, x2, x3] by x1 - x2^20 and x2^20 - x3, which need not be
+    # a reduced basis: the first width holds 4 * 20, and reducing x1^15
+    # passes x2^300, past a field of 8 bits.  Both dividends are products
+    # in a product layout of degree 15; the first is x1^15 - x3^15, which
+    # reduces to zero, the second x1^15 + x1^2*x3, which does not
+    R = PolyRing(3, 3, "lex")
+    divisors = groebner._Divisors(
+        [{(0, (1, 0, 0)): 1, (0, (0, 20, 0)): 2}, {(0, (0, 20, 0)): 1, (0, (0, 0, 1)): 2}], R)
+    lay = _product_layout(3, 15)
+    first = {(1, 0, 0): 1, (0, 0, 1): 2}, {(14 - k, 0, k): 1 for k in range(15)}
+    second = {(2, 0, 0): 1}, {(13, 0, 0): 1, (0, 0, 1): 1}
+    widths = []
+    divide = groebner._divide
+
+    def spy(h, divs, layout, p, budget):
+        widths.append(layout.bits)
+        return divide(h, divs, layout, p, budget)
+
+    monkeypatch.setattr(groebner, "_divide", spy)
+    lim = EngineLimits()
+    for (a, b), zero in ((first, True), (second, False)):
+        acc = {}
+        _mul_acc(acc, lay.pack_terms(a), lay.pack_terms(b))
+        v = {(0, m): c for m, c in lay.unpack_terms(acc, R.p).items()}
+        assert max(map(sum, (m for _, m in v))) == 15
+        b1, b2 = Budget(lim), Budget(lim)
+        widths.clear()
+        assert (not groebner._reduce(v, divisors, R, b1)) is zero
+        assert widths == [8, 16]
+        widths.clear()
+        assert groebner._reduces_to_zero(acc, lay, 15, divisors, R, b2) is zero
+        assert widths == [8, 16]
+        assert b2.left == b1.left < lim.max_reductions

@@ -830,6 +830,17 @@ def colon_Js(R, rng):
             Ideal(R, [random_poly(R, rng, deg=1, terms=2) for _ in range(rng.choice((2, 3)))])]
 
 
+def times_vec(h, v, p):
+    """h * v on exponent tuples, h {monomial: coeff} and v
+    {(component, monomial): coeff}."""
+    out = {}
+    for b, u in h.items():
+        for (c, a), w in v.items():
+            m = (c, tuple(x + y for x, y in zip(a, b)))
+            out[m] = (out.get(m, 0) + u * w) % p
+    return {m: w for m, w in out.items() if w}
+
+
 def submodules(seed, order):
     """Reduced bases of N <= R^rank, rank 2 and 3, over F_2, F_3 and F_5
     in 2 and 3 variables: h*v for every h of m or m_a and a sparse v,
@@ -848,7 +859,7 @@ def submodules(seed, order):
             for rank in (2, 3):
                 for point in (None, tuple(rng.randrange(p) for _ in range(n))):
                     v = sparse(R, rank)
-                    vecs = [groebner._times_vec(h.terms, v, p) for h in maximal_ideal(R, point).gens]
+                    vecs = [times_vec(h.terms, v, p) for h in maximal_ideal(R, point).gens]
                     N = groebner._divisor_basis(vecs + [sparse(R, rank), sparse(R, rank)], R, lim)
                     yield R, rank, N, rng
 

@@ -116,6 +116,8 @@ def test_an_unread_private_definition_is_caught():
 KEEP = {
     "finite_length_data": "the length of a presented module, which ROADMAP "
                           "items 13 and 6 are to read",
+    "syzygies": "the kernel entry the README points to; the Koszul verifier "
+                "calls the tagged kernel under it, whose basis it reduces by",
 }
 
 

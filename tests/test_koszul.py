@@ -468,13 +468,13 @@ def test_level_q_image_bases_match_buchberger(monkeypatch):
     # the basis each level reduces by, im d_1's scaled, is the reduced
     # basis that Buchberger computes from the level-q image columns
     seen = []
-    real = koszul._reduce
+    real = koszul._reduces_to_zero
 
-    def spy(v, divisors, ring, budget):
+    def spy(h, src, deg, divisors, ring, budget):
         seen.append(divisors)
-        return real(v, divisors, ring, budget)
+        return real(h, src, deg, divisors, ring, budget)
 
-    monkeypatch.setattr(koszul, "_reduce", spy)
+    monkeypatch.setattr(koszul, "_reduces_to_zero", spy)
     cases = [
         (PolyRing(2, 2), ["x1", "x2"], 2, 3),
         (PolyRing(3, 2), ["x1", "x2", "x1 + x2"], 2, 2),
@@ -586,22 +586,56 @@ def test_propvan_builds_each_basis_once(monkeypatch):
     # is built to check the image; the relations are im d_1's basis, and
     # the torsion's saturation exits on the staircase with e_1 outside the
     # relations, so the torsion's relations are that basis again.  At
-    # i = 2 < s = 3: ker d^2, span(ker), im d_1, the relations, and four
+    # i = 2 < s = 3: ker d^2, im d_1, the relations, and four
     # for the saturation's two rounds of engine colons.  Each round makes
     # one colon and tests the other generator by reduction: it fails in
     # the first round, which costs one more colon and a meet, and passes
     # in the second.  The saturation is all of R^2 with neither unit
     # vector in the relations, so the torsion's relations are read off.
+    # The image is checked against ker d^2's own basis, so span(ker) is
+    # not built again.
     log = count_work(monkeypatch)
     for p, gens, runs, torsion, walked in (
         (3, ["x1^2", "x1*x2 + x2^2"], 1, 1, 4),
-        (2, ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 8, 2, 3),
+        (2, ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 7, 2, 3),
     ):
         R = PolyRing(p, 2)
         log["gb"] = 0
         cert = verify_prop_van([P(R, g) for g in gens], 2)
         assert (cert.num_torsion_generators, cert.retries) == (torsion, walked)
         assert log["gb"] == runs, gens
+
+
+def test_propvan_below_s_checks_the_image_against_the_kernel_basis(monkeypatch):
+    # below i = s the image of d^{i-1} is checked against the basis that
+    # ker d^i's syzygies were read off: one Buchberger run fewer than
+    # building that basis again from the kernel generators, which is
+    # what _subquotient does when it is given no basis, and the same
+    # certificate
+    runs = []
+    packed_basis = groebner._packed_basis
+    monkeypatch.setattr(groebner, "_packed_basis", lambda *a: runs.append(1) or packed_basis(*a))
+    subquotient = koszul._subquotient
+
+    def rebuilt(ring, ker, im, lim, basis=None):
+        return subquotient(ring, ker, im, lim)
+
+    cases = [
+        (PolyRing(2, 2), ["x1^2 + x2^2", "x1*x2 + x2^2", "x1"], 2),
+        (PolyRing(3, 3), ["x1", "x2", "x1*x3"], 1),
+        (PolyRing(3, 3), ["x1", "x2", "x1*x3"], 2),
+        (PolyRing(2, 3, "lex"), ["x1^2", "x1*x2", "x3"], 2),
+    ]
+    for R, gens, i in cases:
+        f = [P(R, g) for g in gens]
+        counts, certs = [], []
+        for route in (subquotient, rebuilt):
+            monkeypatch.setattr(koszul, "_subquotient", route)
+            runs.clear()
+            certs.append(verify_prop_van(f, i))
+            counts.append(len(runs))
+        assert certs[0] == certs[1], (gens, i)
+        assert counts[1] == counts[0] + 1, (gens, i, counts)
 
 
 # ---------------------------------------------------------------------------

